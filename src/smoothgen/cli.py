@@ -288,8 +288,12 @@ def _rates_rows(args, f, base) -> tuple[list[str], list[list]]:
                         a_n = built.params.a_n
                     achieved = float(built.achieved_divergence)
                     m_val = built.M
-                except SmoothgenError:
-                    pass
+                except SmoothgenError as exc:
+                    print(
+                        f"warning: n={ev.n} nu={nu}: construction skipped: "
+                        f"{type(exc).__name__}: {exc}",
+                        file=sys.stderr,
+                    )
             row: list = [
                 ev.n,
                 nu,

@@ -10,9 +10,13 @@ Two source representations are used everywhere in this package:
   machines can reach n in the thousands without materializing the
   |base|^n atoms.
 
-Sequence probabilities inside a view are exact ``Fraction`` values
-whenever the base is exact; a natural-log float is kept alongside every
-class so that large-n computations can stay in log space.
+Sequence probabilities inside a view of an exact base are integer
+numerators over one common denominator d^n, where d is the least common
+denominator of the base's support masses (the method of types); a
+natural-log float is kept alongside every class so that large-n
+computations can stay in log space.  Each source builds its
+:class:`Levels` table of distinct probability levels once and caches it;
+the smooth entropies and the spectrum read only that table.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "UniformDistribution",
     "TypeClass",
     "ProductSourceView",
+    "Levels",
     "SpectrumSample",
     "make_distribution",
     "uniform_distribution",
@@ -89,11 +94,14 @@ class FiniteDistribution:
         for m in self.masses:
             if m < 0:
                 raise NegativeMassError(f"mass {m!r} is negative")
-        total = sum(self.masses)
         if self.exact:
+            total = sum(self.masses)
             if total != 1:
                 raise BadParamError(f"exact masses must sum to 1, got {total!r}")
-        elif abs(total - 1) > 1e-12:
+            return
+        # A plain running sum of 2^17 float product masses drifts past 1e-12.
+        total = math.fsum(self.masses)
+        if abs(total - 1) > 1e-12:
             raise BadParamError(f"masses sum to {total!r}, outside 1 ± 1e-12")
 
     @cached_property
@@ -125,6 +133,27 @@ class FiniteDistribution:
             sorted(range(self.size), key=lambda i: (-self.masses[i], i))
             if not self.exact
             else sorted(range(self.size), key=lambda i: self.masses[i], reverse=True)
+        )
+
+    @cached_property
+    def levels(self) -> Levels:
+        """Distinct positive masses, descending, with their atom counts."""
+        ordered = (self.masses[i] for i in self.descending())
+        probs, counts, _ = _runs((m, 1) for m in ordered if m > 0)
+        logs = [_log_exact(m) for m in probs]
+        denominator = None
+        if self.exact:
+            denominator = math.lcm(*(m.denominator for m in probs))
+            probs = [m.numerator * (denominator // m.denominator) for m in probs]
+        else:
+            probs = [float(m) for m in probs]
+        return Levels(
+            probs=tuple(probs),
+            counts=tuple(counts),
+            logs=tuple(logs),
+            denominator=denominator,
+            alphabet_size=self.size,
+            n=1,
         )
 
 
@@ -207,13 +236,23 @@ class TypeClass:
     with the parent view's ``support_labels``.  ``multiplicity`` is the
     exact multinomial coefficient; ``log_prob`` is the natural log of
     ``per_sequence_prob`` and stays finite when the exact probability
-    underflows a float.
+    underflows a float.  On exact views ``numerator`` is the
+    per-sequence probability times the view's common ``denominator``
+    d^n; both are None on float views.
     """
 
     composition: tuple[int, ...]
-    per_sequence_prob: Number
     log_prob: float
     multiplicity: int
+    numerator: Optional[int] = None
+    denominator: Optional[int] = None
+
+    @property
+    def per_sequence_prob(self) -> Number:
+        """Exact ``Fraction`` (built on each access) or float probability."""
+        if self.numerator is None:
+            return math.exp(self.log_prob)
+        return Fraction(self.numerator, self.denominator)
 
     @property
     def mass(self) -> Number:
@@ -225,13 +264,64 @@ class TypeClass:
 
 
 @dataclass(frozen=True)
+class Levels:
+    """Distinct positive probability levels of a source, most probable first.
+
+    ``probs[j]`` is the probability of one atom of level j: an integer
+    numerator over the shared ``denominator`` on exact sources, a float
+    on float sources (``denominator`` is None).  ``counts[j]`` atoms
+    share it and ``logs[j]`` is its natural log as the source stores it.
+    ``alphabet_size`` also counts zero-mass atoms; ``n`` is the block
+    length that spectrum values are divided by (1 for a distribution).
+    """
+
+    probs: tuple
+    counts: tuple[int, ...]
+    logs: tuple[float, ...]
+    denominator: Optional[int]
+    alphabet_size: int
+    n: int
+
+    @property
+    def exact(self) -> bool:
+        return self.denominator is not None
+
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    def value(self, j: int) -> float:
+        """Self-information (1/n) log(1/p) of level j, in nats.
+
+        Exact levels take the big-int log of the reduced fraction, so
+        the value agrees bitwise with the smooth-entropy routes.
+        """
+        if self.exact:
+            return -_log_exact(Fraction(self.probs[j], self.denominator)) / self.n
+        return -self.logs[j] / self.n
+
+    def float_mass(self, j: int) -> float:
+        """Total mass of level j as a float, computed without overflow.
+
+        Linear while the probability is representable and the count
+        converts exactly, in log space otherwise.
+        """
+        prob, count = self.probs[j], self.counts[j]
+        if self.exact:
+            return prob * count / self.denominator
+        if prob > 0.0 and count < (1 << 53):
+            return prob * count
+        return math.exp(self.logs[j] + math.log(count))
+
+
+@dataclass(frozen=True)
 class ProductSourceView:
     """The i.i.d. n-fold power of a base distribution, by type classes.
 
     Classes enumerate compositions of the base's support only; sequences
     touching a zero-mass base atom are counted in ``zero_mass_count`` so
     that the full alphabet size |base|^n stays available to min-entropy
-    clamping without inflating the class list.
+    clamping without inflating the class list.  Exact views carry the
+    common ``denominator`` d^n of their class numerators.
     """
 
     base: FiniteDistribution
@@ -240,9 +330,11 @@ class ProductSourceView:
     type_classes: tuple[TypeClass, ...]
     full_alphabet_size: int
     zero_mass_count: int
+    denominator: Optional[int] = None
 
     def __post_init__(self) -> None:
-        support_total = sum(tc.multiplicity for tc in self.type_classes)
+        classes = self.type_classes
+        support_total = sum(tc.multiplicity for tc in classes)
         expected = len(self.support_labels) ** self.n
         if support_total != expected:
             raise BadParamError(
@@ -250,21 +342,82 @@ class ProductSourceView:
             )
         if self.zero_mass_count != self.full_alphabet_size - expected:
             raise BadParamError("zero-mass sequence count is inconsistent")
+        if self.exact:
+            if self.denominator is None:
+                raise BadParamError("an exact view needs its common denominator")
+            # Sum count * numerator with classes of equal multiplicity
+            # folded first: halves the big products of a binary view.
+            by_count: dict[int, int] = {}
+            for tc in classes:
+                by_count[tc.multiplicity] = by_count.get(tc.multiplicity, 0) + tc.numerator
+            if sum(count * num for count, num in by_count.items()) != self.denominator:
+                raise BadParamError("class masses do not sum to 1")
+            for a, b in zip(classes, classes[1:]):
+                if b.numerator > a.numerator:
+                    raise BadParamError("type classes not sorted by probability")
+            return
         log_total = -math.inf
-        for tc in self.type_classes:
+        for tc in classes:
             log_total = np.logaddexp(log_total, tc.log_mass)
         if abs(log_total) > 1e-10:
             raise BadParamError(f"class masses sum to exp({log_total}), not 1")
-        for a, b in zip(self.type_classes, self.type_classes[1:]):
-            if self.exact:
-                if b.per_sequence_prob > a.per_sequence_prob:
-                    raise BadParamError("type classes not sorted by probability")
-            elif b.log_prob > a.log_prob + 1e-15:
+        for a, b in zip(classes, classes[1:]):
+            if b.log_prob > a.log_prob + 1e-15:
                 raise BadParamError("type classes not sorted by probability")
 
     @property
     def exact(self) -> bool:
         return self.base.exact
+
+    @cached_property
+    def levels(self) -> Levels:
+        """Runs of classes sharing one probability level, built once.
+
+        Exact views group equal numerators, float views equal stored
+        log-probabilities (which may split equal levels that round
+        differently).
+        """
+        classes = self.type_classes
+        exact = self.exact
+        keys, counts, firsts = _runs(
+            (tc.numerator if exact else tc.log_prob, tc.multiplicity) for tc in classes
+        )
+        logs = [classes[i].log_prob for i in firsts]
+        probs = keys if exact else [math.exp(lp) for lp in logs]
+        return Levels(
+            probs=tuple(probs),
+            counts=tuple(counts),
+            logs=tuple(logs),
+            denominator=self.denominator,
+            alphabet_size=self.full_alphabet_size,
+            n=self.n,
+        )
+
+
+def _runs(pairs: Iterable[tuple[object, int]]) -> tuple[list, list[int], list[int]]:
+    """Merge consecutive (key, count) pairs of equal key.
+
+    Returns each run's key, summed count and first position.  A run of
+    one pair keeps that pair's count object rather than a copy.
+    """
+    keys: list = []
+    counts: list[int] = []
+    firsts: list[int] = []
+    for i, (key, count) in enumerate(pairs):
+        if keys and keys[-1] == key:
+            counts[-1] += count
+        else:
+            keys.append(key)
+            counts.append(count)
+            firsts.append(i)
+    return keys, counts, firsts
+
+
+def _levels_of(source: Union[FiniteDistribution, ProductSourceView]) -> Levels:
+    """The cached level table of a distribution or a product view."""
+    if not isinstance(source, (FiniteDistribution, ProductSourceView)):
+        raise BadParamError(f"unsupported source type {type(source).__name__}")
+    return source.levels
 
 
 def _compositions(n: int, s: int) -> Iterable[tuple[int, ...]]:
@@ -285,8 +438,13 @@ def iid_power(
 ) -> ProductSourceView:
     """Build the type-class view of base^n.
 
-    Guards: the sequence-count width n*log2(|base|) must stay below
-    ``max_bits`` bits and the composition count below ``max_classes``.
+    On an exact base with support masses w_i / d (d their least common
+    denominator) a class of composition k has per-sequence numerator
+    prod w_i^k_i over d^n; binary views fill these by the recurrence
+    num(k+1) = num(k) / w_1 * w_0, wider ones from per-symbol power
+    tables.  Guards: the sequence-count width n*log2(|base|) must stay
+    below ``max_bits`` bits and the composition count below
+    ``max_classes``.
     """
     if not isinstance(n, int) or n < 1:
         raise BadParamError(f"n must be a positive integer, got {n!r}")
@@ -308,18 +466,38 @@ def iid_power(
     log_masses = [_log_exact(m) for m in support_masses]
     exact = base.exact
 
-    classes: list[TypeClass] = []
     if s == 1:
-        comp_iter: Iterable[tuple[int, ...]] = ((n,),)
+        comps: Iterable[tuple[int, ...]] = ((n,),)
     elif s == 2:
-        comp_iter = ((k, n - k) for k in range(n + 1))
+        comps = ((k, n - k) for k in range(n + 1))
     else:
-        comp_iter = _compositions(n, s)
+        comps = _compositions(n, s)
+
+    denominator = None
+    nums: Optional[list[int]] = None
+    if exact:
+        d = math.lcm(*(m.denominator for m in support_masses))
+        weights = [m.numerator * (d // m.denominator) for m in support_masses]
+        denominator = d ** n
+        if s == 2:
+            w0, w1 = weights
+            num = w1 ** n
+            nums = [num]
+            for _ in range(n):
+                num = num // w1 * w0
+                nums.append(num)
+        else:
+            powers = []
+            for w in weights:
+                row = [1]
+                for _ in range(n):
+                    row.append(row[-1] * w)
+                powers.append(row)
 
     if s == 2:
         # Iterative binomial update keeps multiplicities cheap at large n.
         mult = 1
-        mults = [1]
+        mults: Optional[list[int]] = [1]
         for k in range(n):
             mult = mult * (n - k) // (k + 1)
             mults.append(mult)
@@ -327,30 +505,29 @@ def iid_power(
         fact_n = math.factorial(n)
         mults = None
 
-    for idx, comp in enumerate(comp_iter):
+    classes: list[TypeClass] = []
+    for idx, comp in enumerate(comps):
         if mults is not None:
             multiplicity = mults[idx]
         else:
-            denom = math.prod(math.factorial(k) for k in comp)
-            multiplicity = fact_n // denom
-        log_prob = sum(k * lm for k, lm in zip(comp, log_masses))
-        if exact:
-            prob: Number = math.prod(
-                (m ** k for m, k in zip(support_masses, comp)), start=Fraction(1)
-            )
-        else:
-            prob = math.exp(log_prob)
+            multiplicity = fact_n // math.prod(math.factorial(k) for k in comp)
+        numerator = None
+        if nums is not None:
+            numerator = nums[idx]
+        elif exact:
+            numerator = math.prod(row[k] for row, k in zip(powers, comp))
         classes.append(
             TypeClass(
                 composition=comp,
-                per_sequence_prob=prob,
-                log_prob=log_prob,
+                log_prob=sum(k * lm for k, lm in zip(comp, log_masses)),
                 multiplicity=multiplicity,
+                numerator=numerator,
+                denominator=denominator,
             )
         )
 
     if exact:
-        classes.sort(key=lambda tc: tc.per_sequence_prob, reverse=True)
+        classes.sort(key=lambda tc: tc.numerator, reverse=True)
     else:
         classes.sort(key=lambda tc: -tc.log_prob)
 
@@ -362,6 +539,7 @@ def iid_power(
         type_classes=tuple(classes),
         full_alphabet_size=full,
         zero_mass_count=full - s ** n,
+        denominator=denominator,
     )
 
 
@@ -396,20 +574,6 @@ class SpectrumSample:
     mass: float
 
 
-def _grouped_levels(view: ProductSourceView) -> list[tuple[TypeClass, list[TypeClass]]]:
-    """Consecutive runs of classes sharing one probability level."""
-    groups: list[tuple[TypeClass, list[TypeClass]]] = []
-    for tc in view.type_classes:
-        if groups and (
-            (view.exact and groups[-1][0].per_sequence_prob == tc.per_sequence_prob)
-            or (not view.exact and groups[-1][0].log_prob == tc.log_prob)
-        ):
-            groups[-1][1].append(tc)
-        else:
-            groups.append((tc, [tc]))
-    return groups
-
-
 def spectrum_of(view: ProductSourceView) -> list[SpectrumSample]:
     """Distinct probability levels with aggregated masses, value-ascending.
 
@@ -417,17 +581,11 @@ def spectrum_of(view: ProductSourceView) -> list[SpectrumSample]:
     group by the stored log-probability, which may split equal levels
     that round differently.
     """
-    samples: list[SpectrumSample] = []
-    for rep, members in _grouped_levels(view):
-        if view.exact:
-            # Big-int log of the exact probability; the float log_prob chain
-            # would round differently from the entropy routes.
-            value = -_log_exact(rep.per_sequence_prob) / view.n
-            mass = float(sum(tc.mass for tc in members))
-        else:
-            value = -rep.log_prob / view.n
-            mass = math.fsum(float(tc.multiplicity) * math.exp(tc.log_prob) for tc in members)
-        samples.append(SpectrumSample(value=value, mass=mass))
+    levels = view.levels
+    samples = [
+        SpectrumSample(value=levels.value(j), mass=levels.float_mass(j))
+        for j in range(len(levels))
+    ]
     total = math.fsum(s.mass for s in samples)
     if abs(total - 1) > 1e-10:
         raise BadParamError(f"spectrum masses sum to {total}, not 1")

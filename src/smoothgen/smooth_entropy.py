@@ -6,10 +6,11 @@ entropy is -log(beta0) where beta0 is the smallest cap beta, at least
 1/|alphabet|, whose excess mass sum_x (P(x) - beta)+ stays within delta.
 
 Both accept an explicit :class:`FiniteDistribution` or a compressed
-:class:`ProductSourceView`; the view path works on whole probability
-levels (type classes grouped by equal probability) so n in the
-thousands stays cheap.  Exact sources are processed in exact rational
-arithmetic; float sources run in log space so that per-sequence
+:class:`ProductSourceView` and work on the source's cached
+:class:`Levels` table, whole probability levels at a time, so n in the
+thousands stays cheap.  Exact sources are processed in integers over
+the table's common denominator, and only the returned cap becomes a
+``Fraction``; float sources run in log space so that per-sequence
 probabilities far below float range cannot underflow to nonsense.
 
 Two brute-force oracles, deliberately sharing no code with the fast
@@ -27,8 +28,9 @@ import numpy as np
 
 from .distributions import (
     FiniteDistribution,
+    Levels,
     ProductSourceView,
-    _grouped_levels,
+    _levels_of,
     _log_exact,
 )
 from .errors import BadParamError, TooLargeError
@@ -109,27 +111,8 @@ def _check_delta(delta: Number) -> float:
     return d
 
 
-def _levels(source: Source) -> tuple[list[tuple[Number, int, float]], int, bool]:
-    """(prob, count, log_prob) per distinct positive level, descending."""
-    if isinstance(source, ProductSourceView):
-        out = []
-        for rep, members in _grouped_levels(source):
-            count = sum(tc.multiplicity for tc in members)
-            out.append((rep.per_sequence_prob, count, rep.log_prob))
-        return out, source.full_alphabet_size, source.exact
-    if not isinstance(source, FiniteDistribution):
-        raise BadParamError(f"unsupported source type {type(source).__name__}")
-    out = []
-    for i in source.descending():
-        m = source.masses[i]
-        if m <= 0:
-            break
-        if out and out[-1][0] == m:
-            prob, count, lp = out[-1]
-            out[-1] = (prob, count + 1, lp)
-        else:
-            out.append((m, 1, _log_exact(m)))
-    return out, source.size, source.exact
+def _exact_delta(delta: Number) -> Fraction:
+    return delta if isinstance(delta, Fraction) else Fraction(delta)
 
 
 def smooth_max_entropy(source: Source, delta: Number) -> SmoothEntropyResult:
@@ -139,43 +122,46 @@ def smooth_max_entropy(source: Source, delta: Number) -> SmoothEntropyResult:
     partial tail of the crossing level counted atom-by-atom.
     """
     delta_f = _check_delta(delta)
-    levels, _, exact = _levels(source)
-    if exact:
-        target = 1 - (delta if isinstance(delta, Fraction) else Fraction(delta))
-        cum = Fraction(0)
+    levels = _levels_of(source)
+    if levels.exact:
+        # With delta = p/q and masses cum/den: cum/den < 1 - delta is
+        # cum*q < (q - p)*den.
+        d = _exact_delta(delta)
+        p, q = d.numerator, d.denominator
+        den = levels.denominator
+        target = (q - p) * den
+        cum = 0
         whole = 0
-        for prob, count, _ in levels:
-            class_mass = prob * count
-            if cum + class_mass < target:
-                cum += class_mass
+        for num, count in zip(levels.probs, levels.counts):
+            reached = cum + num * count
+            if reached * q < target:
+                cum = reached
                 whole += count
                 continue
-            extra = math.ceil((target - cum) / prob)
+            extra = -((cum * q - target) // (num * q))
             size = whole + extra
             return SmoothEntropyResult(
                 order="max",
                 delta=delta_f,
                 value=math.log(size),
-                witness=MaxEntropyWitness(set_size=size, mass=float(cum + extra * prob)),
+                witness=MaxEntropyWitness(set_size=size, mass=(cum + extra * num) / den),
             )
         return SmoothEntropyResult(
             order="max",
             delta=delta_f,
             value=math.log(whole),
-            witness=MaxEntropyWitness(set_size=whole, mass=float(cum)),
+            witness=MaxEntropyWitness(set_size=whole, mass=cum / den),
         )
     target_f = 1.0 - delta_f
     cum_f = 0.0
     whole = 0
-    for prob, count, log_prob in levels:
+    for j, (prob_f, count, log_prob) in enumerate(
+        zip(levels.probs, levels.counts, levels.logs)
+    ):
         # Sums stay in linear floats while the level is representable;
         # the log chain is only for underflowed probabilities or counts
         # too large to convert exactly.
-        prob_f = float(prob)
-        if prob_f > 0.0 and count < (1 << 53):
-            class_mass = prob_f * count
-        else:
-            class_mass = math.exp(log_prob + math.log(count))
+        class_mass = levels.float_mass(j)
         if cum_f + class_mass < target_f:
             cum_f += class_mass
             whole += count
@@ -209,20 +195,24 @@ def smooth_max_entropy(source: Source, delta: Number) -> SmoothEntropyResult:
     )
 
 
-def _residual_exact(
-    levels: list[tuple[Number, int, float]], beta: Fraction
-) -> Fraction:
-    total = Fraction(0)
-    for prob, count, _ in levels:
-        if prob <= beta:
+def _residual_exact(levels: Levels, beta: Fraction) -> float:
+    """Excess mass, (prob - beta) * count over the levels above beta, as a float."""
+    b, c = beta.numerator, beta.denominator
+    den = levels.denominator
+    b_den = b * den
+    mass = 0
+    count_above = 0
+    for num, count in zip(levels.probs, levels.counts):
+        if num * c <= b_den:
             break
-        total += (prob - beta) * count
-    return total
+        mass += num * count
+        count_above += count
+    return (mass * c - b_den * count_above) / (den * c)
 
 
-def _residual_float(levels: list[tuple[Number, int, float]], log_beta: float) -> float:
+def _residual_float(levels: Levels, log_beta: float) -> float:
     terms = []
-    for _, count, log_prob in levels:
+    for count, log_prob in zip(levels.counts, levels.logs):
         if log_prob <= log_beta:
             break
         log_count = math.log(count)
@@ -237,51 +227,59 @@ def smooth_min_entropy(source: Source, delta: Number) -> SmoothEntropyResult:
     atoms, so the clamp can raise beta above the unclamped solution.
     """
     delta_f = _check_delta(delta)
-    levels, alphabet_size, exact = _levels(source)
-    if exact:
-        d = delta if isinstance(delta, Fraction) else Fraction(delta)
-        cum = Fraction(0)
+    levels = _levels_of(source)
+    if levels.exact:
+        # With delta = p/q, the candidate cap (cum/den - delta)/n_cum is
+        # excess / (q*den*n_cum), excess = cum*q - p*den; it is accepted
+        # once it reaches the next level nxt/den.
+        d = _exact_delta(delta)
+        p, q = d.numerator, d.denominator
+        den = levels.denominator
+        probs = levels.probs
+        p_den = p * den
+        cum = 0
         n_cum = 0
         beta_star: Optional[Fraction] = None
-        for j, (prob, count, _) in enumerate(levels):
-            cum += prob * count
+        for j, (num, count) in enumerate(zip(probs, levels.counts)):
+            cum += num * count
             n_cum += count
-            if cum <= d:
+            excess = cum * q - p_den
+            if excess <= 0:
                 continue
-            cand = (cum - d) / n_cum
-            nxt = levels[j + 1][0] if j + 1 < len(levels) else 0
-            if cand >= nxt:
-                beta_star = cand
+            nxt = probs[j + 1] if j + 1 < len(probs) else 0
+            if excess >= nxt * q * n_cum:
+                beta_star = Fraction(excess, q * den * n_cum)
                 break
         if beta_star is None:
             raise BadParamError("water-filling failed; masses do not reach delta")
-        clamp = Fraction(1, alphabet_size)
-        beta0 = beta_star if beta_star > clamp else clamp
+        clamp = Fraction(1, levels.alphabet_size)
+        if beta_star > clamp:
+            # The water-filling cap leaves exactly delta above it.
+            beta0, residual = beta_star, float(d)
+        else:
+            beta0, residual = clamp, _residual_exact(levels, clamp)
         value = -_log_exact(beta0)
         return SmoothEntropyResult(
             order="min",
             delta=delta_f,
             value=value,
-            witness=MinEntropyWitness(
-                beta=beta0,
-                log_beta=-value,
-                residual=float(_residual_exact(levels, beta0)),
-            ),
+            witness=MinEntropyWitness(beta=beta0, log_beta=-value, residual=residual),
         )
     cum_f = 0.0
     n_cum = 0
     log_beta_star = -math.inf
-    for j, (prob, count, log_prob) in enumerate(levels):
+    logs = levels.logs
+    for j, (count, log_prob) in enumerate(zip(levels.counts, logs)):
         cum_f += math.exp(log_prob + math.log(count))
         n_cum += count
         if cum_f <= delta_f:
             continue
         cand = math.log(cum_f - delta_f) - math.log(n_cum)
-        nxt = levels[j + 1][2] if j + 1 < len(levels) else -math.inf
+        nxt = logs[j + 1] if j + 1 < len(logs) else -math.inf
         if cand >= nxt:
             log_beta_star = cand
             break
-    log_clamp = -math.log(alphabet_size)
+    log_clamp = -math.log(levels.alphabet_size)
     log_beta0 = max(log_beta_star, log_clamp)
     value = -log_beta0
     return SmoothEntropyResult(

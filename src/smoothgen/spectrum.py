@@ -19,9 +19,9 @@ from typing import Optional, Sequence, Union
 
 from .distributions import (
     FiniteDistribution,
+    Levels,
     ProductSourceView,
-    _grouped_levels,
-    _log_exact,
+    _levels_of,
     iid_power,
 )
 from .errors import BadParamError, OutOfRangeError, TooFewPointsError
@@ -67,40 +67,51 @@ class SpectrumRate:
             )
 
 
-def _spectrum_levels(source: Source) -> tuple[list[tuple[float, Number]], int, bool]:
-    """(level value, mass) ascending by value, plus n and exactness.
+def _exact_quantile_levels(levels: Levels, c: Fraction) -> tuple[int, int]:
+    """Level indices of kbar and kunder from one pass down in probability.
 
-    Level values use big-int logs on exact sources so they agree
-    bitwise with the smooth-entropy routes.
+    kbar is the first level whose prefix mass reaches c.  kunder is the
+    last level whose suffix mass reaches c; the exact levels sum to one,
+    so that suffix is 1 - (prefix before it).  The pass stops at the
+    later of the two indices instead of summing the whole low tail.
     """
-    if isinstance(source, ProductSourceView):
-        out = []
-        for rep, members in _grouped_levels(source):
-            if source.exact:
-                value = -_log_exact(rep.per_sequence_prob) / source.n
-                mass: Number = sum(tc.mass for tc in members)
-            else:
-                value = -rep.log_prob / source.n
-                mass = math.fsum(
-                    float(tc.multiplicity) * math.exp(tc.log_prob) for tc in members
-                )
-            out.append((value, mass))
-        return out, source.n, source.exact
-    if not isinstance(source, FiniteDistribution):
-        raise BadParamError(f"unsupported source type {type(source).__name__}")
-    out = []
-    prev: Optional[Number] = None
-    for i in source.descending():
-        m = source.masses[i]
-        if m <= 0:
+    den, c_num, c_den = levels.denominator, c.numerator, c.denominator
+    reach = c_num * den  # prefix*c_den >= reach: the lower tail holds c
+    keep = (c_den - c_num) * den  # prefix*c_den > keep: the upper tail no longer does
+    last = len(levels) - 1
+    j_bar: Optional[int] = None
+    j_under: Optional[int] = 0 if keep < 0 else None
+    cum = 0
+    for j, (num, count) in enumerate(zip(levels.probs, levels.counts)):
+        cum += num * count
+        scaled = cum * c_den
+        if j_bar is None and scaled >= reach:
+            j_bar = j
+        if j_under is None and scaled > keep:
+            j_under = j
+        if j_bar is not None and j_under is not None:
             break
-        if prev is not None and m == prev:
-            value, mass = out[-1]
-            out[-1] = (value, mass + m)
-        else:
-            out.append((-(_log_exact(m) if source.exact else math.log(float(m))), m))
-            prev = m
-    return out, 1, source.exact
+    return (last if j_bar is None else j_bar), (last if j_under is None else j_under)
+
+
+def _float_quantile_levels(levels: Levels, c: float) -> tuple[int, int]:
+    """Level indices of kbar (mass summed upward) and kunder (downward)."""
+    masses = [levels.float_mass(j) for j in range(len(levels))]
+    j_bar = len(masses) - 1
+    cum = 0.0
+    for j, mass in enumerate(masses):
+        cum = cum + mass
+        if cum >= c:
+            j_bar = j
+            break
+    j_under = 0
+    cum = 0.0
+    for j in reversed(range(len(masses))):
+        cum = cum + masses[j]
+        if cum >= c:
+            j_under = j
+            break
+    return j_bar, j_under
 
 
 def spectrum_rate(
@@ -115,7 +126,9 @@ def spectrum_rate(
     The generator is used through its offset form, which leaves C1
     families untouched (their linear coefficient is zero) and makes the
     rest monotone.  kbar scans the spectrum upward accumulating mass,
-    kunder scans downward; exact sources accumulate in rationals.
+    kunder scans downward; exact sources accumulate integers over the
+    level table's common denominator, and only the two returned levels
+    become fractions.
     """
     f0 = offset(f)
     if epsilon < 0 or not epsilon < f0.f_at_zero:
@@ -124,28 +137,15 @@ def spectrum_rate(
         )
     if order == "second" and R is None:
         raise BadParamError("second order needs a reference rate R")
-    levels, n, exact = _spectrum_levels(source)
-    eps = Fraction(epsilon) if exact and isinstance(epsilon, float) else epsilon
-    c = inverse(f0, eps)
-    if exact and isinstance(c, float):
-        c = Fraction(c)
-    elif not exact:
-        c = float(c)
-
-    cum: Number = 0
-    kbar = levels[-1][0]
-    for value, mass in levels:
-        cum = cum + mass
-        if cum >= c:
-            kbar = value
-            break
-    cum = 0
-    kunder = levels[0][0]
-    for value, mass in reversed(levels):
-        cum = cum + mass
-        if cum >= c:
-            kunder = value
-            break
+    levels = _levels_of(source)
+    n = levels.n
+    if levels.exact:
+        eps = Fraction(epsilon) if isinstance(epsilon, float) else epsilon
+        j_bar, j_under = _exact_quantile_levels(levels, Fraction(inverse(f0, eps)))
+    else:
+        j_bar, j_under = _float_quantile_levels(levels, float(inverse(f0, epsilon)))
+    kbar = levels.value(j_bar)
+    kunder = levels.value(j_under)
     if order == "second":
         scale = math.sqrt(n)
         kbar = scale * (kbar - R)

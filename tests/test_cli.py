@@ -109,6 +109,26 @@ def test_rates_with_gamma_fills_construction_cells(capsys):
         assert cells[4] != "" and cells[5] != ""
 
 
+def test_rates_names_each_skipped_construction(capsys, tmp_path):
+    argv = [
+        "rates", "--kind", "intrinsic", "--source", "bernoulli:0.3",
+        "--f", "half-variational", "--D", "0.2", "--nu", "0.05",
+        "--n", "8,32", "--gamma", "0.5",
+    ]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert rows[2] == "32,0.05,0.5903266605922517,,,,,"
+    assert err.splitlines() == [
+        "warning: n=32 nu=0.05: construction skipped: TooLargeError: "
+        "4294967296 atoms exceed the expansion cap of 1048576"
+    ]
+    target = tmp_path / "rates.csv"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert target.read_text() == out
+    assert capsys.readouterr().err == err
+
+
 def test_equivalence_csv_shape(capsys):
     code, out, _ = run(
         capsys,

@@ -110,6 +110,14 @@ def test_iid_power_guards_width_and_class_count():
         iid_power(bernoulli(0.3), 0)
 
 
+@pytest.mark.parametrize("weights,n", [([0.7, 0.3], 17), ([0.5, 0.3, 0.2], 12)])
+def test_float_expand_is_accepted_by_its_constructor(weights, n):
+    flat = expand(iid_power(make_distribution(weights), n))
+    assert flat.size == len(weights) ** n
+    assert not flat.exact
+    assert abs(math.fsum(flat.masses) - 1) <= 1e-12
+
+
 def test_expand_respects_atom_cap():
     with pytest.raises(TooLargeError):
         expand(iid_power(bernoulli(0.3), 30))

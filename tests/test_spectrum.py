@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_typeclass as oracle
 from smoothgen import (
     BadParamError,
     OutOfRangeError,
@@ -18,7 +19,10 @@ from smoothgen import (
     expand,
     half_variational,
     iid_power,
+    inverse,
     make_distribution,
+    offset,
+    spectrum_of,
     spectrum_rate,
     sweep_statistics,
     uniform_distribution,
@@ -90,6 +94,18 @@ def test_view_and_expansion_quantiles_agree_bitwise():
             rv = spectrum_rate(view, half_variational(), eps)
             rf = spectrum_rate(flat, half_variational(), eps)
             assert (rv.kbar, rv.kunder) == (rf.kbar / n, rf.kunder / n)
+
+
+@pytest.mark.parametrize("n", [1030, 2048])
+def test_float_spectrum_past_float_range_counts(n):
+    # Binomial counts above 1e308 do not convert to float; those level
+    # masses come from the log form, as in the independent oracle.
+    view = iid_power(make_distribution([0.7, 0.3]), n)
+    r = spectrum_rate(view, half_variational(), 0.21)
+    c = float(inverse(offset(half_variational()), 0.21))
+    tc = oracle.binomial_classes(0.3, n)
+    assert (r.kbar, r.kunder) == (oracle.kbar_level(tc, c), oracle.kunder_level(tc, c))
+    assert math.fsum(s.mass for s in spectrum_of(view)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_equivalence_report_gaps_shrink_for_bernoulli():
