@@ -13,10 +13,7 @@ import argparse
 import csv
 import io
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,14 +26,6 @@ from .smooth_entropy import smooth_max_entropy, smooth_min_entropy
 from .spectrum import equivalence_report
 
 __all__ = ["main"]
-
-
-def _threads() -> int:
-    raw = os.environ.get("SMOOTHGEN_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -251,25 +240,16 @@ def cmd_extract(args) -> int:
 
 
 def _rates_rows(args, f, base) -> tuple[list[str], list[list]]:
-    nus = tuple(args.nu)
-    n_list = args.n
     formula = rate_formula if args.kind == "resolvability" else ir_rate_formula
-
-    def one(n: int):
-        return formula(base, [n], f, args.D, nu_ladder=nus, R=args.R)[0]
-
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            evals = list(pool.map(one, n_list))
-    else:
-        evals = [one(n) for n in n_list]
+    evals = formula(base, args.n, f, args.D, nu_ladder=tuple(args.nu), R=args.R)
 
     header = ["n", "nu", "first_order [nats]", "second_order [nats]", "achieved_Df", "M"]
     if args.kind == "intrinsic":
         header += ["beta0", "A_n"]
     rows: list[list] = []
     for ev in evals:
+        if args.gamma is not None:
+            view = iid_power(base, ev.n) if ev.n > 1 else base
         for j, nu in enumerate(ev.nu_ladder):
             achieved: Optional[float] = None
             m_val: Optional[int] = None
@@ -277,7 +257,6 @@ def _rates_rows(args, f, base) -> tuple[list[str], list[list]]:
             a_n: Optional[float] = None
             if args.gamma is not None:
                 try:
-                    view = iid_power(base, ev.n) if ev.n > 1 else base
                     if args.kind == "resolvability":
                         built = build_resolvability_map(
                             view, f, args.D + nu, args.gamma
@@ -330,28 +309,7 @@ def cmd_rates(args) -> int:
 def cmd_equivalence(args) -> int:
     f = parse_generator(args.f)
     base = parse_source(args.source)
-    n_list = args.n
-    threads = _threads()
-
-    def one(n: int):
-        return equivalence_report(base, f, args.D, args.nu, [n]).rows[0]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, n_list))
-    else:
-        rows = [one(n) for n in n_list]
-
-    warnings: list[str] = []
-    if len(rows) >= 2:
-        if rows[-1].gap0 > rows[0].gap0 + 1e-12:
-            warnings.append(
-                f"covering-entropy gap grew from {rows[0].gap0:.3e} to {rows[-1].gap0:.3e}"
-            )
-        if rows[-1].gapinf > rows[0].gapinf + 1e-12:
-            warnings.append(
-                f"min-entropy gap grew from {rows[0].gapinf:.3e} to {rows[-1].gapinf:.3e}"
-            )
+    report = equivalence_report(base, f, args.D, args.nu, args.n)
     header = [
         "n",
         "nu",
@@ -364,7 +322,7 @@ def cmd_equivalence(args) -> int:
     ]
     data = [
         [r.n, r.nu, r.h0_rate, r.hinf_rate, r.kbar, r.kunder, r.gap0, r.gapinf]
-        for r in rows
+        for r in report.rows
     ]
     if args.json:
         keys = [h.split(" ")[0] for h in header]
@@ -372,13 +330,13 @@ def cmd_equivalence(args) -> int:
             {
                 "seed": args.seed,
                 "rows": [dict(zip(keys, row)) for row in data],
-                "warnings": warnings,
+                "warnings": list(report.warnings),
             },
             args.out,
         )
     else:
         _write_csv(header, data, args.out)
-    for w in warnings:
+    for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
 

@@ -44,7 +44,6 @@ Number = Union[int, float, Fraction]
 
 __all__ = [
     "FiniteDistribution",
-    "UniformDistribution",
     "TypeClass",
     "ProductSourceView",
     "Levels",
@@ -157,25 +156,6 @@ class FiniteDistribution:
         )
 
 
-@dataclass(frozen=True)
-class UniformDistribution:
-    """The uniform distribution on {1..size}, kept exact."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 1:
-            raise BadParamError(f"uniform size must be a positive integer, got {self.size!r}")
-
-    @cached_property
-    def distribution(self) -> FiniteDistribution:
-        mass = Fraction(1, self.size)
-        return FiniteDistribution(
-            labels=tuple(range(1, self.size + 1)),
-            masses=(mass,) * self.size,
-        )
-
-
 def make_distribution(
     weights: Sequence[Number], labels: Optional[Sequence] = None
 ) -> FiniteDistribution:
@@ -213,7 +193,13 @@ def make_distribution(
 
 
 def uniform_distribution(size: int) -> FiniteDistribution:
-    return UniformDistribution(size).distribution
+    """The uniform distribution on {1..size}, kept exact."""
+    if not isinstance(size, int) or size < 1:
+        raise BadParamError(f"uniform size must be a positive integer, got {size!r}")
+    return FiniteDistribution(
+        labels=tuple(range(1, size + 1)),
+        masses=(Fraction(1, size),) * size,
+    )
 
 
 def bernoulli(p: Union[Number, str]) -> FiniteDistribution:

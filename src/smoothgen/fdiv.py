@@ -299,17 +299,13 @@ def parse_generator(spec: str) -> FFunction:
     raise BadParamError(f"unknown generator {spec!r}")
 
 
-def _same_alphabet(p_labels: tuple, q_labels: tuple) -> bool:
-    return p_labels == q_labels
-
-
 def f_divergence(f: FFunction, P, Q) -> DivergenceValue:
     """Evaluate sum_z Q(z) * f(P(z)/Q(z)) with the boundary conventions.
 
     P and Q must carry identical label tuples.  Exact inputs with a
     rational-valued generator produce an exact ``Fraction`` value.
     """
-    if not _same_alphabet(P.labels, Q.labels):
+    if P.labels != Q.labels:
         raise AlphabetMismatchError(
             f"alphabets differ: {len(P.labels)} vs {len(Q.labels)} labels"
         )

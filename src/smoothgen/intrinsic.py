@@ -13,7 +13,6 @@ bound, never as a bare asymptotic claim.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -26,8 +25,8 @@ from .errors import (
     OverflowGuardError,
     TargetInfeasibleError,
 )
-from .fdiv import DivergenceValue, FFunction, f_divergence, inverse, offset
-from .resolvability import RateEvaluation, _as_distribution, _inverse_level
+from .fdiv import DivergenceValue, FFunction, f_divergence, offset
+from .resolvability import RateEvaluation, _as_distribution, _inverse_level, _rate_sweep
 from .smooth_entropy import smooth_min_entropy
 
 Number = Union[int, float, Fraction]
@@ -435,7 +434,6 @@ def min_achievable_uniformity(
     dist: FiniteDistribution,
     f: FFunction,
     M: int,
-    threads: Optional[int] = None,
 ) -> tuple[DivergenceValue, tuple[tuple[object, ...], ...]]:
     """Exhaustive search for the best M-bin map on a small alphabet.
 
@@ -448,24 +446,14 @@ def min_achievable_uniformity(
         raise BadParamError(f"M must lie in 1..{dist.size}, got {M}")
     uniform = uniform_distribution(M)
     source_mass = dict(zip(dist.labels, dist.masses))
-
-    def score(part: tuple[tuple[object, ...], ...]) -> tuple[float, object]:
+    best_val: Optional[DivergenceValue] = None
+    best_part: Optional[tuple[tuple[object, ...], ...]] = None
+    for part in _partitions(list(dist.labels), M):
         masses = tuple(sum(source_mass[lab] for lab in b) for b in part)
         induced = FiniteDistribution(labels=tuple(range(1, M + 1)), masses=masses)
         val = f_divergence(f, induced, uniform)
-        return (float(val), val)
-
-    best_val: Optional[DivergenceValue] = None
-    best_part: Optional[tuple[tuple[object, ...], ...]] = None
-    parts = list(_partitions(list(dist.labels), M))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scored = list(pool.map(score, parts))
-    else:
-        scored = [score(p) for p in parts]
-    for part, (fv, dv) in zip(parts, scored):
-        if best_val is None or fv < float(best_val):
-            best_val, best_part = dv, part
+        if best_val is None or float(val) < float(best_val):
+            best_val, best_part = val, part
     if best_val is None:
         raise DegenerateSupportError("no partition found")
     return best_val, best_part
@@ -485,47 +473,4 @@ def ir_rate_formula(
     covering entropy; extraction rates grow with nu, so the decreasing
     ladder must produce nonincreasing values.
     """
-    from .distributions import iid_power
-
-    f0 = offset(f)
-    nus = tuple(float(v) for v in nu_ladder)
-    if not nus or any(v <= 0 for v in nus):
-        raise BadParamError("nu ladder must be positive")
-    if any(b >= a for a, b in zip(nus, nus[1:])):
-        raise BadParamError("nu ladder must be strictly decreasing")
-    exact = base.exact
-    d_exact = Fraction(Delta) if exact and isinstance(Delta, float) else Delta
-    t_at_d = inverse(f0, d_exact)
-    out: list[RateEvaluation] = []
-    for n in n_list:
-        view = iid_power(base, int(n))
-        firsts: list[float] = []
-        alts: list[float] = []
-        seconds: list[float] = []
-        for nu in nus:
-            lvl = d_exact + (Fraction(nu) if exact else nu)
-            t = _inverse_level(f0, lvl, exact)
-            h = smooth_min_entropy(view, 1 - t)
-            firsts.append(h.value / n)
-            if R is not None:
-                seconds.append((h.value - n * R) / math.sqrt(n))
-            delta_alt = 1 - t_at_d + (
-                Fraction(nu) if exact and isinstance(t_at_d, Fraction) else nu
-            )
-            if delta_alt < 1:
-                alts.append(smooth_min_entropy(view, delta_alt).value / n)
-            else:
-                alts.append(math.nan)
-        for a, b in zip(firsts, firsts[1:]):
-            if b > a + 1e-12:
-                raise BadParamError("first-order values must be nondecreasing in nu")
-        out.append(
-            RateEvaluation(
-                n=int(n),
-                nu_ladder=nus,
-                first_order=tuple(firsts),
-                first_order_alt=tuple(alts),
-                second_order=tuple(seconds) if R is not None else None,
-            )
-        )
-    return out
+    return _rate_sweep(base, n_list, f, Delta, nu_ladder, R, smooth_min_entropy, rising=False)

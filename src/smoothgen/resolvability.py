@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .distributions import FiniteDistribution, ProductSourceView, expand, iid_power
 from .errors import (
@@ -318,18 +318,22 @@ class RateEvaluation:
             raise BadParamError("ladder and second-order lengths differ")
 
 
-def rate_formula(
+def _rate_sweep(
     base: FiniteDistribution,
     n_list: Sequence[int],
     f: FFunction,
     D: Number,
-    nu_ladder: Sequence[float] = (0.1, 0.01, 0.001),
-    R: Optional[float] = None,
+    nu_ladder: Sequence[float],
+    R: Optional[float],
+    smoother: Callable,
+    rising: bool,
 ) -> list[RateEvaluation]:
-    """Evaluate the finite-n resolvability rate along an n list.
+    """Smoothed-entropy rates along an n list, at budget D + nu per rung.
 
-    The nu ladder must be positive and strictly decreasing; targets
-    D + nu outside [0, f0(0)) propagate OutOfRange from the inversion.
+    Both optimum rates share this sweep: ``smoother`` is the smooth max
+    entropy for synthesis and the smooth min entropy for extraction.
+    ``rising`` says the decreasing ladder must produce nondecreasing
+    values (covering rates fall as nu grows); otherwise nonincreasing.
     """
     f0 = offset(f)
     nus = tuple(float(v) for v in nu_ladder)
@@ -349,20 +353,22 @@ def rate_formula(
         for nu in nus:
             lvl = d_exact + (Fraction(nu) if exact else nu)
             t = _inverse_level(f0, lvl, exact)
-            h0 = smooth_max_entropy(view, 1 - t)
-            firsts.append(h0.value / n)
+            h = smoother(view, 1 - t)
+            firsts.append(h.value / n)
             if R is not None:
-                seconds.append((h0.value - n * R) / math.sqrt(n))
-            delta_alt = 1 - t_at_d + (Fraction(nu) if exact and isinstance(t_at_d, Fraction) else nu)
+                seconds.append((h.value - n * R) / math.sqrt(n))
+            delta_alt = 1 - t_at_d + (
+                Fraction(nu) if exact and isinstance(t_at_d, Fraction) else nu
+            )
             if delta_alt < 1:
-                alts.append(smooth_max_entropy(view, delta_alt).value / n)
+                alts.append(smoother(view, delta_alt).value / n)
             else:
                 alts.append(math.nan)
-        # Covering rates fall as nu grows, so the decreasing ladder must
-        # produce nondecreasing values.
         for a, b in zip(firsts, firsts[1:]):
-            if b < a - 1e-12:
+            if rising and b < a - 1e-12:
                 raise BadParamError("first-order values must be nonincreasing in nu")
+            if not rising and b > a + 1e-12:
+                raise BadParamError("first-order values must be nondecreasing in nu")
         out.append(
             RateEvaluation(
                 n=int(n),
@@ -373,3 +379,19 @@ def rate_formula(
             )
         )
     return out
+
+
+def rate_formula(
+    base: FiniteDistribution,
+    n_list: Sequence[int],
+    f: FFunction,
+    D: Number,
+    nu_ladder: Sequence[float] = (0.1, 0.01, 0.001),
+    R: Optional[float] = None,
+) -> list[RateEvaluation]:
+    """Evaluate the finite-n resolvability rate along an n list.
+
+    The nu ladder must be positive and strictly decreasing; targets
+    D + nu outside [0, f0(0)) propagate OutOfRange from the inversion.
+    """
+    return _rate_sweep(base, n_list, f, D, nu_ladder, R, smooth_max_entropy, rising=True)

@@ -170,7 +170,8 @@ def smooth_max_entropy(source: Source, delta: Number) -> SmoothEntropyResult:
         if prob_f == 0.0:
             prob_f = math.exp(log_prob)
         if prob_f > 0.0 and need / prob_f < 9e15:
-            extra = max(math.ceil(need / prob_f), 1)
+            # Rounding in ``need`` must not take more atoms than the level holds.
+            extra = min(max(math.ceil(need / prob_f), 1), count)
             size = whole + extra
             return SmoothEntropyResult(
                 order="max",

@@ -156,17 +156,63 @@ def test_reruns_are_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_threads_env_does_not_change_bytes(capsys, tmp_path, monkeypatch):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+def test_equivalence_warns_when_a_gap_grows(capsys):
     argv = [
-        "rates", "--source", "bernoulli:0.3", "--f", "half-variational",
-        "--D", "0.2", "--n", "4,8", "--gamma", "0.5",
+        "equivalence", "--source", "uniform:2", "--f", "half-variational",
+        "--D", "0.2", "--nu", "0.01", "--n", "2,3,5",
     ]
-    assert main(argv + ["--out", str(a)]) == 0
-    monkeypatch.setenv("SMOOTHGEN_THREADS", "4")
-    assert main(argv + ["--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+    warning = "covering-entropy gap grew from 0.000e+00 to 4.153e-02"
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert err.splitlines() == [f"warning: {warning}"]
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["warnings"] == [warning]
+    assert err.splitlines() == [f"warning: {warning}"]
+
+
+def test_intrinsic_rates_csv_bytes_are_pinned(capsys):
+    code, out, err = run(
+        capsys,
+        "rates", "--kind", "intrinsic", "--source", "bernoulli:0.3",
+        "--f", "half-variational", "--D", "0.2", "--nu", "0.05,0.01",
+        "--n", "4,8", "--gamma", "0.5",
+    )
+    assert code == 0
+    assert err == ""
+    assert out == (
+        "n,nu,first_order [nats],second_order [nats],achieved_Df,M,beta0,A_n\n"
+        "4,0.05,0.63037191251275,,0.12066666666666667,3,0.08034,0.75\n"
+        "4,0.01,0.6066405682034404,,0.09156666666666667,3,0.08834,0.79\n"
+        "8,0.05,0.6011244285477764,,0.14078722333333332,12,0.00815604891891892,0.75\n"
+        "8,0.01,0.5855655059546505,,0.11154141545454545,11,0.00923713,0.79\n"
+    )
+
+
+def test_resolvability_rates_csv_bytes_are_pinned(capsys):
+    code, out, err = run(
+        capsys,
+        "rates", "--source", "bernoulli:0.3", "--f", "half-variational",
+        "--D", "0.2", "--R", "0.5", "--n", "4,8,32", "--gamma", "0.5",
+    )
+    assert code == 0
+    assert out == (
+        "n,nu,first_order [nats],second_order [nats],achieved_Df,M\n"
+        "4,0.1,0.4864775372638283,-0.027044925472343384,0.2601,52\n"
+        "4,0.01,0.5493061443340549,0.09861228866810978,0.1719,67\n"
+        "4,0.001,0.5493061443340549,0.09861228866810978,0.1719,67\n"
+        "8,0.1,0.5310619052561699,0.08785633537284725,0.29847582,3822\n"
+        "8,0.01,0.5624762087912831,0.17670940359657156,0.20771802,4914\n"
+        "8,0.001,0.5652235721311301,0.18448012058852792,0.19864224,5024\n"
+        "32,0.1,0.5911385798254488,0.5155576625782906,,\n"
+        "32,0.01,0.6078017506742912,0.6098187914045823,,\n"
+        "32,0.001,0.6100864343302461,0.6227429138525166,,\n"
+    )
+    assert err.splitlines() == [
+        f"warning: n=32 nu={nu}: construction skipped: TooLargeError: "
+        "4294967296 atoms exceed the expansion cap of 1048576"
+        for nu in ("0.1", "0.01", "0.001")
+    ]
 
 
 def test_infeasible_target_exits_two(capsys):

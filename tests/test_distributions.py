@@ -70,6 +70,12 @@ def test_uniform_distribution_labels_run_from_one():
     assert all(m == Fraction(1, 4) for m in d.masses)
 
 
+@pytest.mark.parametrize("size", [0, -3, 2.5])
+def test_uniform_distribution_rejects_bad_sizes(size):
+    with pytest.raises(BadParamError):
+        uniform_distribution(size)
+
+
 def test_descending_breaks_ties_by_label_order():
     d = make_distribution([Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
     assert d.descending() == (1, 0, 2)

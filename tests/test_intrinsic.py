@@ -116,14 +116,6 @@ def test_exhaustive_search_is_a_true_minimum():
     assert float(best) <= float(built.achieved_divergence) + 1e-12
 
 
-def test_exhaustive_search_threads_agree():
-    d = make_distribution([Fraction(k, 15) for k in (5, 4, 3, 2, 1)])
-    lone, part1 = min_achievable_uniformity(d, hellinger(), 2)
-    pooled, part2 = min_achievable_uniformity(d, hellinger(), 2, threads=4)
-    assert float(lone) == float(pooled)
-    assert part1 == part2
-
-
 def test_intrinsic_converse_accepts_built_maps():
     view = iid_power(bernoulli(0.3), 8)
     map_ = build_extractor(view, half_variational(), 0.2, 0.3)

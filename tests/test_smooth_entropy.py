@@ -35,6 +35,20 @@ def test_max_entropy_drops_whole_tail_atoms():
     assert smooth_max_entropy(d, Fraction(1, 2)).value == math.log(1)
 
 
+def test_float_max_entropy_takes_no_more_than_the_crossing_level():
+    # 0.9 - 0.3 rounds to 0.6000000000000001, which asks for four atoms
+    # of the three-atom level 0.2.
+    weights = [0.1, 0.2, 0.3, 0.2, 0.2]
+    r = smooth_max_entropy(make_distribution(weights), 0.1)
+    assert r.witness.set_size == 4
+    assert r.value == math.log(4)
+    exact = smooth_max_entropy(
+        make_distribution([Fraction(str(w)) for w in weights]), Fraction(1, 10)
+    )
+    assert exact.witness.set_size == 4
+    assert exact.value == r.value
+
+
 def test_min_entropy_of_uniform_hits_the_clamp():
     d = uniform_distribution(8)
     r = smooth_min_entropy(d, Fraction(1, 10))
