@@ -81,8 +81,6 @@ from .smooth_entropy import (
     MaxEntropyWitness,
     MinEntropyWitness,
     SmoothEntropyResult,
-    oracle_max_entropy,
-    oracle_min_entropy,
     smooth_max_entropy,
     smooth_min_entropy,
 )
@@ -149,8 +147,6 @@ __all__ = [
     "MaxEntropyWitness",
     "MinEntropyWitness",
     "SmoothEntropyResult",
-    "oracle_max_entropy",
-    "oracle_min_entropy",
     "smooth_max_entropy",
     "smooth_min_entropy",
     # resolvability

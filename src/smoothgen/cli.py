@@ -88,16 +88,23 @@ def _cell(x) -> str:
 
 def _source_at(spec: str, n: int):
     base = parse_source(spec)
-    if n <= 1:
-        return base, base
-    view = iid_power(base, n)
-    return view, base
+    return base if n <= 1 else iid_power(base, n)
+
+
+def _emit_map(args, payload: dict, summary: str) -> None:
+    """Write a construction to ``--emit``, then print JSON or the summary line."""
+    if args.emit:
+        _write_json(payload, args.emit)
+    if args.json and not args.emit:
+        _write_json(payload, None)
+    elif not args.json:
+        print(summary)
 
 
 def cmd_divergence(args) -> int:
     f = parse_generator(args.f)
-    p_src, _ = _source_at(args.p, args.n)
-    q_src, _ = _source_at(args.q, args.n)
+    p_src = _source_at(args.p, args.n)
+    q_src = _source_at(args.q, args.n)
     p = expand(p_src) if not isinstance(p_src, FiniteDistribution) else p_src
     q = expand(q_src) if not isinstance(q_src, FiniteDistribution) else q_src
     value = f_divergence(f, p, q)
@@ -133,7 +140,7 @@ def cmd_divergence(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    source, _ = _source_at(args.source, args.n)
+    source = _source_at(args.source, args.n)
     fn = smooth_max_entropy if args.order == "max" else smooth_min_entropy
     result = fn(source, args.delta)
     if args.json:
@@ -164,7 +171,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_resolve(args) -> int:
     f = parse_generator(args.f)
-    source, _ = _source_at(args.source, args.n)
+    source = _source_at(args.source, args.n)
     map_ = build_resolvability_map(source, f, args.D, args.gamma, M=args.M)
     p = map_.params
     payload = {
@@ -189,21 +196,18 @@ def cmd_resolve(args) -> int:
         "b_size": p.b_size,
         "m_from_formula": p.m_from_formula,
     }
-    if args.emit:
-        _write_json(payload, args.emit)
-    if args.json and not args.emit:
-        _write_json(payload, None)
-    elif not args.json:
-        print(
-            f"M = {map_.M}; achieved D_f = {float(map_.achieved_divergence)!r} "
-            f"(target {p.D:g}, certified bound {p.bound!r}, slack {p.slack!r})"
-        )
+    _emit_map(
+        args,
+        payload,
+        f"M = {map_.M}; achieved D_f = {float(map_.achieved_divergence)!r} "
+        f"(target {p.D:g}, certified bound {p.bound!r}, slack {p.slack!r})",
+    )
     return 0
 
 
 def cmd_extract(args) -> int:
     f = parse_generator(args.f)
-    source, _ = _source_at(args.source, args.n)
+    source = _source_at(args.source, args.n)
     map_ = build_extractor(source, f, args.Delta, args.gamma, M=args.M)
     p = map_.params
     payload = {
@@ -227,15 +231,12 @@ def cmd_extract(args) -> int:
         "delta_n": p.delta_n,
         "m_from_formula": p.m_from_formula,
     }
-    if args.emit:
-        _write_json(payload, args.emit)
-    if args.json and not args.emit:
-        _write_json(payload, None)
-    elif not args.json:
-        print(
-            f"M = {map_.M}; achieved D_f = {float(map_.achieved_divergence)!r} "
-            f"(target {p.Delta:g}, certified bound {p.bound!r}, delta_n {p.delta_n!r})"
-        )
+    _emit_map(
+        args,
+        payload,
+        f"M = {map_.M}; achieved D_f = {float(map_.achieved_divergence)!r} "
+        f"(target {p.Delta:g}, certified bound {p.bound!r}, delta_n {p.delta_n!r})",
+    )
     return 0
 
 

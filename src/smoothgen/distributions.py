@@ -30,8 +30,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 from .errors import (
     AllZeroError,
     BadParamError,
@@ -123,16 +121,9 @@ class FiniteDistribution:
     def has_zero_mass(self) -> bool:
         return self.support_size < self.size
 
-    def as_float(self) -> np.ndarray:
-        return np.array([float(m) for m in self.masses], dtype=float)
-
     def descending(self) -> tuple[int, ...]:
         """Atom indices sorted by mass descending, ties in label order."""
-        return tuple(
-            sorted(range(self.size), key=lambda i: (-self.masses[i], i))
-            if not self.exact
-            else sorted(range(self.size), key=lambda i: self.masses[i], reverse=True)
-        )
+        return tuple(sorted(range(self.size), key=lambda i: -self.masses[i]))
 
     @cached_property
     def levels(self) -> Levels:
@@ -342,9 +333,9 @@ class ProductSourceView:
                 if b.numerator > a.numerator:
                     raise BadParamError("type classes not sorted by probability")
             return
-        log_total = -math.inf
-        for tc in classes:
-            log_total = np.logaddexp(log_total, tc.log_mass)
+        log_masses = [tc.log_mass for tc in classes]
+        top = max(log_masses)
+        log_total = top + math.log(math.fsum(math.exp(lm - top) for lm in log_masses))
         if abs(log_total) > 1e-10:
             raise BadParamError(f"class masses sum to exp({log_total}), not 1")
         for a, b in zip(classes, classes[1:]):
@@ -540,16 +531,10 @@ def expand(view: ProductSourceView, max_atoms: int = 1 << 20) -> FiniteDistribut
             f"{total} atoms exceed the expansion cap of {max_atoms}"
         )
     labels = tuple(itertools.product(view.base.labels, repeat=view.n))
-    if view.exact:
-        masses_list: list[Number] = [Fraction(1)]
-        for _ in range(view.n):
-            masses_list = [m * bm for m in masses_list for bm in view.base.masses]
-        return FiniteDistribution(labels=labels, masses=tuple(masses_list))
-    arr = np.array([1.0])
-    base_arr = view.base.as_float()
+    masses: list[Number] = [Fraction(1) if view.exact else 1.0]
     for _ in range(view.n):
-        arr = (arr[:, None] * base_arr[None, :]).ravel()
-    return FiniteDistribution(labels=labels, masses=tuple(float(x) for x in arr))
+        masses = [m * b for m in masses for b in view.base.masses]
+    return FiniteDistribution(labels=labels, masses=tuple(masses))
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-import numpy as np
-
 from .errors import (
     AlphabetMismatchError,
     BadParamError,
@@ -65,8 +63,7 @@ class FFunction:
     when the input is rational and the generator is rational-valued.
     ``f_at_zero`` and ``c_f`` are the limits at 0+ and infinity; either may
     be ``math.inf``.  ``closed_inverse`` maps a divergence level D to
-    f0^{-1}(D) when a closed form is known.  ``eval_array`` is an optional
-    vectorized twin of ``eval`` for strictly positive float arrays.
+    f0^{-1}(D) when a closed form is known.
     """
 
     name: str
@@ -75,7 +72,6 @@ class FFunction:
     c_f: Number
     closed_inverse: Optional[Callable[[Number], Number]] = None
     params: tuple[float, ...] = ()
-    eval_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -105,11 +101,6 @@ class OffsetFunction:
 
     def eval(self, t: Number) -> Number:
         return self.origin.eval(t) + self.origin.c_f * (1 - t)
-
-    def eval_array(self, t: np.ndarray) -> np.ndarray:
-        if self.origin.eval_array is None:
-            raise BadParamError(f"{self.name} has no vectorized form")
-        return self.origin.eval_array(t) + float(self.origin.c_f) * (1.0 - t)
 
     @property
     def name(self) -> str:
@@ -155,7 +146,6 @@ def kl() -> FFunction:
         eval=lambda t: t * math.log(t),
         f_at_zero=0,
         c_f=math.inf,
-        eval_array=lambda t: t * np.log(t),
     )
 
 
@@ -167,7 +157,6 @@ def reverse_kl() -> FFunction:
         f_at_zero=math.inf,
         c_f=0,
         closed_inverse=lambda d: math.exp(-d),
-        eval_array=lambda t: -np.log(t),
     )
 
 
@@ -179,7 +168,6 @@ def hellinger() -> FFunction:
         f_at_zero=1,
         c_f=0,
         closed_inverse=lambda d: (1 - d) ** 2,
-        eval_array=lambda t: 1.0 - np.sqrt(t),
     )
 
 
@@ -191,7 +179,6 @@ def sq_hellinger() -> FFunction:
         f_at_zero=1,
         c_f=1,
         closed_inverse=lambda d: (1 - d / 2) ** 2,
-        eval_array=lambda t: (1.0 - np.sqrt(t)) ** 2,
     )
 
 
@@ -203,7 +190,6 @@ def variational() -> FFunction:
         f_at_zero=1,
         c_f=1,
         closed_inverse=lambda d: 1 - d / 2,
-        eval_array=lambda t: np.abs(t - 1.0),
     )
 
 
@@ -215,7 +201,6 @@ def half_variational() -> FFunction:
         f_at_zero=1,
         c_f=0,
         closed_inverse=lambda d: 1 - d,
-        eval_array=lambda t: np.maximum(1.0 - t, 0.0),
     )
 
 
@@ -232,7 +217,6 @@ def alpha_divergence(a: float) -> FFunction:
         c_f=1.0 / (1.0 - a),
         closed_inverse=lambda d: (d * denom + 1.0) ** (1.0 / a),
         params=(a,),
-        eval_array=lambda t: (t ** a - a * t - (1.0 - a)) / denom,
     )
 
 
@@ -253,7 +237,6 @@ def e_gamma(g: Number) -> FFunction:
         c_f=0,
         closed_inverse=lambda d: 1 - d,
         params=(g_float,),
-        eval_array=lambda t: np.maximum(g_float - t, 0.0) + (1.0 - g_float),
     )
 
 
@@ -309,13 +292,6 @@ def f_divergence(f: FFunction, P, Q) -> DivergenceValue:
         raise AlphabetMismatchError(
             f"alphabets differ: {len(P.labels)} vs {len(Q.labels)} labels"
         )
-    if (
-        f.eval_array is not None
-        and not P.exact
-        and not Q.exact
-        and len(P.labels) >= 64
-    ):
-        return _f_divergence_vectorized(f, P.as_float(), Q.as_float())
     total: Number = 0
     for p, q in zip(P.masses, Q.masses):
         if q > 0:
@@ -333,24 +309,6 @@ def f_divergence(f: FFunction, P, Q) -> DivergenceValue:
     if total < 0 and total > -1e-12:
         total = 0
     return DivergenceValue(total, finite=True)
-
-
-def _f_divergence_vectorized(f: FFunction, p: np.ndarray, q: np.ndarray) -> DivergenceValue:
-    both = (q > 0) & (p > 0)
-    total = 0.0
-    if both.any():
-        total += float(np.sum(q[both] * f.eval_array(p[both] / q[both])))
-    q_only = float(np.sum(q[(q > 0) & (p == 0)]))
-    if q_only > 0:
-        if f.f_at_zero == math.inf:
-            return DivergenceValue(math.inf, finite=False)
-        total += q_only * float(f.f_at_zero)
-    p_only = float(np.sum(p[(q == 0) & (p > 0)]))
-    if p_only > 0:
-        if f.c_f == math.inf:
-            return DivergenceValue(math.inf, finite=False)
-        total += p_only * float(f.c_f)
-    return DivergenceValue(max(total, 0.0), finite=True)
 
 
 def offset(f: FFunction) -> OffsetFunction:
@@ -454,8 +412,10 @@ def _estimate_c_f(f: FFunction) -> float:
 
 
 def _numeric_conditions(f: FFunction) -> tuple[dict[str, bool], float]:
-    grid = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 241))
-    vals = [float(f.eval(float(t))) for t in grid]
+    # 241 log-spaced points on [1e-6, 1e6].
+    lo, hi = math.log(1e-6), math.log(1e6)
+    step = (hi - lo) / 240
+    vals = [float(f.eval(math.exp(lo + i * step))) for i in range(241)]
     nonincreasing = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     f0_positive = float(f.f_at_zero) > 0 if f.f_at_zero != math.inf else True
     c1 = nonincreasing and f0_positive

@@ -12,9 +12,6 @@ thousands stays cheap.  Exact sources are processed in integers over
 the table's common denominator, and only the returned cap becomes a
 ``Fraction``; float sources run in log space so that per-sequence
 probabilities far below float range cannot underflow to nonsense.
-
-Two brute-force oracles, deliberately sharing no code with the fast
-paths, serve as verification anchors for small instances.
 """
 
 from __future__ import annotations
@@ -24,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import numpy as np
-
 from .distributions import (
     FiniteDistribution,
     Levels,
@@ -33,7 +28,7 @@ from .distributions import (
     _levels_of,
     _log_exact,
 )
-from .errors import BadParamError, TooLargeError
+from .errors import BadParamError
 
 Number = Union[int, float, Fraction]
 Source = Union[FiniteDistribution, ProductSourceView]
@@ -44,8 +39,6 @@ __all__ = [
     "SmoothEntropyResult",
     "smooth_max_entropy",
     "smooth_min_entropy",
-    "oracle_max_entropy",
-    "oracle_min_entropy",
 ]
 
 
@@ -113,6 +106,13 @@ def _check_delta(delta: Number) -> float:
 
 def _exact_delta(delta: Number) -> Fraction:
     return delta if isinstance(delta, Fraction) else Fraction(delta)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) without overflow; -inf is an empty sum."""
+    if x == y:
+        return x + math.log(2)
+    return max(x, y) + math.log1p(math.exp(-abs(x - y)))
 
 
 def smooth_max_entropy(source: Source, delta: Number) -> SmoothEntropyResult:
@@ -185,7 +185,7 @@ def smooth_max_entropy(source: Source, delta: Number) -> SmoothEntropyResult:
         return SmoothEntropyResult(
             order="max",
             delta=delta_f,
-            value=float(np.logaddexp(log_whole, log_extra)),
+            value=_logaddexp(log_whole, log_extra),
             witness=MaxEntropyWitness(set_size=None, mass=target_f),
         )
     return SmoothEntropyResult(
@@ -293,76 +293,3 @@ def smooth_min_entropy(source: Source, delta: Number) -> SmoothEntropyResult:
             residual=_residual_float(levels, log_beta0),
         ),
     )
-
-
-def oracle_max_entropy(dist: FiniteDistribution, delta: Number) -> float:
-    """Exhaustive minimum of log|A| over subsets with mass >= 1 - delta.
-
-    Works in float; exact inputs are compared at their rounded float
-    values, so knife-edge exact instances should be fed as floats.
-    """
-    delta_f = _check_delta(delta)
-    if not isinstance(dist, FiniteDistribution):
-        raise BadParamError("oracle needs an explicit distribution")
-    s = dist.size
-    if s > 20:
-        raise TooLargeError(f"{s} atoms exceed the exhaustive-subset limit of 20")
-    p = dist.as_float()
-    target = 1.0 - delta_f
-    best: Optional[int] = None
-    chunk = 1 << 16
-    for start in range(0, 1 << s, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << s), dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(s, dtype=np.int64)) & 1).astype(float)
-        mass = bits @ p
-        ok = mass >= target
-        if ok.any():
-            low = int(bits[ok].sum(axis=1).min())
-            best = low if best is None else min(best, low)
-    if best is None:
-        best = dist.support_size
-    return math.log(best)
-
-
-def oracle_min_entropy(dist: FiniteDistribution, delta: Number) -> float:
-    """Grid-plus-refinement search for the smallest admissible cap.
-
-    Independent of the water-filling path: the excess-mass function is
-    queried through sorted suffix sums, bracketed on a dense grid, and
-    bisected inside the bracketing piece.
-    """
-    delta_f = _check_delta(delta)
-    if not isinstance(dist, FiniteDistribution):
-        raise BadParamError("oracle needs an explicit distribution")
-    if dist.size > 10 ** 4:
-        raise TooLargeError(f"{dist.size} atoms exceed the oracle limit of 10^4")
-    p = dist.as_float()
-    asc = np.sort(p[p > 0])
-    csum = np.cumsum(asc)
-    total = float(csum[-1])
-
-    def excess(b: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(asc, b, side="right")
-        above = len(asc) - idx
-        w_above = total - np.where(idx > 0, csum[np.maximum(idx - 1, 0)], 0.0)
-        return w_above - b * above
-
-    clamp = 1.0 / dist.size
-    if float(excess(np.array([clamp]))[0]) <= delta_f:
-        return -math.log(clamp)
-    top = float(asc[-1])
-    grid = np.unique(np.concatenate([asc, np.linspace(clamp, top, 4097)]))
-    grid = grid[grid >= clamp]
-    feasible = excess(grid) <= delta_f
-    first = int(np.argmax(feasible))
-    hi = float(grid[first])
-    lo = clamp if first == 0 else float(grid[first - 1])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(excess(np.array([mid]))[0]) <= delta_f:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-16 * max(hi, 1.0):
-            break
-    return -math.log(max(hi, clamp))

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import smoothgen
 from smoothgen.cli import main
 
 
@@ -213,6 +218,16 @@ def test_resolvability_rates_csv_bytes_are_pinned(capsys):
         "4294967296 atoms exceed the expansion cap of 1048576"
         for nu in ("0.1", "0.01", "0.001")
     ]
+
+
+def test_import_loads_no_numpy():
+    src = str(Path(smoothgen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, smoothgen, smoothgen.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_infeasible_target_exits_two(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -122,6 +123,19 @@ def test_float_expand_is_accepted_by_its_constructor(weights, n):
     assert flat.size == len(weights) ** n
     assert not flat.exact
     assert abs(math.fsum(flat.masses) - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 2048])
+def test_float_view_rejects_class_masses_off_one(n):
+    view = iid_power(make_distribution([0.7, 0.3]), n)
+    classes = list(view.type_classes)
+    assert dataclasses.replace(view, type_classes=tuple(classes)) == view
+    # Lower the heaviest class by less than the gap to its neighbours,
+    # so only the total mass is wrong.
+    j = max(range(len(classes)), key=lambda i: classes[i].log_mass)
+    classes[j] = dataclasses.replace(classes[j], log_prob=classes[j].log_prob - 0.01)
+    with pytest.raises(BadParamError, match="class masses sum"):
+        dataclasses.replace(view, type_classes=tuple(classes))
 
 
 def test_expand_respects_atom_cap():

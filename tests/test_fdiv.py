@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,39 @@ def test_alphabet_mismatch_is_reported():
     q = make_distribution([1, 1], labels=("a", "c"))
     with pytest.raises(AlphabetMismatchError):
         f_divergence(half_variational(), p, q)
+
+
+def _direct_divergence(f, p, q) -> float:
+    terms = []
+    for a, b in zip(p, q):
+        if b > 0:
+            terms.append(b * f.eval(a / b) if a > 0 else b * float(f.f_at_zero))
+        elif a > 0:
+            terms.append(a * float(f.c_f))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("zeros", ["each side", "shared"])
+def test_wide_float_divergence_matches_a_direct_sum(zeros):
+    rng = random.Random(128)
+    for _ in range(5):
+        p = [rng.random() for _ in range(128)]
+        q = [rng.random() for _ in range(128)]
+        for i in rng.sample(range(128), 24):
+            if zeros == "shared":
+                p[i] = q[i] = 0.0
+            elif i % 2:
+                p[i] = 0.0
+            else:
+                q[i] = 0.0
+        P, Q = make_distribution(p), make_distribution(q)
+        for f in registry():
+            want = _direct_divergence(f, P.masses, Q.masses)
+            got = f_divergence(f, P, Q)
+            if want == math.inf:
+                assert not got.finite, f.name
+            else:
+                assert got.finite and abs(float(got) - want) <= 1e-12, f.name
 
 
 def test_kl_refuses_offset():

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_entropy import oracle_max_entropy, oracle_min_entropy
 from smoothgen import (
     BadParamError,
     bernoulli,
     iid_power,
     make_distribution,
-    oracle_max_entropy,
-    oracle_min_entropy,
     smooth_max_entropy,
     smooth_min_entropy,
     uniform_distribution,
