@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -20,8 +21,8 @@ from typing import Optional, Sequence
 from .distributions import FiniteDistribution, expand, iid_power, parse_source
 from .errors import SmoothgenError
 from .fdiv import check_conditions, f_divergence, parse_generator
-from .intrinsic import build_extractor, ir_rate_formula
-from .resolvability import build_resolvability_map, rate_formula
+from .intrinsic import build_extractor
+from .resolvability import _rate_sweep, build_resolvability_map
 from .smooth_entropy import smooth_max_entropy, smooth_min_entropy
 from .spectrum import equivalence_report
 
@@ -88,7 +89,7 @@ def _cell(x) -> str:
 
 def _source_at(spec: str, n: int):
     base = parse_source(spec)
-    return base if n <= 1 else iid_power(base, n)
+    return base if n == 1 else iid_power(base, n)
 
 
 def _emit_map(args, payload: dict, summary: str) -> None:
@@ -241,16 +242,24 @@ def cmd_extract(args) -> int:
 
 
 def _rates_rows(args, f, base) -> tuple[list[str], list[list]]:
-    formula = rate_formula if args.kind == "resolvability" else ir_rate_formula
-    evals = formula(base, args.n, f, args.D, nu_ladder=tuple(args.nu), R=args.R)
+    if args.kind == "resolvability":
+        smoother, rising = smooth_max_entropy, True
+    else:
+        smoother, rising = smooth_min_entropy, False
+    # The whole sweep runs before the first construction, so a sweep error
+    # is reported before any construction warning.  Without --gamma no
+    # view is kept and zip_longest pairs each evaluation with None.
+    views: list = []
+    evals = _rate_sweep(
+        base, args.n, f, args.D, tuple(args.nu), args.R, smoother, rising,
+        on_view=views.append if args.gamma is not None else None,
+    )
 
     header = ["n", "nu", "first_order [nats]", "second_order [nats]", "achieved_Df", "M"]
     if args.kind == "intrinsic":
         header += ["beta0", "A_n"]
     rows: list[list] = []
-    for ev in evals:
-        if args.gamma is not None:
-            view = iid_power(base, ev.n) if ev.n > 1 else base
+    for ev, view in itertools.zip_longest(evals, views):
         for j, nu in enumerate(ev.nu_ladder):
             achieved: Optional[float] = None
             m_val: Optional[int] = None

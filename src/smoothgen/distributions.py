@@ -10,11 +10,13 @@ Two source representations are used everywhere in this package:
   machines can reach n in the thousands without materializing the
   |base|^n atoms.
 
-Sequence probabilities inside a view of an exact base are integer
-numerators over one common denominator d^n, where d is the least common
-denominator of the base's support masses (the method of types); a
-natural-log float is kept alongside every class so that large-n
-computations can stay in log space.  Each source builds its
+A view's type classes (the method of types) come from one iterative
+walk over the compositions of n, which updates each class's multinomial
+coefficient from its predecessor's.  Sequence probabilities inside a
+view of an exact base are integer numerators over one common
+denominator d^n, where d is the least common denominator of the base's
+support masses; a natural-log float is kept alongside every class so
+that large-n computations can stay in log space.  Each source builds its
 :class:`Levels` table of distinct probability levels once and caches it;
 the smooth entropies and the spectrum read only that table.
 """
@@ -397,16 +399,6 @@ def _levels_of(source: Union[FiniteDistribution, ProductSourceView]) -> Levels:
     return source.levels
 
 
-def _compositions(n: int, s: int) -> Iterable[tuple[int, ...]]:
-    """All s-tuples of nonnegative ints summing to n, lexicographic."""
-    if s == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, s - 1):
-            yield (head,) + rest
-
-
 def iid_power(
     base: FiniteDistribution,
     n: int,
@@ -415,13 +407,14 @@ def iid_power(
 ) -> ProductSourceView:
     """Build the type-class view of base^n.
 
-    On an exact base with support masses w_i / d (d their least common
-    denominator) a class of composition k has per-sequence numerator
-    prod w_i^k_i over d^n; binary views fill these by the recurrence
-    num(k+1) = num(k) / w_1 * w_0, wider ones from per-symbol power
-    tables.  Guards: the sequence-count width n*log2(|base|) must stay
-    below ``max_bits`` bits and the composition count below
-    ``max_classes``.
+    One walk visits the compositions of n over the s support symbols in
+    lexicographic order and carries each class's multinomial coefficient
+    from step to step.  On an exact base with support masses w_i / d (d
+    their least common denominator) a class of composition k has
+    per-sequence numerator prod w_i^k_i over d^n, carried the same way.
+    Classes are then sorted most probable first, ties in walk order.
+    Guards: the sequence-count width n*log2(|base|) must stay below
+    ``max_bits`` bits and the composition count below ``max_classes``.
     """
     if not isinstance(n, int) or n < 1:
         raise BadParamError(f"n must be a positive integer, got {n!r}")
@@ -443,65 +436,52 @@ def iid_power(
     log_masses = [_log_exact(m) for m in support_masses]
     exact = base.exact
 
-    if s == 1:
-        comps: Iterable[tuple[int, ...]] = ((n,),)
-    elif s == 2:
-        comps = ((k, n - k) for k in range(n + 1))
-    else:
-        comps = _compositions(n, s)
-
     denominator = None
-    nums: Optional[list[int]] = None
+    num = None
     if exact:
         d = math.lcm(*(m.denominator for m in support_masses))
         weights = [m.numerator * (d // m.denominator) for m in support_masses]
         denominator = d ** n
-        if s == 2:
-            w0, w1 = weights
-            num = w1 ** n
-            nums = [num]
-            for _ in range(n):
-                num = num // w1 * w0
-                nums.append(num)
-        else:
-            powers = []
-            for w in weights:
-                row = [1]
-                for _ in range(n):
-                    row.append(row[-1] * w)
-                powers.append(row)
+        num = weights[-1] ** n
 
-    if s == 2:
-        # Iterative binomial update keeps multiplicities cheap at large n.
-        mult = 1
-        mults: Optional[list[int]] = [1]
-        for k in range(n):
-            mult = mult * (n - k) // (k + 1)
-            mults.append(mult)
-    else:
-        fact_n = math.factorial(n)
-        mults = None
-
+    comp = [0] * (s - 1) + [n]
+    mult = 1
     classes: list[TypeClass] = []
-    for idx, comp in enumerate(comps):
-        if mults is not None:
-            multiplicity = mults[idx]
-        else:
-            multiplicity = fact_n // math.prod(math.factorial(k) for k in comp)
-        numerator = None
-        if nums is not None:
-            numerator = nums[idx]
-        elif exact:
-            numerator = math.prod(row[k] for row, k in zip(powers, comp))
+    while True:
+        composition = tuple(comp)
         classes.append(
             TypeClass(
-                composition=comp,
-                log_prob=sum(k * lm for k, lm in zip(comp, log_masses)),
-                multiplicity=multiplicity,
-                numerator=numerator,
+                composition=composition,
+                log_prob=sum(k * lm for k, lm in zip(composition, log_masses)),
+                multiplicity=mult,
+                numerator=num,
                 denominator=denominator,
             )
         )
+        if comp[0] == n:  # (n, 0, ..., 0) is the last composition
+            break
+        r = comp[-1]
+        if r:
+            # The last two coordinates trade one unit: (..., k, r) -> (..., k+1, r-1).
+            k = comp[-2]
+            comp[-2] = k + 1
+            comp[-1] = r - 1
+            mult = mult * r // (k + 1)
+            if exact:
+                num = num // weights[-1] * weights[-2]
+        else:
+            # Carry: the rightmost nonzero coordinate v gives one unit to its
+            # left neighbour and its other v-1 units to the last coordinate.
+            i = s - 2
+            while not comp[i]:
+                i -= 1
+            v = comp[i]
+            comp[i - 1] += 1
+            comp[i] = 0
+            comp[-1] = v - 1
+            mult = mult * v // comp[i - 1]
+            if exact:
+                num = math.prod(w ** k for w, k in zip(weights, comp))
 
     if exact:
         classes.sort(key=lambda tc: tc.numerator, reverse=True)

@@ -327,6 +327,7 @@ def _rate_sweep(
     R: Optional[float],
     smoother: Callable,
     rising: bool,
+    on_view: Optional[Callable[[ProductSourceView], object]] = None,
 ) -> list[RateEvaluation]:
     """Smoothed-entropy rates along an n list, at budget D + nu per rung.
 
@@ -334,6 +335,8 @@ def _rate_sweep(
     entropy for synthesis and the smooth min entropy for extraction.
     ``rising`` says the decreasing ladder must produce nondecreasing
     values (covering rates fall as nu grows); otherwise nonincreasing.
+    ``on_view``, if given, is called with each n's view, so that a caller
+    can build maps on the views the sweep built.
     """
     f0 = offset(f)
     nus = tuple(float(v) for v in nu_ladder)
@@ -347,6 +350,8 @@ def _rate_sweep(
     t_at_d = inverse(f0, d_exact)
     for n in n_list:
         view = iid_power(base, int(n))
+        if on_view is not None:
+            on_view(view)
         firsts: list[float] = []
         alts: list[float] = []
         seconds: list[float] = []

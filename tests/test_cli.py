@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -218,6 +219,74 @@ def test_resolvability_rates_csv_bytes_are_pinned(capsys):
         "4294967296 atoms exceed the expansion cap of 1048576"
         for nu in ("0.1", "0.01", "0.001")
     ]
+
+
+GAMMA_RATES_AT_N_1 = {
+    "intrinsic": (
+        "n,nu,first_order [nats],second_order [nats],achieved_Df,M,beta0,A_n\n"
+        "1,0.1,0.6931471805599453,,0.0,1,0.5,0.8\n"
+        "1,0.05,0.6931471805599453,,0.0,1,0.5,0.8\n"
+        "4,0.1,0.6636036629840767,,0.13146666666666668,3,0.07033999999999999,0.7\n"
+        "4,0.05,0.63037191251275,,0.12066666666666667,3,0.08034,0.75\n"
+        "8,0.1,0.6237677608181977,,0.1770059553846154,13,0.006804697567567566,0.7\n"
+        "8,0.05,0.6011244285477764,,0.14078722333333332,12,0.00815604891891892,0.75\n"
+    ),
+    "resolvability": (
+        "n,nu,first_order [nats],second_order [nats],achieved_Df,M\n"
+        "1,0.1,0.0,,0.3,2\n"
+        "1,0.05,0.6931471805599453,,0.05,4\n"
+        "4,0.1,0.4864775372638283,,0.2601,52\n"
+        "4,0.05,0.5198603854199589,,0.216,60\n"
+        "8,0.1,0.5310619052561699,,0.29847582,3822\n"
+        "8,0.05,0.5493061443340549,,0.24855903,4423\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GAMMA_RATES_AT_N_1))
+def test_rates_gamma_builds_each_view_once(capsys, monkeypatch, kind):
+    real = smoothgen.iid_power
+    calls = []
+
+    def counting(base, n, *args, **kwargs):
+        calls.append(n)
+        return real(base, n, *args, **kwargs)
+
+    for name in ("cli", "resolvability", "intrinsic", "spectrum"):
+        module = importlib.import_module(f"smoothgen.{name}")
+        if hasattr(module, "iid_power"):
+            monkeypatch.setattr(module, "iid_power", counting)
+    code, out, err = run(
+        capsys,
+        "rates", "--kind", kind, "--source", "bernoulli:0.3",
+        "--f", "half-variational", "--D", "0.2", "--nu", "0.1,0.05",
+        "--n", "1,4,8", "--gamma", "0.5",
+    )
+    assert calls == [1, 4, 8]
+    assert code == 0
+    assert err == ""
+    assert out == GAMMA_RATES_AT_N_1[kind]
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--order", "max", "--delta", "0.1", "--source", "bernoulli:0.3", "--json"],
+        ["resolve", "--source", "bernoulli:0.3", "--f", "half-variational",
+         "--D", "0.2", "--gamma", "0.5"],
+        ["extract", "--source", "bernoulli:0.3", "--f", "half-variational",
+         "--Delta", "0.2", "--gamma", "0.5"],
+        ["divergence", "--p", "bernoulli:0.3", "--q", "bernoulli:0.5",
+         "--f", "half-variational"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_block_length_below_one_exits_two(capsys, argv, n):
+    code, out, err = run(capsys, *argv, "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: n must be a positive integer, got {n}\n"
 
 
 def test_import_loads_no_numpy():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -115,6 +116,56 @@ def test_iid_power_guards_width_and_class_count():
         iid_power(bernoulli(0.3), 10 ** 7)
     with pytest.raises(BadParamError):
         iid_power(bernoulli(0.3), 0)
+
+
+# Support sizes 1 to 5; zeros are zero-mass atoms, repeats make ties.
+WALK_WEIGHTS = [
+    [1, 0],
+    [0, 0, 5],
+    [3, 0, 7],
+    [48, 34, 19],
+    [2, 0, 1, 1],
+    [5, 0, 3, 2, 1],
+    [1, 1, 2, 0, 3, 5],
+    [1, 1, 1, 1, 1],
+]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("weights", WALK_WEIGHTS, ids=str)
+def test_type_classes_match_an_independent_enumeration(weights, exact):
+    base = make_distribution([Fraction(w) if exact else float(w) for w in weights])
+    support = [m for m in base.masses if m > 0]
+    if exact:
+        d = math.lcm(*(m.denominator for m in support))
+        key = lambda comp: math.prod(m ** k for m, k in zip(support, comp))
+    else:
+        log_masses = [math.log(m) for m in support]
+        key = lambda comp: sum(k * lm for k, lm in zip(comp, log_masses))
+    for n in (1, 2, 7):
+        view = iid_power(base, n)
+        lexicographic = [
+            comp
+            for comp in itertools.product(range(n + 1), repeat=len(support))
+            if sum(comp) == n
+        ]
+        # Stable sorts: equal probabilities keep lexicographic order.
+        if exact:
+            expected = sorted(lexicographic, key=key, reverse=True)
+        else:
+            expected = sorted(lexicographic, key=lambda comp: -key(comp))
+        assert [tc.composition for tc in view.type_classes] == expected
+        for tc in view.type_classes:
+            comp = tc.composition
+            assert tc.multiplicity == math.factorial(n) // math.prod(
+                math.factorial(k) for k in comp
+            )
+            if exact:
+                assert tc.denominator == d ** n
+                assert Fraction(tc.numerator, tc.denominator) == key(comp)
+            else:
+                assert tc.numerator is None
+                assert tc.log_prob.hex() == key(comp).hex()
 
 
 @pytest.mark.parametrize("weights,n", [([0.7, 0.3], 17), ([0.5, 0.3, 0.2], 12)])
