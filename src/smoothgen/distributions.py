@@ -23,6 +23,7 @@ the smooth entropies and the spectrum read only that table.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -399,6 +400,140 @@ def _levels_of(source: Union[FiniteDistribution, ProductSourceView]) -> Levels:
     return source.levels
 
 
+def _block_length(source: Union[FiniteDistribution, ProductSourceView], max_atoms: int) -> int:
+    """n of a view (1 for a distribution), refusing views of more than ``max_atoms`` atoms."""
+    if isinstance(source, FiniteDistribution):
+        return 1
+    if not isinstance(source, ProductSourceView):
+        raise BadParamError(f"unsupported source type {type(source).__name__}")
+    total = source.full_alphabet_size
+    if total > max_atoms:
+        raise TooLargeError(f"{total} atoms exceed the expansion cap of {max_atoms}")
+    return source.n
+
+
+def _labels(source: Union[FiniteDistribution, ProductSourceView]) -> Iterable:
+    """Every atom's label in label order (``itertools.product`` order for views)."""
+    if isinstance(source, FiniteDistribution):
+        return source.labels
+    return itertools.product(source.base.labels, repeat=source.n)
+
+
+def _level_classes(view: ProductSourceView) -> list[list[TypeClass]]:
+    """The view's type classes, split by probability level."""
+    out: list[list[TypeClass]] = []
+    counts = iter(view.levels.counts)
+    left = 0
+    for tc in view.type_classes:
+        if not left:
+            out.append([])
+            left = next(counts)
+        out[-1].append(tc)
+        left -= tc.multiplicity
+    return out
+
+
+def _rounded_product(masses: Sequence[float], composition: Sequence[int]) -> float:
+    """prod m_i^k_i of float masses, computed exactly and rounded once."""
+    num = den = 1
+    for m, k in zip(masses, composition):
+        a, b = m.as_integer_ratio()
+        num *= a ** k
+        den *= b ** k
+    return num / den
+
+
+def _construction_levels(source: Union[FiniteDistribution, ProductSourceView]) -> Levels:
+    """The level table the constructions read.
+
+    It is the source's own table, except that a float view's level
+    probabilities are exact products of the base masses rounded once,
+    as close as a float gets; the table's ``exp(log_prob)`` can be some
+    ulps away, enough to move a floor(M * p) across an integer.
+    """
+    levels = _levels_of(source)
+    if levels.exact or isinstance(source, FiniteDistribution):
+        return levels
+    support = [m for m in source.base.masses if m > 0]
+    probs = tuple(_rounded_product(support, cls[0].composition) for cls in _level_classes(source))
+    return dataclasses.replace(levels, probs=probs)
+
+
+def _atom_levels(source: Union[FiniteDistribution, ProductSourceView]) -> list[int]:
+    """Level index of every atom in label order; -1 marks a zero-mass atom.
+
+    A view's atoms are walked as composition codes, sum_i k_i (n+1)^i
+    over its support symbols, built by the same product loop that orders
+    the labels; a zero-mass symbol adds (n+1)^s, past every class code.
+    """
+    if isinstance(source, FiniteDistribution):
+        levels = source.levels
+        if levels.exact:
+            den = levels.denominator
+            key = lambda m: m.numerator * (den // m.denominator)  # noqa: E731
+        else:
+            key = float
+        index = {p: j for j, p in enumerate(levels.probs)}
+        return [index[key(m)] if m > 0 else -1 for m in source.masses]
+    radix = source.n + 1
+    zero_step = radix ** len(source.support_labels)
+    steps, s = [], 0
+    for m in source.base.masses:
+        steps.append(radix ** s if m > 0 else zero_step)
+        s += m > 0
+    code_level = {
+        sum(k * radix ** i for i, k in enumerate(tc.composition)): j
+        for j, classes in enumerate(_level_classes(source))
+        for tc in classes
+    }
+    codes = [0]
+    for _ in range(source.n):
+        codes = [c + st for c in codes for st in steps]
+    return [code_level.get(c, -1) for c in codes]
+
+
+def _sequence_weights(view: ProductSourceView):
+    """Map a label of the view to its probability, read off its composition.
+
+    Exact views give the integer numerator over ``view.denominator``,
+    float views the class probability rounded once from the exact
+    product; labels through a zero-mass symbol give 0.
+    """
+    support = [m for m in view.base.masses if m > 0]
+    by_comp = {
+        tc.composition: tc.numerator if view.exact else _rounded_product(support, tc.composition)
+        for tc in view.type_classes
+    }
+    labels = view.support_labels
+    return lambda label: by_comp.get(tuple(map(label.count, labels)), 0)
+
+
+class _LazyFields:
+    """Dataclass mixin for results whose label-bearing fields are built on first read.
+
+    An instance made by :func:`_lazily` leaves those fields out of its
+    ``__dict__``; reading one calls its maker once and keeps the value.
+    Instances made by the dataclass constructor never reach the makers.
+    """
+
+    def __getattr__(self, name: str):
+        makers = self.__dict__.get("_makers")
+        if makers is None or name not in makers:
+            raise AttributeError(name)
+        value = makers[name]()
+        object.__setattr__(self, name, value)
+        return value
+
+
+def _lazily(cls, makers: dict, **fields):
+    """An instance of dataclass ``cls`` with ``fields`` set and ``makers`` deferred."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    object.__setattr__(obj, "_makers", makers)
+    return obj
+
+
 def iid_power(
     base: FiniteDistribution,
     n: int,
@@ -505,12 +640,8 @@ def expand(view: ProductSourceView, max_atoms: int = 1 << 20) -> FiniteDistribut
 
     Labels are n-tuples of base labels in ``itertools.product`` order.
     """
-    total = view.full_alphabet_size
-    if total > max_atoms:
-        raise TooLargeError(
-            f"{total} atoms exceed the expansion cap of {max_atoms}"
-        )
-    labels = tuple(itertools.product(view.base.labels, repeat=view.n))
+    _block_length(view, max_atoms)
+    labels = tuple(_labels(view))
     masses: list[Number] = [Fraction(1) if view.exact else 1.0]
     for _ in range(view.n):
         masses = [m * b for m in masses for b in view.base.masses]

@@ -8,16 +8,45 @@ every zero-mass atom).  The induced bin distribution is compared
 against the uniform law on {1..M}.  The converse is checked per n with
 an explicit slack budget derived from a partition-free divergence lower
 bound, never as a bare asymptotic claim.
+
+The construction is level-wise.  It reads the source's
+:class:`Levels` table: atoms of one modified mass are interchangeable,
+so first-fit takes min(left, floor((cap - cur) / mass)) atoms of a level
+at a time, in integers on exact sources (float sources add one atom at a
+time, as an atom-by-atom fill would).  The clipped atoms, every atom of
+mass at least beta0, share one modified mass and are placed in label
+order across their levels; they are kept in that order with prefix
+sums of their original masses, so a bin's induced mass is a difference
+of two sums.  Labels are enumerated only when ``bins`` or
+``modified.dist`` is read; ``max_atoms`` bounds that enumeration and is
+checked at build time.  A float view's level probabilities are the
+exact products of its base masses, rounded once.  Its bins can differ
+from those of the same source expanded atom by atom, whose float
+products can round the atoms of one type class apart: in which atoms
+of a level go where, and in the last bits of the achieved divergence.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .distributions import FiniteDistribution, ProductSourceView, uniform_distribution
+from .distributions import (
+    FiniteDistribution,
+    ProductSourceView,
+    _atom_levels,
+    _block_length,
+    _construction_levels,
+    _labels,
+    _LazyFields,
+    _lazily,
+    _sequence_weights,
+    uniform_distribution,
+)
 from .errors import (
     BadParamError,
     DegenerateSupportError,
@@ -26,7 +55,7 @@ from .errors import (
     TargetInfeasibleError,
 )
 from .fdiv import DivergenceValue, FFunction, f_divergence, offset
-from .resolvability import RateEvaluation, _as_distribution, _inverse_level, _rate_sweep
+from .resolvability import RateEvaluation, _inverse_level, _rate_sweep
 from .smooth_entropy import smooth_min_entropy
 
 Number = Union[int, float, Fraction]
@@ -44,12 +73,19 @@ __all__ = [
 ]
 
 
+def _check_clip(beta0: Number, a_n: Number) -> None:
+    if not 0 < beta0 <= 1:
+        raise BadParamError(f"beta0 must lie in (0, 1], got {beta0}")
+    if not 0 < a_n <= 1:
+        raise BadParamError(f"A_n must lie in (0, 1], got {a_n}")
+
+
 @dataclass(frozen=True)
-class ModifiedDistribution:
+class ModifiedDistribution(_LazyFields):
     """Source clipped at beta0 and renormalized: min(P(x), beta0) / A_n.
 
     ``a_n`` is 1 minus the clipped-away mass, so every modified mass is
-    at most beta0 / a_n.
+    at most beta0 / a_n.  A built extractor makes ``dist`` on first read.
     """
 
     dist: FiniteDistribution
@@ -57,10 +93,7 @@ class ModifiedDistribution:
     a_n: Number
 
     def __post_init__(self) -> None:
-        if not 0 < self.beta0 <= 1:
-            raise BadParamError(f"beta0 must lie in (0, 1], got {self.beta0}")
-        if not 0 < self.a_n <= 1:
-            raise BadParamError(f"A_n must lie in (0, 1], got {self.a_n}")
+        _check_clip(self.beta0, self.a_n)
         cap = self.beta0 / self.a_n
         tol = 0 if self.dist.exact else 1e-12
         for lab, mass in zip(self.dist.labels, self.dist.masses):
@@ -91,13 +124,15 @@ class ExtractorParams:
     min_induced: float
 
 
+
 @dataclass(frozen=True)
-class ExtractorMap:
+class ExtractorMap(_LazyFields):
     """A mapping from source sequences onto {1..M} bins.
 
     ``bins[i]`` holds the labels sent to output i+1; the bins partition
     the full alphabet of the modified distribution.  ``induced`` is the
-    law of the output under the original source.
+    law of the output under the original source.  A built map makes
+    ``bins`` on first read.
     """
 
     M: int
@@ -134,47 +169,160 @@ class ExtractorMap:
                 raise BadParamError(f"bin {i + 1} falls below 1/M - beta0/A_n")
 
 
-def _fill_bins(
-    atoms: Sequence[tuple[Number, int, object]],
-    zeros: Sequence[object],
-    M: int,
-    cap: Number,
-) -> list[list[object]]:
-    """First-fit over descending masses; the last bin takes the rest.
+def _clip_normalizer(source: Source, levels, beta0: Number) -> Number:
+    """A_n = 1 - sum_x (P(x) - beta0)+, the mass left after clipping at beta0.
 
-    ``atoms`` are (modified mass, position, label) with positive mass,
-    already sorted by mass descending, ties by position.  A bin closes
-    once even the smallest remaining atom would push it past the cap.
+    A distribution sums its atoms in label order; a view sums its levels,
+    in integers when exact.
     """
-    bins: list[list[object]] = []
-    remaining = list(atoms)
-    for _ in range(M - 1):
-        if not remaining:
-            raise DegenerateSupportError("ran out of positive atoms before the last bin")
-        cur: list[object] = []
-        cur_mass: Number = 0
-        kept: list[tuple[Number, int, object]] = []
-        smallest = remaining[-1][0]
-        for j, (mass, pos, lab) in enumerate(remaining):
-            if cur_mass + smallest > cap:
-                kept.extend(remaining[j:])
-                break
-            if cur_mass + mass <= cap:
-                cur.append(lab)
-                cur_mass = cur_mass + mass
-            else:
-                kept.append((mass, pos, lab))
-        if not cur:
-            raise DegenerateSupportError(
-                "an atom alone exceeds 1/M; M is too large for this source"
-            )
-        remaining = kept
-        bins.append(cur)
-    last = [lab for _, _, lab in remaining] + list(zeros)
-    if not last:
-        raise DegenerateSupportError("nothing left for the last bin")
-    bins.append(last)
-    return bins
+    if isinstance(source, FiniteDistribution):
+        return 1 - sum((m - beta0 for m in source.masses if m > beta0), start=beta0 * 0)
+    pairs = zip(levels.probs, levels.counts)
+    if not levels.exact:
+        return 1 - sum((count * (p - beta0) for p, count in pairs if p > beta0), start=0.0)
+    b, c, den = beta0.numerator, beta0.denominator, levels.denominator
+    excess = sum(count * (num * c - b * den) for num, count in pairs if num * c > b * den)
+    return 1 - Fraction(excess, den * c)
+
+
+class _Binning:
+    """First-fit bins over groups of atoms of equal modified mass.
+
+    Group g joins the levels ``starts[g]:ends[g]``, most massive first:
+    the clipped levels form one group, every other level is a group of
+    its own (on floats, rounding can also join levels).  A group of
+    several levels orders its atoms by label; ``order[g]`` lists the
+    level of each of them.  A bin is a list of (group, start, stop)
+    ranges of its atoms, in placement order; the last bin also takes
+    every zero-mass atom.
+    """
+
+    def __init__(self, source: Source, levels, modified: list, M: int, cap: Number) -> None:
+        self.source = source
+        self.levels = levels
+        self.starts = [j for j in range(len(modified)) if not j or modified[j] != modified[j - 1]]
+        self.ends = self.starts[1:] + [len(modified)]
+        self.mass = [modified[j] for j in self.starts]
+        self.sizes = [sum(levels.counts[a:b]) for a, b in zip(self.starts, self.ends)]
+        self.group_of = [g for g, (a, b) in enumerate(zip(self.starts, self.ends)) for _ in range(a, b)]
+        self.order: dict[int, list[int]] = {
+            g: [] for g, (a, b) in enumerate(zip(self.starts, self.ends)) if b - a > 1
+        }
+        if self.order:
+            for j in _atom_levels(source):
+                if j >= 0 and self.group_of[j] in self.order:
+                    self.order[self.group_of[j]].append(j)
+        self.zeros = levels.alphabet_size - sum(levels.counts)
+        self.bins = self._fill(M, cap)
+
+    def _fill(self, M: int, cap: Number) -> list[list[tuple[int, int, int]]]:
+        """First-fit over descending masses; the last bin takes the rest.
+
+        Each bin jumps, by bisection over the groups with atoms left, to
+        the next group whose atom still fits, and takes as many of its
+        atoms as fit.
+        """
+        exact = isinstance(cap, int)
+        masses, sizes = self.mass, self.sizes
+        left = list(sizes)
+        active = [g for g, size in enumerate(sizes) if size]
+        bins: list[list[tuple[int, int, int]]] = []
+        for _ in range(M - 1):
+            if not active:
+                raise DegenerateSupportError("ran out of positive atoms before the last bin")
+            cur: Number = 0
+            ranges = []
+            i = 0
+            while True:
+                i = bisect.bisect_left(active, True, lo=i, key=lambda g: cur + masses[g] <= cap)
+                if i == len(active):
+                    break
+                g = active[i]
+                mass = masses[g]
+                if exact:
+                    k = min(left[g], (cap - cur) // mass)
+                    cur += k * mass
+                else:
+                    k = 0
+                    while k < left[g] and cur + mass <= cap:
+                        cur = cur + mass
+                        k += 1
+                done = sizes[g] - left[g]
+                ranges.append((g, done, done + k))
+                left[g] -= k
+                if left[g]:
+                    i += 1
+                else:
+                    del active[i]
+            if not ranges:
+                raise DegenerateSupportError(
+                    "an atom alone exceeds 1/M; M is too large for this source"
+                )
+            bins.append(ranges)
+        last = [(g, sizes[g] - k, sizes[g]) for g, k in enumerate(left) if k]
+        if not last and not self.zeros:
+            raise DegenerateSupportError("nothing left for the last bin")
+        bins.append(last)
+        return bins
+
+    def induced_masses(self) -> list[Number]:
+        """Source mass of each bin: integer sums over the denominator when exact.
+
+        Float sources add the atoms' masses one at a time in placement
+        order, as the atom-by-atom sum does.
+        """
+        levels = self.levels
+        probs = levels.probs
+        out: list[Number] = []
+        if levels.exact:
+            prefix = {
+                g: list(itertools.accumulate((probs[j] for j in seq), initial=0))
+                for g, seq in self.order.items()
+            }
+            for ranges in self.bins:
+                total = 0
+                for g, a, b in ranges:
+                    if g in prefix:
+                        total += prefix[g][b] - prefix[g][a]
+                    else:
+                        total += (b - a) * probs[self.starts[g]]
+                out.append(Fraction(total, levels.denominator))
+            return out
+        for ranges in self.bins:
+            total: Number = 0
+            for g, a, b in ranges:
+                seq = self.order[g][a:b] if g in self.order else [self.starts[g]] * (b - a)
+                for j in seq:
+                    total += probs[j]
+            out.append(total)
+        if self.zeros:
+            out[-1] += 0.0
+        return out
+
+    def check(self, M: int, fits, above_floor) -> None:
+        """The bins' invariants, level-wise: a partition, and each bin's modified mass."""
+        placed = [0] * len(self.sizes)
+        for ranges in self.bins:
+            for g, a, b in ranges:
+                placed[g] += b - a
+        if len(self.bins) != M or placed != self.sizes:
+            raise BadParamError("bins must partition the alphabet")
+        for i, ranges in enumerate(self.bins):
+            counts = [(b - a, self.mass[g]) for g, a, b in ranges]
+            if i < M - 1 and not fits(counts):
+                raise BadParamError(f"bin {i + 1} exceeds modified mass 1/M")
+            if not above_floor(counts):
+                raise BadParamError(f"bin {i + 1} falls below 1/M - beta0/A_n")
+
+    def labels(self) -> tuple[tuple[object, ...], ...]:
+        """The bins as label tuples, each group's atoms in label order."""
+        members: list[list] = [[] for _ in self.sizes]
+        zeros: list = []
+        for lab, j in zip(_labels(self.source), _atom_levels(self.source)):
+            (members[self.group_of[j]] if j >= 0 else zeros).append(lab)
+        bins = [[lab for g, a, b in ranges for lab in members[g][a:b]] for ranges in self.bins]
+        bins[-1].extend(zeros)
+        return tuple(tuple(b) for b in bins)
 
 
 def build_extractor(
@@ -190,6 +338,7 @@ def build_extractor(
     M defaults to floor((A_n / beta0) * e^{-n*gamma/2}); pass M to pin
     another size (exact-uniform demonstrations need M above the formula
     value, which backs off by e^{-n*gamma/2} for every positive gamma).
+    Views of more than ``max_atoms`` atoms are refused with TooLargeError.
     """
     f0 = offset(f)
     if Delta < 0:
@@ -199,16 +348,18 @@ def build_extractor(
     gamma_f = float(gamma)
     if not gamma_f > 0:
         raise BadParamError(f"gamma must be positive, got {gamma}")
-    dist, n = _as_distribution(source, max_atoms)
+    n = _block_length(source, max_atoms)
+    levels = _construction_levels(source)
+    exact = levels.exact
 
-    t = _inverse_level(f0, Delta, dist.exact)
+    t = _inverse_level(f0, Delta, exact)
     result = smooth_min_entropy(source, 1 - t)
     beta0 = result.witness.beta
     if beta0 == 0:
         raise OverflowGuardError("clipping level underflowed; source is too large for floats")
-    if dist.exact and not isinstance(beta0, Fraction):
+    if exact and not isinstance(beta0, Fraction):
         beta0 = Fraction(beta0)
-    a_n = 1 - sum((m - beta0 for m in dist.masses if m > beta0), start=beta0 * 0)
+    a_n = _clip_normalizer(source, levels, beta0)
 
     if M is None:
         shrink = math.exp(-n * gamma_f / 2.0)
@@ -224,29 +375,49 @@ def build_extractor(
             raise BadParamError(f"M override must be a positive integer, got {M!r}")
         m_from_formula = False
 
-    modified_masses = tuple(min(m, beta0) / a_n for m in dist.masses)
-    modified = ModifiedDistribution(
-        dist=FiniteDistribution(labels=dist.labels, masses=modified_masses),
-        beta0=beta0,
-        a_n=a_n,
-    )
+    _check_clip(beta0, a_n)
+    if exact:
+        # Modified masses min(p, beta0) / A_n in units of 1 / (den * c * A_n)
+        # with beta0 = b/c: a bin fits when its units times ad * M stay
+        # within den * c * an, A_n = an/ad.
+        den = levels.denominator
+        b, c = beta0.numerator, beta0.denominator
+        an, ad = a_n.numerator, a_n.denominator
+        units = [min(num * c, b * den) for num in levels.probs]
+        binning = _Binning(source, levels, units, M, den * c * an // (ad * M))
+        room = den * c * an
+        binning.check(
+            M,
+            lambda counts: sum(k * u for k, u in counts) * ad * M <= room,
+            lambda counts: sum(k * u for k, u in counts) * ad * M >= room - b * ad * den * M,
+        )
+        level_mass = lambda j: min(Fraction(levels.probs[j], den), beta0) / a_n  # noqa: E731
+    else:
+        cap = 1.0 / M
+        modified = [min(p, beta0) / a_n for p in levels.probs]
+        if modified[0] > beta0 / a_n + 1e-12:
+            raise BadParamError("modified mass exceeds beta0/A_n")
+        binning = _Binning(source, levels, modified, M, cap)
+        floor = cap - beta0 / a_n
+        binning.check(
+            M,
+            lambda counts: sum(k * x for k, x in counts) <= cap + 1e-12,
+            lambda counts: sum(k * x for k, x in counts) >= floor - 1e-12,
+        )
+        level_mass = lambda j: modified[j]  # noqa: E731
 
-    triples = [
-        (mass, pos, lab)
-        for pos, (lab, mass) in enumerate(zip(dist.labels, modified_masses))
-        if mass > 0
-    ]
-    triples.sort(key=lambda t: (-t[0], t[1]))
-    zeros = [lab for lab, mass in zip(dist.labels, modified_masses) if mass == 0]
-    cap: Number = Fraction(1, M) if dist.exact else 1.0 / M
-    bins = _fill_bins(triples, zeros, M, cap)
-
-    source_mass = dict(zip(dist.labels, dist.masses))
     induced = FiniteDistribution(
-        labels=tuple(range(1, M + 1)),
-        masses=tuple(sum(source_mass[lab] for lab in b) for b in bins),
+        labels=tuple(range(1, M + 1)), masses=tuple(binning.induced_masses())
     )
     achieved = f_divergence(f, induced, uniform_distribution(M))
+
+    def modified_dist() -> FiniteDistribution:
+        zero = beta0 * 0 / a_n
+        mass = [level_mass(j) for j in range(len(levels))]
+        return FiniteDistribution(
+            labels=tuple(_labels(source)),
+            masses=tuple(mass[j] if j >= 0 else zero for j in _atom_levels(source)),
+        )
 
     beta0_f = float(beta0)
     a_n_f = float(a_n)
@@ -271,12 +442,13 @@ def build_extractor(
         delta_n=max(0.0, bound - float(Delta)),
         min_induced=min_induced,
     )
-    return ExtractorMap(
+    return _lazily(
+        ExtractorMap,
+        {"bins": binning.labels},
         M=M,
-        bins=tuple(tuple(b) for b in bins),
         induced=induced,
         achieved_divergence=achieved,
-        modified=modified,
+        modified=_lazily(ModifiedDistribution, {"dist": modified_dist}, beta0=beta0, a_n=a_n),
         params=params,
     )
 
@@ -285,16 +457,23 @@ def achieved_uniformity(map_: ExtractorMap, source: Source, f: FFunction) -> Div
     """D_f(output || uniform M) by the explicit sum (1/M) f(M * P(i)).
 
     Recomputes the induced masses from the bins and the source, so this
-    is an independent route around the builder's f_divergence call.
+    is an independent route around the builder's f_divergence call.  A
+    view weighs each label by the type class of its composition.
     """
-    dist, _ = _as_distribution(source)
-    source_mass = dict(zip(dist.labels, dist.masses))
+    if isinstance(source, ProductSourceView):
+        weight = _sequence_weights(source)
+        sums = [sum(map(weight, b)) for b in map_.bins]
+        masses = [Fraction(s, source.denominator) for s in sums] if source.exact else sums
+    elif isinstance(source, FiniteDistribution):
+        source_mass = dict(zip(source.labels, source.masses))
+        masses = [sum(source_mass[lab] for lab in b) for b in map_.bins]
+    else:
+        raise BadParamError(f"unsupported source type {type(source).__name__}")
     M = map_.M
-    one = Fraction(1, M) if dist.exact else 1.0 / M
+    one = Fraction(1, M) if source.exact else 1.0 / M
     total: Number = 0
     finite = True
-    for b in map_.bins:
-        p = sum(source_mass[lab] for lab in b)
+    for p in masses:
         if p == 0:
             if math.isinf(float(f.f_at_zero)):
                 finite = False
@@ -305,7 +484,7 @@ def achieved_uniformity(map_: ExtractorMap, source: Source, f: FFunction) -> Div
     if not finite:
         return DivergenceValue(value=math.inf, finite=False)
     if total < 0:
-        total = 0 if dist.exact else max(total, 0.0)
+        total = 0 if source.exact else max(total, 0.0)
     return DivergenceValue(value=total, finite=True)
 
 
@@ -342,27 +521,32 @@ def _min_over_m(M: int, m_max: int, pr_t: float, f0) -> float:
     return min(_pair_bound(m, M, pr_t, f0) for m in range(lo, hi + 1))
 
 
-def _divergence_floor(M: int, dist: FiniteDistribution, f0) -> float:
+def _divergence_floor(M: int, source: Source, f0) -> float:
     """Best provable lower bound on D_f(output || uniform M) over all maps.
 
     For each heavy-set threshold (a prefix of the descending mass
     levels) the heavy atoms occupy some m <= min(M, |T|) bins; Jensen on
     the heavy and light groups bounds the divergence below.  The
-    adversary picks m, the bound picks the threshold.
+    adversary picks m, the bound picks the threshold.  Reads the level
+    table; levels of equal float mass share one threshold, and masses
+    are added one atom at a time, as the atom-by-atom scan does.
     """
+    levels = _construction_levels(source)
+    if levels.exact:
+        values = [num / levels.denominator for num in levels.probs]
+    else:
+        values = [float(p) for p in levels.probs]
     best = 0.0
     count = 0
     mass = 0.0
-    masses = [float(dist.masses[i]) for i in dist.descending()]
-    i = 0
-    while i < len(masses):
-        level = masses[i]
+    for j, (level, k) in enumerate(zip(values, levels.counts)):
         if level <= 0:
             break
-        while i < len(masses) and masses[i] == level:
-            mass += masses[i]
-            count += 1
-            i += 1
+        for _ in range(k):
+            mass += level
+        count += k
+        if j + 1 < len(values) and values[j + 1] == level:
+            continue
         m_max = min(M, count)
         if m_max >= M:
             continue
@@ -384,7 +568,8 @@ def intrinsic_converse_check(
     cannot refute, so the check accepts exactly when either log M is
     within 1e-9 of the min-entropy bound outright, or the floor at this
     M still permits a divergence at most Delta - epsilon.  Requires the
-    map to achieve at most Delta - epsilon.
+    map to achieve at most Delta - epsilon.  The floor adds one float per
+    atom, so it refuses views of more than 2^20 atoms.
     """
     if epsilon < 0:
         raise BadParamError(f"epsilon must be nonnegative, got {epsilon}")
@@ -401,8 +586,8 @@ def intrinsic_converse_check(
     hinf = smooth_min_entropy(source, 1 - t)
     if math.log(map_.M) <= hinf.value + 1e-9:
         return True
-    dist, _ = _as_distribution(source)
-    return _divergence_floor(map_.M, dist, f0) <= slack_target + 1e-12
+    _block_length(source, 1 << 20)
+    return _divergence_floor(map_.M, source, f0) <= slack_target + 1e-12
 
 
 def _partitions(items: Sequence[object], k: int) -> Iterator[tuple[tuple[object, ...], ...]]:

@@ -8,6 +8,19 @@ induced distribution is the law of the mapping applied to a uniform
 seed of size M.  Everything the proof chain guarantees per instance is
 either validated at construction time or reported as a certified bound;
 asymptotic claims are never asserted at finite n.
+
+The construction is level-wise.  Atoms of equal probability are
+interchangeable, so it reads only the source's :class:`Levels` table:
+the set is whole levels plus the first atoms, in label order, of the
+level where it reaches its mass, and each level gets one quantized
+count floor(M * p / Pr(B)).  Exact sources stay in integers over the
+table's denominator.  Labels are enumerated only when ``image`` or
+``induced`` is read; ``max_atoms`` bounds that enumeration and is
+checked at build time.  A float view's level probabilities are the
+exact products of its base masses, rounded once.  Its maps can differ
+from those of the same source expanded atom by atom, whose float
+products can round the atoms of one type class apart: in which atoms
+of a level go where, and in the last bits of the achieved divergence.
 """
 
 from __future__ import annotations
@@ -15,9 +28,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
-from .distributions import FiniteDistribution, ProductSourceView, expand, iid_power
+from .distributions import (
+    FiniteDistribution,
+    ProductSourceView,
+    _atom_levels,
+    _block_length,
+    _construction_levels,
+    _labels,
+    _LazyFields,
+    _lazily,
+    iid_power,
+)
 from .errors import (
     AlphabetMismatchError,
     BadParamError,
@@ -68,12 +92,13 @@ class ResolvabilityParams:
 
 
 @dataclass(frozen=True)
-class ResolvabilityMap:
+class ResolvabilityMap(_LazyFields):
     """A synthesized mapping from a uniform seed {1..M} into sequences.
 
     ``image`` lists (sequence label, pull-back count) for every label
     that receives seed values; ``induced`` is the resulting distribution
-    over the full source alphabet, with exact masses count/M.
+    over the full source alphabet, with exact masses count/M.  A built
+    map makes both on first read.
     """
 
     M: int
@@ -102,14 +127,6 @@ class ResolvabilityMap:
                 )
 
 
-def _as_distribution(source: Source, max_atoms: int = 1 << 20) -> tuple[FiniteDistribution, int]:
-    if isinstance(source, ProductSourceView):
-        return expand(source, max_atoms=max_atoms), source.n
-    if isinstance(source, FiniteDistribution):
-        return source, 1
-    raise BadParamError(f"unsupported source type {type(source).__name__}")
-
-
 def _inverse_level(f0: OffsetFunction, level: Number, exact: bool) -> Number:
     """f0^{-1}(level), coerced to Fraction when exact mass compares follow."""
     lvl = Fraction(level) if exact and isinstance(level, float) else level
@@ -117,6 +134,153 @@ def _inverse_level(f0: OffsetFunction, level: Number, exact: bool) -> Number:
     if exact and isinstance(t, float):
         t = Fraction(t)
     return t
+
+
+def _same_source(a: Source, b: Source) -> bool:
+    """Whether two sources are the same product source (a view of one base at one n)."""
+    if a is b:
+        return True
+    if isinstance(a, ProductSourceView) and isinstance(b, ProductSourceView):
+        return a.n == b.n and a.base == b.base
+    return False
+
+
+def _level_divergence(f: FFunction, levels, terms, in_image: Sequence[int]) -> DivergenceValue:
+    """D_f(P || Q) from groups of atoms that share a level of P and a mass of Q.
+
+    ``terms`` holds (count, level, q) with q > 0, level -1 for atoms of
+    zero P-mass; ``in_image[j]`` counts level j's atoms among them, and
+    the rest of each level has q = 0.  On an exact source with a
+    rational-valued generator the value equals the atom-by-atom sum of
+    :func:`f_divergence`; with a float-valued one it is summed per group.
+    """
+    exact = levels.exact
+
+    def mass(j: int) -> Number:
+        if j < 0:
+            return 0
+        return Fraction(levels.probs[j], levels.denominator) if exact else levels.probs[j]
+
+    total: Number = 0
+    for count, j, q in terms:
+        p = mass(j)
+        if p > 0:
+            total += count * (q * f.eval(p / q))
+        elif f.f_at_zero == math.inf:
+            return DivergenceValue(math.inf, finite=False)
+        else:
+            total += count * (q * f.f_at_zero)
+    outside = [count - k for count, k in zip(levels.counts, in_image)]
+    if any(outside):
+        if f.c_f == math.inf:
+            return DivergenceValue(math.inf, finite=False)
+        if f.c_f != 0:
+            weight = sum(k * p for k, p in zip(outside, levels.probs))
+            total += (Fraction(weight, levels.denominator) if exact else weight) * f.c_f
+    if total < 0 and total > -1e-12:
+        total = 0
+    return DivergenceValue(total, finite=True)
+
+
+def _greedy_set(levels, target: Number) -> tuple[list[int], Number]:
+    """Atoms the covering set B takes from each level, and its mass.
+
+    Most probable levels first: whole levels, then the first atoms of
+    the level where the mass reaches ``target``; every level if it never
+    does.  Exact levels count in integers and return the mass as a
+    numerator over the table's denominator; float levels add one atom at
+    a time, as an atom-by-atom scan would.
+    """
+    taken: list[int] = []
+    if levels.exact:
+        t = Fraction(target)
+        goal = t.numerator * levels.denominator
+        cum = 0
+        for num, count in zip(levels.probs, levels.counts):
+            # The fewest atoms, at least one, with (cum + j*num) * t_den >= goal.
+            need = -((cum * t.denominator - goal) // (num * t.denominator))
+            j = min(max(need, 1), count)
+            taken.append(j)
+            cum += j * num
+            if cum * t.denominator >= goal:
+                break
+        return taken, cum
+    cum_f: Number = 0
+    for p, count in zip(levels.probs, levels.counts):
+        j = 0
+        while j < count:
+            cum_f += p
+            j += 1
+            if cum_f >= target:
+                break
+        taken.append(j)
+        if cum_f >= target:
+            break
+    return taken, cum_f
+
+
+class _Quantization:
+    """A resolvability map by levels: which atoms receive seed values, and how many.
+
+    The image holds the first ``taken[j]`` atoms, in label order, of each
+    selected level j.  Group g runs over the selected levels
+    ``ends[g-1]:ends[g]``; a group joins neighbouring levels of equal
+    conditional mass (only float rounding makes one span two levels)
+    and orders its atoms by label.  Every image atom of group g gets
+    ``seeds[g]`` seed values except the absorbing atom, the last one of
+    group 0, which gets ``absorbing``.
+    """
+
+    def __init__(self, source: Source, levels, M: int, taken, ends, seeds, absorbing: int) -> None:
+        self.source = source
+        self.levels = levels
+        self.M = M
+        self.taken = taken
+        self.ends = ends
+        self.seeds = seeds
+        self.absorbing = absorbing
+        self.group_of = [g for g, end in enumerate(ends) for _ in range(end - (ends[g - 1] if g else 0))]
+
+    def _members(self) -> list[list[tuple[object, int]]]:
+        """(label, level) of each group's image atoms, in label order."""
+        left = list(self.taken)
+        members: list[list[tuple[object, int]]] = [[] for _ in self.ends]
+        for lab, j in zip(_labels(self.source), _atom_levels(self.source)):
+            if 0 <= j < len(left) and left[j]:
+                left[j] -= 1
+                members[self.group_of[j]].append((lab, j))
+        return members
+
+    @cached_property
+    def image(self) -> tuple[tuple[object, int], ...]:
+        """Least conditional mass first, label order within a group."""
+        members = self._members()
+        image = [(lab, self.seeds[g]) for g in reversed(range(len(members))) for lab, _ in members[g]]
+        image[-1] = (image[-1][0], self.absorbing)
+        return tuple(image)
+
+    @cached_property
+    def induced(self) -> FiniteDistribution:
+        by_label = dict(self.image)
+        labels = tuple(_labels(self.source))
+        return FiniteDistribution(
+            labels=labels,
+            masses=tuple(Fraction(by_label.get(lab, 0), self.M) for lab in labels),
+        )
+
+    def divergence(self, f: FFunction) -> DivergenceValue:
+        """D_f(source || induced), read off the level table."""
+        levels = self.levels
+        # The absorbing atom lies in level 0 unless float rounding joined
+        # level 0 to the next ones; then its label decides.
+        top = 0 if self.ends[0] == 1 else self._members()[0][-1][1]
+        terms = [
+            (taken - (j == top), j, Fraction(self.seeds[g], self.M))
+            for j, (taken, g) in enumerate(zip(self.taken, self.group_of))
+        ]
+        terms.append((1, top, Fraction(self.absorbing, self.M)))
+        in_image = list(self.taken) + [0] * (len(levels) - len(self.taken))
+        return _level_divergence(f, levels, terms, in_image)
 
 
 def build_resolvability_map(
@@ -133,7 +297,8 @@ def build_resolvability_map(
     set of mass f0^{-1}(D); pass M explicitly to pin a different size
     (the smallest spec-compliant sizes are unreachable by the formula
     because gamma must stay positive).  The absorbing atom is the
-    largest selected conditional mass; ties go to label order.
+    largest selected conditional mass; ties go to label order.  Views
+    of more than ``max_atoms`` atoms are refused with TooLargeError.
     """
     f0 = offset(f)
     if D < 0:
@@ -143,23 +308,13 @@ def build_resolvability_map(
     gamma_f = float(gamma)
     if not gamma_f > 0:
         raise BadParamError(f"gamma must be positive, got {gamma}")
-    dist, n = _as_distribution(source, max_atoms)
+    n = _block_length(source, max_atoms)
+    levels = _construction_levels(source)
+    exact = levels.exact
 
-    target = _inverse_level(f0, D, dist.exact)
-    order = dist.descending()
-    b_idx: list[int] = []
-    cum: Number = 0
-    for i in order:
-        b_idx.append(i)
-        cum += dist.masses[i]
-        if cum >= target:
-            break
-    else:
-        b_idx = [i for i in b_idx if dist.masses[i] > 0]
-    if not b_idx:
-        raise DegenerateSupportError("construction set is empty")
-    pr_b = cum
-    b_size = len(b_idx)
+    taken, cum = _greedy_set(levels, _inverse_level(f0, D, exact))
+    pr_b = Fraction(cum, levels.denominator) if exact else cum
+    b_size = sum(taken)
 
     if M is None:
         scale = math.exp(n * gamma_f)
@@ -172,49 +327,45 @@ def build_resolvability_map(
             raise BadParamError(f"M override must be a positive integer, got {M!r}")
         m_from_formula = False
 
-    threshold: Number = Fraction(1, M) if dist.exact else 1.0 / M
-    selected = []
-    for i in b_idx:
-        pbar = dist.masses[i] / pr_b
-        if pbar >= threshold:
-            selected.append((pbar, i))
-    if not selected:
+    # Conditional masses p / Pr(B), one per level of B; they fall with
+    # the level, so the levels reaching 1/M are a prefix.
+    probs = levels.probs[: len(taken)]
+    pbars = [Fraction(p, cum) for p in probs] if exact else [p / pr_b for p in probs]
+    threshold: Number = Fraction(1, M) if exact else 1.0 / M
+    sel = sum(1 for pbar in pbars if pbar >= threshold)
+    if not sel:
         raise DegenerateSupportError(
             f"no conditional mass reaches 1/M = 1/{M}; M is too small for this set"
         )
-    selected.sort(key=lambda t: (t[0], t[1]))
-
-    image: list[tuple[object, int]] = []
+    ends = [j for j in range(1, sel) if pbars[j] != pbars[j - 1]] + [sel]
+    starts = [0] + ends[:-1]
+    seeds = [math.floor(M * pbars[start]) for start in starts]
     assigned = 0
-    for j, (pbar, i) in enumerate(selected):
-        if j < len(selected) - 1:
-            k = math.floor(M * pbar)
-            if k < 1:
-                raise DegenerateSupportError(
-                    "quantization stopped early: a selected atom got no seed values"
-                )
-        else:
-            k = M - assigned
-            if k < 1:
-                raise DegenerateSupportError(
-                    "quantization overflow: nothing left for the absorbing atom"
-                )
-            if dist.exact and k < M * pbar:
-                raise DegenerateSupportError(
-                    "absorbing atom received less than its conditional share"
-                )
-        assigned += k
-        image.append((dist.labels[i], k))
+    for g in reversed(range(len(ends))):
+        atoms = sum(taken[starts[g]:ends[g]]) - (g == 0)
+        if atoms and seeds[g] < 1:
+            raise DegenerateSupportError(
+                "quantization stopped early: a selected atom got no seed values"
+            )
+        assigned += atoms * seeds[g]
+    absorbing = M - assigned
+    if absorbing < 1:
+        raise DegenerateSupportError(
+            "quantization overflow: nothing left for the absorbing atom"
+        )
+    if exact and absorbing < M * pbars[0]:
+        raise DegenerateSupportError(
+            "absorbing atom received less than its conditional share"
+        )
+    plan = _Quantization(source, levels, M, tuple(taken[:sel]), ends, seeds, absorbing)
+    if isinstance(source, FiniteDistribution):
+        # The atoms are at hand: a float sum in label order, as before.
+        achieved = f_divergence(f, source, plan.induced)
+    else:
+        achieved = plan.divergence(f)
 
-    by_label = {lab: k for lab, k in image}
-    induced = FiniteDistribution(
-        labels=dist.labels,
-        masses=tuple(Fraction(by_label.get(lab, 0), M) for lab in dist.labels),
-    )
-    achieved = f_divergence(f, dist, induced)
-
-    pbar_star = float(selected[-1][0])
-    ptilde_star = image[-1][1] / M
+    pbar_star = float(pbars[0])
+    ptilde_star = absorbing / M
     pr_b_f = min(float(pr_b), 1.0)
     u = max(pbar_star + math.exp(-n * gamma_f), ptilde_star)
     bound = (1.0 - ptilde_star) * float(f0.eval(pr_b_f)) + u * float(
@@ -231,27 +382,55 @@ def build_resolvability_map(
         bound=bound,
         slack=max(0.0, bound - float(D)),
         pbar_absorbing=pbar_star,
-        min_selected_modified_mass=float(selected[0][0]),
+        min_selected_modified_mass=float(pbars[sel - 1]),
     )
-    return ResolvabilityMap(
+    return _lazily(
+        ResolvabilityMap,
+        {"image": lambda: plan.image, "induced": lambda: plan.induced},
         M=M,
-        image=tuple(image),
-        induced=induced,
         achieved_divergence=achieved,
         params=params,
+        _plan=plan,
     )
+
+
+def _label_divergence(f: FFunction, view: ProductSourceView, induced) -> DivergenceValue:
+    """D_f(view || induced) for a map given by labels, grouped by level."""
+    labels = induced.labels
+    if len(labels) != view.full_alphabet_size or any(
+        a != b for a, b in zip(labels, _labels(view))
+    ):
+        raise AlphabetMismatchError("mapping was built over a different alphabet")
+    levels = _construction_levels(view)
+    groups: dict[tuple[int, Number], int] = {}
+    in_image = [0] * len(levels)
+    for j, q in zip(_atom_levels(view), induced.masses):
+        if q > 0:
+            groups[j, q] = groups.get((j, q), 0) + 1
+            if j >= 0:
+                in_image[j] += 1
+    terms = [(count, j, q) for (j, q), count in groups.items()]
+    return _level_divergence(f, levels, terms, in_image)
 
 
 def achieved_divergence(map_: ResolvabilityMap, source: Source, f: FFunction) -> DivergenceValue:
     """D_f(source || induced), source first, boundary conventions applied.
 
     Atoms outside the image contribute their mass times c_f; with an
-    unbounded generator that flags the value infinite.
+    unbounded generator that flags the value infinite.  A map built
+    level-wise on this view is measured from the level table; any other
+    map over a view is grouped by level from its labels.
     """
-    dist, _ = _as_distribution(source)
-    if dist.labels != map_.induced.labels:
+    if isinstance(source, ProductSourceView):
+        plan = getattr(map_, "_plan", None)
+        if plan is not None and _same_source(plan.source, source):
+            return plan.divergence(f)
+        return _label_divergence(f, source, map_.induced)
+    if not isinstance(source, FiniteDistribution):
+        raise BadParamError(f"unsupported source type {type(source).__name__}")
+    if source.labels != map_.induced.labels:
         raise AlphabetMismatchError("mapping was built over a different alphabet")
-    return f_divergence(f, dist, map_.induced)
+    return f_divergence(f, source, map_.induced)
 
 
 def converse_check(map_, source: Source, f: FFunction, D: Optional[Number] = None) -> bool:

@@ -337,3 +337,46 @@ def test_bad_n_list_exits_two(capsys):
         "--D", "0.2", "--n", "8,8",
     )
     assert code == 2
+
+
+EMIT_PINS = Path(__file__).parent / "data" / "emit"
+
+
+@pytest.mark.parametrize("kind", ["resolve", "extract"])
+@pytest.mark.parametrize(
+    "weights,n,tag",
+    [(None, 8, "bern"), ([3, 0, 1, 2], 3, "w3012"), ([48, 34, 19], 4, "w483419")],
+)
+def test_emitted_maps_are_pinned_byte_for_byte(capsys, tmp_path, kind, weights, n, tag):
+    # The [3, 0, 1, 2] source puts zero-mass atoms in the last bin and
+    # outside the image; the pins fix the order in which labels appear.
+    spec = "bernoulli:0.3"
+    if weights is not None:
+        spec = str(tmp_path / "source.json")
+        Path(spec).write_text(json.dumps({"weights": weights}))
+    target = tmp_path / "map.json"
+    flag = "--D" if kind == "resolve" else "--Delta"
+    code, _, err = run(
+        capsys,
+        kind, "--source", spec, "--n", str(n), "--f", "half-variational",
+        flag, "0.2", "--gamma", "0.3", "--emit", str(target),
+    )
+    assert (code, err) == (0, "")
+    assert target.read_bytes() == (EMIT_PINS / f"{kind}-{tag}-n{n}.json").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["resolvability", "intrinsic"])
+def test_three_symbol_exact_constructions_fill_every_cell(capsys, tmp_path, kind):
+    # 3^12 = 531441 atoms: well inside the label cap, so no cell may be
+    # skipped, and the level-wise builders keep each run to seconds.
+    spec = tmp_path / "tri.json"
+    spec.write_text(json.dumps({"weights": [48, 34, 19]}))
+    code, out, err = run(
+        capsys,
+        "rates", "--kind", kind, "--source", str(spec), "--f", "half-variational",
+        "--D", "0.2", "--n", "2,6,12", "--gamma", "0.3", "--R", "0.9",
+    )
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [2, 2, 2, 6, 6, 6, 12, 12, 12]
+    assert all(all(cell for cell in r) for r in rows)
