@@ -12,13 +12,17 @@ Two source representations are used everywhere in this package:
 
 A view's type classes (the method of types) come from one iterative
 walk over the compositions of n, which updates each class's multinomial
-coefficient from its predecessor's.  Sequence probabilities inside a
-view of an exact base are integer numerators over one common
-denominator d^n, where d is the least common denominator of the base's
-support masses; a natural-log float is kept alongside every class so
-that large-n computations can stay in log space.  Each source builds its
-:class:`Levels` table of distinct probability levels once and caches it;
-the smooth entropies and the spectrum read only that table.
+coefficient from its predecessor's.  The view keeps them as parallel
+columns (compositions, log-probabilities, multiplicities and, on exact
+bases, numerators) rather than one object per class; ``type_classes``
+builds :class:`TypeClass` objects from the columns on first read.
+Sequence probabilities inside a view of an exact base are integer
+numerators over one common denominator d^n, where d is the least common
+denominator of the base's support masses; a natural-log float is kept
+alongside every class so that large-n computations can stay in log
+space.  Each source builds its :class:`Levels` table of distinct
+probability levels once and caches it; the smooth entropies, the
+spectrum and the constructions read only that table and the columns.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -95,9 +100,11 @@ class FiniteDistribution:
             if m < 0:
                 raise NegativeMassError(f"mass {m!r} is negative")
         if self.exact:
-            total = sum(self.masses)
-            if total != 1:
-                raise BadParamError(f"exact masses must sum to 1, got {total!r}")
+            # Integer numerators over the lcm of the denominators: one exact
+            # sum, where adding Fractions one by one reduces by a gcd each time.
+            den = math.lcm(*{m.denominator for m in self.masses})
+            if sum(m.numerator * (den // m.denominator) for m in self.masses) != den:
+                raise BadParamError(f"exact masses must sum to 1, got {sum(self.masses)!r}")
             return
         # A plain running sum of 2^17 float product masses drifts past 1e-12.
         total = math.fsum(self.masses)
@@ -131,8 +138,8 @@ class FiniteDistribution:
     @cached_property
     def levels(self) -> Levels:
         """Distinct positive masses, descending, with their atom counts."""
-        ordered = (self.masses[i] for i in self.descending())
-        probs, counts, _ = _runs((m, 1) for m in ordered if m > 0)
+        ordered = [self.masses[i] for i in self.descending() if self.masses[i] > 0]
+        probs, counts, _ = _runs(ordered, [1] * len(ordered))
         logs = [_log_exact(m) for m in probs]
         denominator = None
         if self.exact:
@@ -300,21 +307,34 @@ class ProductSourceView:
     Classes enumerate compositions of the base's support only; sequences
     touching a zero-mass base atom are counted in ``zero_mass_count`` so
     that the full alphabet size |base|^n stays available to min-entropy
-    clamping without inflating the class list.  Exact views carry the
-    common ``denominator`` d^n of their class numerators.
+    clamping without inflating the class list.
+
+    The classes are held as parallel columns, most probable first:
+    ``compositions`` (support-symbol counts aligned with
+    ``support_labels``), ``log_probs`` (natural log of one sequence's
+    probability), ``multiplicities`` (exact multinomial coefficients)
+    and, on exact views, ``numerators``, each sequence's probability
+    times the common ``denominator`` d^n.  Both are None on float views.
+    ``type_classes`` builds one :class:`TypeClass` per class from the
+    columns on first read; nothing in the library reads it.
     """
 
     base: FiniteDistribution
     n: int
     support_labels: tuple
-    type_classes: tuple[TypeClass, ...]
+    compositions: tuple[tuple[int, ...], ...]
+    log_probs: tuple[float, ...]
+    multiplicities: tuple[int, ...]
     full_alphabet_size: int
     zero_mass_count: int
+    numerators: Optional[tuple[int, ...]] = None
     denominator: Optional[int] = None
 
     def __post_init__(self) -> None:
-        classes = self.type_classes
-        support_total = sum(tc.multiplicity for tc in classes)
+        mults = self.multiplicities
+        if not len(self.compositions) == len(self.log_probs) == len(mults):
+            raise BadParamError("type-class columns differ in length")
+        support_total = sum(mults)
         expected = len(self.support_labels) ** self.n
         if support_total != expected:
             raise BadParamError(
@@ -323,31 +343,40 @@ class ProductSourceView:
         if self.zero_mass_count != self.full_alphabet_size - expected:
             raise BadParamError("zero-mass sequence count is inconsistent")
         if self.exact:
-            if self.denominator is None:
-                raise BadParamError("an exact view needs its common denominator")
+            nums = self.numerators
+            if self.denominator is None or nums is None or len(nums) != len(mults):
+                raise BadParamError("an exact view needs its numerators and common denominator")
             # Sum count * numerator with classes of equal multiplicity
             # folded first: halves the big products of a binary view.
             by_count: dict[int, int] = {}
-            for tc in classes:
-                by_count[tc.multiplicity] = by_count.get(tc.multiplicity, 0) + tc.numerator
+            for count, num in zip(mults, nums):
+                by_count[count] = by_count.get(count, 0) + num
             if sum(count * num for count, num in by_count.items()) != self.denominator:
                 raise BadParamError("class masses do not sum to 1")
-            for a, b in zip(classes, classes[1:]):
-                if b.numerator > a.numerator:
-                    raise BadParamError("type classes not sorted by probability")
+            if any(b > a for a, b in zip(nums, nums[1:])):
+                raise BadParamError("type classes not sorted by probability")
             return
-        log_masses = [tc.log_mass for tc in classes]
+        logs = self.log_probs
+        log_masses = [lp + lc for lp, lc in zip(logs, map(math.log, mults))]
         top = max(log_masses)
         log_total = top + math.log(math.fsum(math.exp(lm - top) for lm in log_masses))
         if abs(log_total) > 1e-10:
             raise BadParamError(f"class masses sum to exp({log_total}), not 1")
-        for a, b in zip(classes, classes[1:]):
-            if b.log_prob > a.log_prob + 1e-15:
-                raise BadParamError("type classes not sorted by probability")
+        if any(b > a + 1e-15 for a, b in zip(logs, logs[1:])):
+            raise BadParamError("type classes not sorted by probability")
 
     @property
     def exact(self) -> bool:
         return self.base.exact
+
+    @cached_property
+    def type_classes(self) -> tuple[TypeClass, ...]:
+        """The classes as :class:`TypeClass` objects, built from the columns once."""
+        nums = self.numerators or itertools.repeat(None)
+        return tuple(
+            TypeClass(comp, lp, mult, num, self.denominator)
+            for comp, lp, mult, num in zip(self.compositions, self.log_probs, self.multiplicities, nums)
+        )
 
     @cached_property
     def levels(self) -> Levels:
@@ -357,13 +386,12 @@ class ProductSourceView:
         log-probabilities (which may split equal levels that round
         differently).
         """
-        classes = self.type_classes
         exact = self.exact
         keys, counts, firsts = _runs(
-            (tc.numerator if exact else tc.log_prob, tc.multiplicity) for tc in classes
+            self.numerators if exact else self.log_probs, self.multiplicities
         )
-        logs = [classes[i].log_prob for i in firsts]
-        probs = keys if exact else [math.exp(lp) for lp in logs]
+        logs = [self.log_probs[i] for i in firsts]
+        probs = keys if exact else list(map(math.exp, logs))
         return Levels(
             probs=tuple(probs),
             counts=tuple(counts),
@@ -374,23 +402,16 @@ class ProductSourceView:
         )
 
 
-def _runs(pairs: Iterable[tuple[object, int]]) -> tuple[list, list[int], list[int]]:
-    """Merge consecutive (key, count) pairs of equal key.
+def _runs(keys: Sequence, counts: Sequence[int]) -> tuple[list, list[int], list[int]]:
+    """Merge consecutive positions of equal key.
 
     Returns each run's key, summed count and first position.  A run of
-    one pair keeps that pair's count object rather than a copy.
+    one position keeps that position's count object rather than a copy.
     """
-    keys: list = []
-    counts: list[int] = []
-    firsts: list[int] = []
-    for i, (key, count) in enumerate(pairs):
-        if keys and keys[-1] == key:
-            counts[-1] += count
-        else:
-            keys.append(key)
-            counts.append(count)
-            firsts.append(i)
-    return keys, counts, firsts
+    firsts = [0, *itertools.compress(range(1, len(keys)), map(operator.ne, keys[1:], keys))]
+    bounds = zip(firsts, firsts[1:] + [len(keys)])
+    summed = [counts[a] if b - a == 1 else sum(counts[a:b]) for a, b in bounds]
+    return [keys[i] for i in firsts], summed, firsts
 
 
 def _levels_of(source: Union[FiniteDistribution, ProductSourceView]) -> Levels:
@@ -419,18 +440,18 @@ def _labels(source: Union[FiniteDistribution, ProductSourceView]) -> Iterable:
     return itertools.product(source.base.labels, repeat=source.n)
 
 
-def _level_classes(view: ProductSourceView) -> list[list[TypeClass]]:
-    """The view's type classes, split by probability level."""
-    out: list[list[TypeClass]] = []
+def _level_starts(view: ProductSourceView) -> list[int]:
+    """Index of each level's first class in the view's columns, then the class count."""
+    starts: list[int] = []
     counts = iter(view.levels.counts)
     left = 0
-    for tc in view.type_classes:
+    for i, mult in enumerate(view.multiplicities):
         if not left:
-            out.append([])
+            starts.append(i)
             left = next(counts)
-        out[-1].append(tc)
-        left -= tc.multiplicity
-    return out
+        left -= mult
+    starts.append(len(view.multiplicities))
+    return starts
 
 
 def _rounded_product(masses: Sequence[float], composition: Sequence[int]) -> float:
@@ -455,7 +476,8 @@ def _construction_levels(source: Union[FiniteDistribution, ProductSourceView]) -
     if levels.exact or isinstance(source, FiniteDistribution):
         return levels
     support = [m for m in source.base.masses if m > 0]
-    probs = tuple(_rounded_product(support, cls[0].composition) for cls in _level_classes(source))
+    comps = source.compositions
+    probs = tuple(_rounded_product(support, comps[i]) for i in _level_starts(source)[:-1])
     return dataclasses.replace(levels, probs=probs)
 
 
@@ -481,10 +503,12 @@ def _atom_levels(source: Union[FiniteDistribution, ProductSourceView]) -> list[i
     for m in source.base.masses:
         steps.append(radix ** s if m > 0 else zero_step)
         s += m > 0
+    starts = _level_starts(source)
+    comps = source.compositions
     code_level = {
-        sum(k * radix ** i for i, k in enumerate(tc.composition)): j
-        for j, classes in enumerate(_level_classes(source))
-        for tc in classes
+        sum(k * radix ** i for i, k in enumerate(comps[c])): j
+        for j, (first, stop) in enumerate(zip(starts, starts[1:]))
+        for c in range(first, stop)
     }
     codes = [0]
     for _ in range(source.n):
@@ -500,10 +524,11 @@ def _sequence_weights(view: ProductSourceView):
     product; labels through a zero-mass symbol give 0.
     """
     support = [m for m in view.base.masses if m > 0]
-    by_comp = {
-        tc.composition: tc.numerator if view.exact else _rounded_product(support, tc.composition)
-        for tc in view.type_classes
-    }
+    comps = view.compositions
+    if view.exact:
+        by_comp = dict(zip(comps, view.numerators))
+    else:
+        by_comp = {comp: _rounded_product(support, comp) for comp in comps}
     labels = view.support_labels
     return lambda label: by_comp.get(tuple(map(label.count, labels)), 0)
 
@@ -579,58 +604,74 @@ def iid_power(
         denominator = d ** n
         num = weights[-1] ** n
 
+    # k * log(m_i) for every count k, so that each class's log-probability
+    # is the left fold sum(k_i * log(m_i)) with no multiplication left.
+    log_terms = [[k * lm for k in range(n + 1)] for lm in log_masses]
+    comps: list[tuple[int, ...]] = []
+    logs: list[float] = []
+    mults: list[int] = []
+    nums: list[int] = []
+    if s == 1:  # a one-symbol support has the one class (n,)
+        comps.append((n,))
+        logs.append(sum(map(list.__getitem__, log_terms, (n,))))
+        mults.append(1)
+        nums.append(num)
     comp = [0] * (s - 1) + [n]
     mult = 1
-    classes: list[TypeClass] = []
-    while True:
-        composition = tuple(comp)
-        classes.append(
-            TypeClass(
-                composition=composition,
-                log_prob=sum(k * lm for k, lm in zip(composition, log_masses)),
-                multiplicity=mult,
-                numerator=num,
-                denominator=denominator,
-            )
-        )
+    while s > 1:
+        # One row: the classes that share all but the last two coordinates,
+        # from (..., 0, m) to (..., m, 0).  Its log-probabilities fold the
+        # shared coordinates once; numerators trade one unit at a time,
+        # (..., k, r) -> (..., k+1, r-1).  Its multinomials are the row's
+        # first one times C(m, k), symmetric in k and m - k, so half of
+        # them are computed and the other half mirrored.
+        head = tuple(comp[:-2])
+        m = comp[-1]
+        lead = sum(map(list.__getitem__, log_terms, head))
+        left, last = log_terms[-2], log_terms[-1]
+        comps += [head + (k, m - k) for k in range(m + 1)]
+        logs += [lead + left[k] + last[m - k] for k in range(m + 1)]
+        half = [mult]
+        for k in range(m // 2):
+            half.append(half[-1] * (m - k) // (k + 1))
+        mults += half
+        mults += reversed(half[: m - m // 2])
+        if exact:
+            nums.append(num)
+            for _ in range(m):
+                num = num // weights[-1] * weights[-2]
+                nums.append(num)
+        comp[-2], comp[-1] = m, 0
         if comp[0] == n:  # (n, 0, ..., 0) is the last composition
             break
-        r = comp[-1]
-        if r:
-            # The last two coordinates trade one unit: (..., k, r) -> (..., k+1, r-1).
-            k = comp[-2]
-            comp[-2] = k + 1
-            comp[-1] = r - 1
-            mult = mult * r // (k + 1)
-            if exact:
-                num = num // weights[-1] * weights[-2]
-        else:
-            # Carry: the rightmost nonzero coordinate v gives one unit to its
-            # left neighbour and its other v-1 units to the last coordinate.
-            i = s - 2
-            while not comp[i]:
-                i -= 1
-            v = comp[i]
-            comp[i - 1] += 1
-            comp[i] = 0
-            comp[-1] = v - 1
-            mult = mult * v // comp[i - 1]
-            if exact:
-                num = math.prod(w ** k for w, k in zip(weights, comp))
+        # Carry: the rightmost nonzero coordinate v gives one unit to its
+        # left neighbour and its other v-1 units to the last coordinate.
+        i = s - 2
+        while not comp[i]:
+            i -= 1
+        v = comp[i]
+        comp[i - 1] += 1
+        comp[i] = 0
+        comp[-1] = v - 1
+        mult = mult * v // comp[i - 1]
+        if exact:
+            num = math.prod(w ** k for w, k in zip(weights, comp))
 
-    if exact:
-        classes.sort(key=lambda tc: tc.numerator, reverse=True)
-    else:
-        classes.sort(key=lambda tc: -tc.log_prob)
-
+    # One stable sort of the class indices, most probable first, ties in
+    # walk order; every column is then read through it.
+    order = sorted(range(len(comps)), key=(nums if exact else logs).__getitem__, reverse=True)
+    column = lambda values: tuple(map(values.__getitem__, order))  # noqa: E731
     full = base.size ** n
     return ProductSourceView(
         base=base,
         n=n,
         support_labels=support_labels,
-        type_classes=tuple(classes),
+        compositions=column(comps),
+        log_probs=column(logs),
+        multiplicities=column(mults),
         full_alphabet_size=full,
         zero_mass_count=full - s ** n,
+        numerators=column(nums) if exact else None,
         denominator=denominator,
     )
 

@@ -15,18 +15,29 @@ from hypothesis import strategies as st
 from smoothgen import (
     AllZeroError,
     BadParamError,
+    FiniteDistribution,
     NegativeMassError,
     OverflowGuardError,
     TooLargeError,
     bernoulli,
+    build_extractor,
+    build_resolvability_map,
+    converse_check,
+    equivalence_report,
     expand,
     from_json_obj,
+    half_variational,
     iid_power,
+    intrinsic_converse_check,
+    ir_rate_formula,
     make_distribution,
     parse_source,
+    rate_formula,
     spectrum_of,
+    spectrum_rate,
     uniform_distribution,
 )
+from smoothgen import distributions
 
 
 def test_make_distribution_normalizes_and_keeps_exactness():
@@ -54,6 +65,24 @@ def test_zero_mass_atoms_are_kept_and_flagged():
     assert d.size == 2
     assert d.support_size == 1
     assert d.has_zero_mass
+
+
+def test_exact_masses_off_one_by_one_part_in_the_denominator_are_refused():
+    masses = (Fraction(5, 12), Fraction(1, 3), Fraction(1, 3))
+    with pytest.raises(BadParamError, match=r"exact masses must sum to 1, got Fraction\(13, 12\)"):
+        FiniteDistribution(labels=(0, 1, 2), masses=masses)
+    # Just under one is refused too.
+    with pytest.raises(BadParamError, match=r"got Fraction\(11, 12\)"):
+        FiniteDistribution(labels=(0, 1), masses=(Fraction(7, 12), Fraction(1, 3)))
+
+
+def test_int_masses_are_exact():
+    d = FiniteDistribution(labels=("a", "b"), masses=(1, 0))
+    assert d.exact and d.support_size == 1
+    mixed = FiniteDistribution(labels=(0, 1, 2), masses=(0, Fraction(1, 2), Fraction(1, 2)))
+    assert mixed.exact
+    with pytest.raises(BadParamError, match="exact masses must sum to 1, got 2$"):
+        FiniteDistribution(labels=(0, 1), masses=(1, 1))
 
 
 def test_bernoulli_reads_floats_at_decimal_face_value():
@@ -131,10 +160,8 @@ WALK_WEIGHTS = [
 ]
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-@pytest.mark.parametrize("weights", WALK_WEIGHTS, ids=str)
-def test_type_classes_match_an_independent_enumeration(weights, exact):
-    base = make_distribution([Fraction(w) if exact else float(w) for w in weights])
+def _assert_matches_enumeration(view, base, n, exact):
+    """The view's type classes against every composition of n, built here."""
     support = [m for m in base.masses if m > 0]
     if exact:
         d = math.lcm(*(m.denominator for m in support))
@@ -142,30 +169,62 @@ def test_type_classes_match_an_independent_enumeration(weights, exact):
     else:
         log_masses = [math.log(m) for m in support]
         key = lambda comp: sum(k * lm for k, lm in zip(comp, log_masses))
-    for n in (1, 2, 7):
-        view = iid_power(base, n)
-        lexicographic = [
-            comp
-            for comp in itertools.product(range(n + 1), repeat=len(support))
-            if sum(comp) == n
-        ]
-        # Stable sorts: equal probabilities keep lexicographic order.
+    lexicographic = [
+        comp
+        for comp in itertools.product(range(n + 1), repeat=len(support))
+        if sum(comp) == n
+    ]
+    # Stable sorts: equal probabilities keep lexicographic order.
+    if exact:
+        expected = sorted(lexicographic, key=key, reverse=True)
+    else:
+        expected = sorted(lexicographic, key=lambda comp: -key(comp))
+    assert [tc.composition for tc in view.type_classes] == expected
+    for tc in view.type_classes:
+        comp = tc.composition
+        assert tc.multiplicity == math.factorial(n) // math.prod(
+            math.factorial(k) for k in comp
+        )
         if exact:
-            expected = sorted(lexicographic, key=key, reverse=True)
+            assert tc.denominator == d ** n
+            assert Fraction(tc.numerator, tc.denominator) == key(comp)
         else:
-            expected = sorted(lexicographic, key=lambda comp: -key(comp))
-        assert [tc.composition for tc in view.type_classes] == expected
-        for tc in view.type_classes:
-            comp = tc.composition
-            assert tc.multiplicity == math.factorial(n) // math.prod(
-                math.factorial(k) for k in comp
-            )
-            if exact:
-                assert tc.denominator == d ** n
-                assert Fraction(tc.numerator, tc.denominator) == key(comp)
-            else:
-                assert tc.numerator is None
-                assert tc.log_prob.hex() == key(comp).hex()
+            assert tc.numerator is None
+            assert tc.log_prob.hex() == key(comp).hex()
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("weights", WALK_WEIGHTS, ids=str)
+def test_type_classes_match_an_independent_enumeration(weights, exact):
+    base = make_distribution([Fraction(w) if exact else float(w) for w in weights])
+    for n in (1, 2, 7):
+        _assert_matches_enumeration(iid_power(base, n), base, n, exact)
+
+
+def test_no_library_path_builds_a_type_class(monkeypatch):
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a TypeClass was built")
+
+    f = half_variational()
+    views = []
+    with monkeypatch.context() as patch:
+        patch.setattr(distributions, "TypeClass", Refused)
+        for base, n in ((make_distribution([48, 34, 19]), 6), (make_distribution([0.5, 0.3, 0.2]), 6)):
+            rate_formula(base, [4, n], f, 0.2, [0.1, 0.05])
+            ir_rate_formula(base, [4, n], f, 0.2, [0.1, 0.05])
+            equivalence_report(base, f, 0.2, 0.05, [4, n])
+            view = iid_power(base, n)
+            spectrum_rate(view, f, 0.3)
+            res = build_resolvability_map(view, f, 0.2, 0.3)
+            assert converse_check(res, view, f)
+            ext = build_extractor(view, f, 0.2, 0.3)
+            claim = max(0.2, float(ext.achieved_divergence) + 1e-9)
+            assert intrinsic_converse_check(ext, view, f, claim, 0.0)
+            views.append((view, base, n))
+    # Read after the patch is gone, the classes are built on first read.
+    for view, base, n in views:
+        _assert_matches_enumeration(view, base, n, base.exact)
 
 
 @pytest.mark.parametrize("weights,n", [([0.7, 0.3], 17), ([0.5, 0.3, 0.2], 12)])
@@ -179,14 +238,38 @@ def test_float_expand_is_accepted_by_its_constructor(weights, n):
 @pytest.mark.parametrize("n", [8, 2048])
 def test_float_view_rejects_class_masses_off_one(n):
     view = iid_power(make_distribution([0.7, 0.3]), n)
-    classes = list(view.type_classes)
-    assert dataclasses.replace(view, type_classes=tuple(classes)) == view
+    logs = list(view.log_probs)
+    assert dataclasses.replace(view, log_probs=tuple(logs)) == view
     # Lower the heaviest class by less than the gap to its neighbours,
     # so only the total mass is wrong.
-    j = max(range(len(classes)), key=lambda i: classes[i].log_mass)
-    classes[j] = dataclasses.replace(classes[j], log_prob=classes[j].log_prob - 0.01)
+    j = max(range(len(logs)), key=lambda i: logs[i] + math.log(view.multiplicities[i]))
+    logs[j] -= 0.01
     with pytest.raises(BadParamError, match="class masses sum"):
-        dataclasses.replace(view, type_classes=tuple(classes))
+        dataclasses.replace(view, log_probs=tuple(logs))
+
+
+def test_exact_view_rejects_a_changed_numerator():
+    view = iid_power(bernoulli(0.3), 8)
+    nums = list(view.numerators)
+    assert dataclasses.replace(view, numerators=tuple(nums)) == view
+    # Raising the largest numerator keeps the order; only the mass is wrong.
+    nums[0] += 1
+    with pytest.raises(BadParamError, match="class masses do not sum to 1"):
+        dataclasses.replace(view, numerators=tuple(nums))
+
+
+@pytest.mark.parametrize("base", [bernoulli(0.3), make_distribution([0.7, 0.3])], ids=["exact", "float"])
+def test_view_rejects_two_swapped_classes(base):
+    view = iid_power(base, 8)
+
+    def swapped(column):
+        column = list(column)
+        column[0], column[1] = column[1], column[0]
+        return tuple(column)
+
+    names = ["compositions", "log_probs", "multiplicities"] + (["numerators"] if base.exact else [])
+    with pytest.raises(BadParamError, match="not sorted"):
+        dataclasses.replace(view, **{name: swapped(getattr(view, name)) for name in names})
 
 
 def test_expand_respects_atom_cap():
