@@ -242,16 +242,13 @@ def cmd_extract(args) -> int:
 
 
 def _rates_rows(args, f, base) -> tuple[list[str], list[list]]:
-    if args.kind == "resolvability":
-        smoother, rising = smooth_max_entropy, True
-    else:
-        smoother, rising = smooth_min_entropy, False
     # The whole sweep runs before the first construction, so a sweep error
     # is reported before any construction warning.  Without --gamma no
     # view is kept and zip_longest pairs each evaluation with None.
     views: list = []
     evals = _rate_sweep(
-        base, args.n, f, args.D, tuple(args.nu), args.R, smoother, rising,
+        base, args.n, f, args.D, tuple(args.nu), args.R,
+        "max" if args.kind == "resolvability" else "min",
         on_view=views.append if args.gamma is not None else None,
     )
 

@@ -657,5 +657,10 @@ def ir_rate_formula(
     Mirrors the synthesis rate with the min entropy in place of the
     covering entropy; extraction rates grow with nu, so the decreasing
     ladder must produce nonincreasing values.
+
+    On an exact base a float ``Delta`` or nu is read at its binary value,
+    ``Fraction(Delta)``, not at its decimal face value as :func:`bernoulli`
+    reads its parameter: ``Delta=0.1`` is 3602879701896397/2**55.  Pass a
+    ``Fraction`` for a decimal target.
     """
-    return _rate_sweep(base, n_list, f, Delta, nu_ladder, R, smooth_min_entropy, rising=False)
+    return _rate_sweep(base, n_list, f, Delta, nu_ladder, R, "min")

@@ -50,7 +50,7 @@ from .errors import (
     TargetInfeasibleError,
 )
 from .fdiv import DivergenceValue, FFunction, OffsetFunction, f_divergence, inverse, offset
-from .smooth_entropy import smooth_max_entropy
+from .smooth_entropy import _smooth_entropies, smooth_max_entropy
 
 Number = Union[int, float, Fraction]
 Source = Union[FiniteDistribution, ProductSourceView]
@@ -504,16 +504,16 @@ def _rate_sweep(
     D: Number,
     nu_ladder: Sequence[float],
     R: Optional[float],
-    smoother: Callable,
-    rising: bool,
+    order: str,
     on_view: Optional[Callable[[ProductSourceView], object]] = None,
 ) -> list[RateEvaluation]:
     """Smoothed-entropy rates along an n list, at budget D + nu per rung.
 
-    Both optimum rates share this sweep: ``smoother`` is the smooth max
-    entropy for synthesis and the smooth min entropy for extraction.
-    ``rising`` says the decreasing ladder must produce nondecreasing
-    values (covering rates fall as nu grows); otherwise nonincreasing.
+    Both optimum rates share this sweep: ``order`` "max" smooths the max
+    entropy for synthesis, whose values must not fall along the
+    decreasing ladder, and "min" the min entropy for extraction, whose
+    values must not rise.  Every smoothing level of one n, first-order
+    and alternative, is answered from that view's profile in one pass.
     ``on_view``, if given, is called with each n's view, so that a caller
     can build maps on the views the sweep built.
     """
@@ -527,31 +527,27 @@ def _rate_sweep(
     exact = base.exact
     d_exact = Fraction(D) if exact and isinstance(D, float) else D
     t_at_d = inverse(f0, d_exact)
+    alts_d = [
+        1 - t_at_d + (Fraction(nu) if exact and isinstance(t_at_d, Fraction) else nu)
+        for nu in nus
+    ]
     for n in n_list:
         view = iid_power(base, int(n))
         if on_view is not None:
             on_view(view)
-        firsts: list[float] = []
-        alts: list[float] = []
-        seconds: list[float] = []
-        for nu in nus:
-            lvl = d_exact + (Fraction(nu) if exact else nu)
-            t = _inverse_level(f0, lvl, exact)
-            h = smoother(view, 1 - t)
-            firsts.append(h.value / n)
-            if R is not None:
-                seconds.append((h.value - n * R) / math.sqrt(n))
-            delta_alt = 1 - t_at_d + (
-                Fraction(nu) if exact and isinstance(t_at_d, Fraction) else nu
-            )
-            if delta_alt < 1:
-                alts.append(smoother(view, delta_alt).value / n)
-            else:
-                alts.append(math.nan)
+        firsts_d = [
+            1 - _inverse_level(f0, d_exact + (Fraction(nu) if exact else nu), exact)
+            for nu in nus
+        ]
+        hs = _smooth_entropies(view, order, firsts_d + [d for d in alts_d if d < 1])
+        values = [h.value for h in hs[: len(nus)]]
+        alt_values = iter(h.value for h in hs[len(nus):])
+        firsts = [v / n for v in values]
+        alts = [next(alt_values) / n if d < 1 else math.nan for d in alts_d]
         for a, b in zip(firsts, firsts[1:]):
-            if rising and b < a - 1e-12:
+            if order == "max" and b < a - 1e-12:
                 raise BadParamError("first-order values must be nonincreasing in nu")
-            if not rising and b > a + 1e-12:
+            if order == "min" and b > a + 1e-12:
                 raise BadParamError("first-order values must be nondecreasing in nu")
         out.append(
             RateEvaluation(
@@ -559,7 +555,9 @@ def _rate_sweep(
                 nu_ladder=nus,
                 first_order=tuple(firsts),
                 first_order_alt=tuple(alts),
-                second_order=tuple(seconds) if R is not None else None,
+                second_order=(
+                    tuple((v - n * R) / math.sqrt(n) for v in values) if R is not None else None
+                ),
             )
         )
     return out
@@ -577,5 +575,10 @@ def rate_formula(
 
     The nu ladder must be positive and strictly decreasing; targets
     D + nu outside [0, f0(0)) propagate OutOfRange from the inversion.
+
+    On an exact base a float ``D`` or nu is read at its binary value,
+    ``Fraction(D)``, not at its decimal face value as :func:`bernoulli`
+    reads its parameter: ``D=0.1`` is 3602879701896397/2**55.  Pass a
+    ``Fraction`` for a decimal target.
     """
-    return _rate_sweep(base, n_list, f, D, nu_ladder, R, smooth_max_entropy, rising=True)
+    return _rate_sweep(base, n_list, f, D, nu_ladder, R, "max")

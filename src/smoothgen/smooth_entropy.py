@@ -6,20 +6,28 @@ entropy is -log(beta0) where beta0 is the smallest cap beta, at least
 1/|alphabet|, whose excess mass sum_x (P(x) - beta)+ stays within delta.
 
 Both accept an explicit :class:`FiniteDistribution` or a compressed
-:class:`ProductSourceView` and work on the source's cached
-:class:`Levels` table, whole probability levels at a time, so n in the
-thousands stays cheap.  Exact sources are processed in integers over
-the table's common denominator, and only the returned cap becomes a
-``Fraction``; float sources run in log space so that per-sequence
-probabilities far below float range cannot underflow to nonsense.
+:class:`ProductSourceView` and read one prefix-mass profile of the
+source's cached :class:`Levels` table: the running mass of its levels,
+most probable first.  The spectrum quantiles read the same profile, so
+the paper's two optimum rates, H_max^delta for resolvability and
+H_min^delta for intrinsic randomness, are two readings of one scan.  The
+profile is kept on the table and grown only as far as the deepest delta
+asked.  The max entropy's crossing level and the min entropy's
+water-filling stop both move monotonically with delta, so a list of
+deltas costs one pass.  Exact tables count in integers over the table's
+common denominator, and only the returned cap becomes a ``Fraction``;
+float tables add in a level-by-level scan's order and go to log space
+where per-sequence probabilities underflow.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .distributions import (
     FiniteDistribution,
@@ -115,110 +123,215 @@ def _logaddexp(x: float, y: float) -> float:
     return max(x, y) + math.log1p(math.exp(-abs(x - y)))
 
 
+def _profile(levels: Levels) -> _Profile:
+    """The table's profile, made on first use and kept in its ``__dict__``."""
+    profile = levels.__dict__.get("_profile")
+    if profile is None:
+        profile = levels.__dict__["_profile"] = _Profile(levels)
+    return profile
+
+
+class _Profile:
+    """Descending prefix sums of one level table, grown one level at a time.
+
+    ``cum[j]`` is the mass of the levels before j: an integer over the
+    table's denominator on exact tables, the running float sum of
+    :meth:`Levels.float_mass` on float ones.  Exact tables also keep the
+    atom count ``whole[j]`` before level j and ``excess[j]``, the mass
+    above level j + 1's probability among the levels up to j, which never
+    decreases in j.  Float tables keep arrays of doubles instead: the log
+    ``log_whole[j]`` of that atom count (a big integer at large n), and
+    per level log(count), exp(log_prob + log(count)) and the running sum
+    ``cum_exp`` of the latter, each added in the order a level-by-level
+    scan adds them.
+
+    Levels are added only as far as a query needs.  The profile keeps the
+    table's columns, never the table: the table keeps the profile, and a
+    reference back would make a cycle that leaves a view and its big
+    multiplicities to the cyclic garbage collector.
+    """
+
+    def __init__(self, levels: Levels) -> None:
+        self.exact = levels.exact
+        self.probs, self.counts, self.logs = levels.probs, levels.counts, levels.logs
+        self.denominator, self.alphabet_size = levels.denominator, levels.alphabet_size
+        self.atoms = 0
+        if self.exact:
+            self.cum, self.whole, self.excess = [0], [0], []
+        else:
+            self.cum, self.cum_exp = array("d", [0.0]), array("d", [0.0])
+            self.log_whole = array("d", [-math.inf])
+            self.log_counts, self.exp_masses = array("d"), array("d")
+
+    def _grow(self) -> bool:
+        """Add the next level; False once the table is exhausted."""
+        j = len(self.cum) - 1
+        probs = self.probs
+        if j == len(probs):
+            return False
+        prob, count = probs[j], self.counts[j]
+        self.atoms += count
+        if self.exact:
+            self.cum.append(self.cum[j] + prob * count)
+            self.whole.append(self.atoms)
+            nxt = probs[j + 1] if j + 1 < len(probs) else 0
+            self.excess.append(self.cum[j + 1] - self.atoms * nxt)
+            return True
+        log_count = math.log(count)
+        mass = math.exp(self.logs[j] + log_count)
+        # As Levels.float_mass: linear while the level is representable.
+        linear = prob > 0.0 and count < (1 << 53)
+        self.cum.append(self.cum[j] + (prob * count if linear else mass))
+        self.cum_exp.append(self.cum_exp[j] + mass)
+        self.log_whole.append(math.log(self.atoms))
+        self.log_counts.append(log_count)
+        self.exp_masses.append(mass)
+        return True
+
+    def _first(self, column, threshold: Number, lo: int = 0) -> int:
+        """Smallest i >= lo with column[i] >= threshold, len(column) if none.
+
+        ``column`` is a nondecreasing column, grown until it reaches the
+        threshold or the table ends.
+        """
+        while (len(column) <= lo or column[-1] < threshold) and self._grow():
+            pass
+        return bisect_left(column, threshold, lo)
+
+    def crossing(self, threshold: Number) -> int:
+        """First level whose prefix mass through it reaches the threshold.
+
+        The threshold is a numerator over the table's denominator on exact
+        tables.  Returns the level count if the whole table falls short.
+        """
+        return self._first(self.cum, threshold, 1) - 1
+
+    def max_entropy(self, delta: Number) -> tuple[float, MaxEntropyWitness]:
+        """Value and witness of H_max at delta: whole levels, then single atoms."""
+        den = self.denominator
+        if self.exact:
+            # With delta = p/q and masses cum/den: cum/den >= 1 - delta is
+            # cum*q >= (q - p)*den.
+            p, q = delta.numerator, delta.denominator
+            target = (q - p) * den
+            j = self.crossing(-(-target // q))
+        else:
+            target = 1.0 - delta
+            j = self.crossing(target)
+        cum = self.cum[j]
+        if j == len(self.probs):
+            return math.log(self.atoms), MaxEntropyWitness(self.atoms, cum / den if self.exact else cum)
+        prob, count, log_prob = self.probs[j], self.counts[j], self.logs[j]
+        if self.exact:
+            extra = -((cum * q - target) // (prob * q))
+            size = self.whole[j] + extra
+            return math.log(size), MaxEntropyWitness(size, (cum + extra * prob) / den)
+        need = target - cum
+        if prob == 0.0:
+            prob = math.exp(log_prob)
+        if prob > 0.0 and need / prob < 9e15:
+            # Rounding in ``need`` must not take more atoms than the level holds.
+            extra = min(max(math.ceil(need / prob), 1), count)
+            size = sum(self.counts[:j]) + extra
+            return math.log(size), MaxEntropyWitness(size, cum + extra * prob)
+        # Tail count exists only in log space at this scale.
+        log_extra = max(math.log(need) - log_prob, 0.0)
+        return _logaddexp(self.log_whole[j], log_extra), MaxEntropyWitness(None, target)
+
+    def min_entropies(self, deltas: Sequence[Number]) -> list[tuple[float, MinEntropyWitness]]:
+        """Value and witness of H_min at each delta of an ascending list.
+
+        The water-filling stops at the first level j whose cap
+        (prefix mass through j - delta) / (atoms through j) reaches the
+        next level's probability.  That level only moves down the table
+        as delta grows, so one walk serves the whole list.
+        """
+        if self.exact:
+            return [self._min_exact(d) for d in deltas]
+        logs, size = self.logs, len(self.logs)
+        log_clamp = -math.log(self.alphabet_size)
+        out = []
+        j = 0
+        for d in deltas:
+            log_beta_star = -math.inf
+            while j < len(self.cum) - 1 or self._grow():
+                cum = self.cum_exp[j + 1]
+                if cum > d:
+                    cand = math.log(cum - d) - self.log_whole[j + 1]
+                    if cand >= (logs[j + 1] if j + 1 < size else -math.inf):
+                        log_beta_star = cand
+                        break
+                j += 1
+            log_beta0 = max(log_beta_star, log_clamp)
+            witness = MinEntropyWitness(
+                beta=math.exp(log_beta0), log_beta=log_beta0, residual=self._residual(log_beta0)
+            )
+            out.append((-log_beta0, witness))
+        return out
+
+    def _min_exact(self, d: Fraction) -> tuple[float, MinEntropyWitness]:
+        # With delta = p/q the cap through level j is
+        # (cum*q - p*den) / (q*den*whole); it is accepted once it reaches
+        # the next level nxt/den, that is once excess[j]*q >= p*den.
+        p, q = d.numerator, d.denominator
+        den = self.denominator
+        j = self._first(self.excess, -(-p * den // q))
+        if j == len(self.probs):
+            raise BadParamError("water-filling failed; masses do not reach delta")
+        beta_star = Fraction(self.cum[j + 1] * q - p * den, q * den * self.whole[j + 1])
+        clamp = Fraction(1, self.alphabet_size)
+        if beta_star > clamp:
+            # The water-filling cap leaves exactly delta above it.
+            beta0, residual = beta_star, float(d)
+        else:
+            # Excess over the k levels above the clamp 1/c, all of them at
+            # or before the stop level.
+            c, k = clamp.denominator, 0
+            while k < len(self.probs) and self.probs[k] * c > den:
+                k += 1
+            beta0 = clamp
+            residual = (self.cum[k] * c - den * self.whole[k]) / (den * c)
+        value = -_log_exact(beta0)
+        return value, MinEntropyWitness(beta=beta0, log_beta=-value, residual=residual)
+
+    def _residual(self, log_beta: float) -> float:
+        """Float excess mass over the levels above exp(log_beta), all grown."""
+        terms = []
+        for log_prob, log_count, mass in zip(self.logs, self.log_counts, self.exp_masses):
+            if log_prob <= log_beta:
+                break
+            terms.append(mass - math.exp(log_beta + log_count))
+        return max(math.fsum(terms), 0.0)
+
+
+def _smooth_entropies(
+    source: Source, order: str, deltas: Sequence[Number]
+) -> list[SmoothEntropyResult]:
+    """H_max (order "max") or H_min ("min") at each delta, in list order.
+
+    Equal deltas are answered once, all of them from the source's one
+    profile in one pass.
+    """
+    deltas_f = [_check_delta(d) for d in deltas]
+    levels = _levels_of(source)
+    profile = _profile(levels)
+    keys = [_exact_delta(d) for d in deltas] if levels.exact else deltas_f
+    ascending = sorted(set(keys))
+    if order == "max":
+        answers = [profile.max_entropy(k) for k in ascending]
+    else:
+        answers = profile.min_entropies(ascending)
+    by_key = dict(zip(ascending, answers))
+    return [SmoothEntropyResult(order, d, *by_key[k]) for d, k in zip(deltas_f, keys)]
+
+
 def smooth_max_entropy(source: Source, delta: Number) -> SmoothEntropyResult:
     """Log of the smallest atom count covering mass 1 - delta.
 
     Greedy by probability descending: whole levels first, then the
     partial tail of the crossing level counted atom-by-atom.
     """
-    delta_f = _check_delta(delta)
-    levels = _levels_of(source)
-    if levels.exact:
-        # With delta = p/q and masses cum/den: cum/den < 1 - delta is
-        # cum*q < (q - p)*den.
-        d = _exact_delta(delta)
-        p, q = d.numerator, d.denominator
-        den = levels.denominator
-        target = (q - p) * den
-        cum = 0
-        whole = 0
-        for num, count in zip(levels.probs, levels.counts):
-            reached = cum + num * count
-            if reached * q < target:
-                cum = reached
-                whole += count
-                continue
-            extra = -((cum * q - target) // (num * q))
-            size = whole + extra
-            return SmoothEntropyResult(
-                order="max",
-                delta=delta_f,
-                value=math.log(size),
-                witness=MaxEntropyWitness(set_size=size, mass=(cum + extra * num) / den),
-            )
-        return SmoothEntropyResult(
-            order="max",
-            delta=delta_f,
-            value=math.log(whole),
-            witness=MaxEntropyWitness(set_size=whole, mass=cum / den),
-        )
-    target_f = 1.0 - delta_f
-    cum_f = 0.0
-    whole = 0
-    for j, (prob_f, count, log_prob) in enumerate(
-        zip(levels.probs, levels.counts, levels.logs)
-    ):
-        # Sums stay in linear floats while the level is representable;
-        # the log chain is only for underflowed probabilities or counts
-        # too large to convert exactly.
-        class_mass = levels.float_mass(j)
-        if cum_f + class_mass < target_f:
-            cum_f += class_mass
-            whole += count
-            continue
-        need = target_f - cum_f
-        if prob_f == 0.0:
-            prob_f = math.exp(log_prob)
-        if prob_f > 0.0 and need / prob_f < 9e15:
-            # Rounding in ``need`` must not take more atoms than the level holds.
-            extra = min(max(math.ceil(need / prob_f), 1), count)
-            size = whole + extra
-            return SmoothEntropyResult(
-                order="max",
-                delta=delta_f,
-                value=math.log(size),
-                witness=MaxEntropyWitness(set_size=size, mass=cum_f + extra * prob_f),
-            )
-        # Tail count exists only in log space at this scale.
-        log_extra = max(math.log(need) - log_prob, 0.0)
-        log_whole = math.log(whole) if whole else -math.inf
-        return SmoothEntropyResult(
-            order="max",
-            delta=delta_f,
-            value=_logaddexp(log_whole, log_extra),
-            witness=MaxEntropyWitness(set_size=None, mass=target_f),
-        )
-    return SmoothEntropyResult(
-        order="max",
-        delta=delta_f,
-        value=math.log(whole),
-        witness=MaxEntropyWitness(set_size=whole, mass=cum_f),
-    )
-
-
-def _residual_exact(levels: Levels, beta: Fraction) -> float:
-    """Excess mass, (prob - beta) * count over the levels above beta, as a float."""
-    b, c = beta.numerator, beta.denominator
-    den = levels.denominator
-    b_den = b * den
-    mass = 0
-    count_above = 0
-    for num, count in zip(levels.probs, levels.counts):
-        if num * c <= b_den:
-            break
-        mass += num * count
-        count_above += count
-    return (mass * c - b_den * count_above) / (den * c)
-
-
-def _residual_float(levels: Levels, log_beta: float) -> float:
-    terms = []
-    for count, log_prob in zip(levels.counts, levels.logs):
-        if log_prob <= log_beta:
-            break
-        log_count = math.log(count)
-        terms.append(math.exp(log_prob + log_count) - math.exp(log_beta + log_count))
-    return max(math.fsum(terms), 0.0)
+    return _smooth_entropies(source, "max", [delta])[0]
 
 
 def smooth_min_entropy(source: Source, delta: Number) -> SmoothEntropyResult:
@@ -227,69 +340,4 @@ def smooth_min_entropy(source: Source, delta: Number) -> SmoothEntropyResult:
     The cap is clamped to at least 1/|alphabet| counting zero-mass
     atoms, so the clamp can raise beta above the unclamped solution.
     """
-    delta_f = _check_delta(delta)
-    levels = _levels_of(source)
-    if levels.exact:
-        # With delta = p/q, the candidate cap (cum/den - delta)/n_cum is
-        # excess / (q*den*n_cum), excess = cum*q - p*den; it is accepted
-        # once it reaches the next level nxt/den.
-        d = _exact_delta(delta)
-        p, q = d.numerator, d.denominator
-        den = levels.denominator
-        probs = levels.probs
-        p_den = p * den
-        cum = 0
-        n_cum = 0
-        beta_star: Optional[Fraction] = None
-        for j, (num, count) in enumerate(zip(probs, levels.counts)):
-            cum += num * count
-            n_cum += count
-            excess = cum * q - p_den
-            if excess <= 0:
-                continue
-            nxt = probs[j + 1] if j + 1 < len(probs) else 0
-            if excess >= nxt * q * n_cum:
-                beta_star = Fraction(excess, q * den * n_cum)
-                break
-        if beta_star is None:
-            raise BadParamError("water-filling failed; masses do not reach delta")
-        clamp = Fraction(1, levels.alphabet_size)
-        if beta_star > clamp:
-            # The water-filling cap leaves exactly delta above it.
-            beta0, residual = beta_star, float(d)
-        else:
-            beta0, residual = clamp, _residual_exact(levels, clamp)
-        value = -_log_exact(beta0)
-        return SmoothEntropyResult(
-            order="min",
-            delta=delta_f,
-            value=value,
-            witness=MinEntropyWitness(beta=beta0, log_beta=-value, residual=residual),
-        )
-    cum_f = 0.0
-    n_cum = 0
-    log_beta_star = -math.inf
-    logs = levels.logs
-    for j, (count, log_prob) in enumerate(zip(levels.counts, logs)):
-        cum_f += math.exp(log_prob + math.log(count))
-        n_cum += count
-        if cum_f <= delta_f:
-            continue
-        cand = math.log(cum_f - delta_f) - math.log(n_cum)
-        nxt = logs[j + 1] if j + 1 < len(logs) else -math.inf
-        if cand >= nxt:
-            log_beta_star = cand
-            break
-    log_clamp = -math.log(levels.alphabet_size)
-    log_beta0 = max(log_beta_star, log_clamp)
-    value = -log_beta0
-    return SmoothEntropyResult(
-        order="min",
-        delta=delta_f,
-        value=value,
-        witness=MinEntropyWitness(
-            beta=math.exp(log_beta0),
-            log_beta=log_beta0,
-            residual=_residual_float(levels, log_beta0),
-        ),
-    )
+    return _smooth_entropies(source, "min", [delta])[0]

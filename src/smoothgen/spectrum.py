@@ -8,6 +8,13 @@ levels, so its inverse turns a divergence budget into a mass quantile.
 surrogates drop the limit operations of the asymptotic theory; the
 report and sweep helpers make the convergence visible instead of
 asserting it.
+
+The quantiles read the same prefix-mass profile of a source's level
+table as the smooth entropies (see :mod:`smoothgen.smooth_entropy`):
+kbar is the level where the prefix mass first reaches the threshold,
+the same crossing that defines the smooth max entropy.  The profile is
+kept on the table, so ``equivalence_report`` reads H_max, H_min and kbar
+for one n from one scan.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .distributions import (
 )
 from .errors import BadParamError, OutOfRangeError, TooFewPointsError
 from .fdiv import FFunction, inverse, offset
-from .smooth_entropy import smooth_max_entropy, smooth_min_entropy
+from .smooth_entropy import _profile, smooth_max_entropy, smooth_min_entropy
 
 Number = Union[int, float, Fraction]
 Source = Union[FiniteDistribution, ProductSourceView]
@@ -67,51 +74,31 @@ class SpectrumRate:
             )
 
 
-def _exact_quantile_levels(levels: Levels, c: Fraction) -> tuple[int, int]:
-    """Level indices of kbar and kunder from one pass down in probability.
+def _quantile_levels(levels: Levels, c: Number) -> tuple[int, int]:
+    """Level indices of kbar and kunder at mass threshold c.
 
-    kbar is the first level whose prefix mass reaches c.  kunder is the
-    last level whose suffix mass reaches c; the exact levels sum to one,
-    so that suffix is 1 - (prefix before it).  The pass stops at the
-    later of the two indices instead of summing the whole low tail.
+    kbar is the first level whose prefix mass reaches c, a crossing of
+    the table's profile, as in the smooth max entropy.  kunder is the
+    last level whose suffix mass reaches c.  Exact levels sum to one, so
+    that suffix is 1 - (prefix before it) and kunder is a crossing too;
+    float suffixes are summed from the least probable level up.
     """
-    den, c_num, c_den = levels.denominator, c.numerator, c.denominator
-    reach = c_num * den  # prefix*c_den >= reach: the lower tail holds c
-    keep = (c_den - c_num) * den  # prefix*c_den > keep: the upper tail no longer does
+    profile = _profile(levels)
     last = len(levels) - 1
-    j_bar: Optional[int] = None
-    j_under: Optional[int] = 0 if keep < 0 else None
-    cum = 0
-    for j, (num, count) in enumerate(zip(levels.probs, levels.counts)):
-        cum += num * count
-        scaled = cum * c_den
-        if j_bar is None and scaled >= reach:
-            j_bar = j
-        if j_under is None and scaled > keep:
-            j_under = j
-        if j_bar is not None and j_under is not None:
-            break
-    return (last if j_bar is None else j_bar), (last if j_under is None else j_under)
-
-
-def _float_quantile_levels(levels: Levels, c: float) -> tuple[int, int]:
-    """Level indices of kbar (mass summed upward) and kunder (downward)."""
-    masses = [levels.float_mass(j) for j in range(len(levels))]
-    j_bar = len(masses) - 1
+    if levels.exact:
+        den, c_num, c_den = levels.denominator, c.numerator, c.denominator
+        # The lower tail holds c once prefix*c_den >= c_num*den; the upper
+        # tail no longer does once prefix*c_den > (c_den - c_num)*den.
+        j_bar = profile.crossing(-(-c_num * den // c_den))
+        j_under = profile.crossing((c_den - c_num) * den // c_den + 1)
+        return min(j_bar, last), min(j_under, last)
+    j_bar = min(profile.crossing(c), last)
     cum = 0.0
-    for j, mass in enumerate(masses):
-        cum = cum + mass
+    for j in reversed(range(len(levels))):
+        cum = cum + levels.float_mass(j)
         if cum >= c:
-            j_bar = j
-            break
-    j_under = 0
-    cum = 0.0
-    for j in reversed(range(len(masses))):
-        cum = cum + masses[j]
-        if cum >= c:
-            j_under = j
-            break
-    return j_bar, j_under
+            return j_bar, j
+    return j_bar, 0
 
 
 def spectrum_rate(
@@ -125,10 +112,10 @@ def spectrum_rate(
 
     The generator is used through its offset form, which leaves C1
     families untouched (their linear coefficient is zero) and makes the
-    rest monotone.  kbar scans the spectrum upward accumulating mass,
-    kunder scans downward; exact sources accumulate integers over the
-    level table's common denominator, and only the two returned levels
-    become fractions.
+    rest monotone.  kbar is read from the prefix-mass profile that the
+    smoothers share, kunder from the mass summed downward; exact sources
+    count in integers over the level table's common denominator, and
+    only the two returned levels become fractions.
     """
     f0 = offset(f)
     if epsilon < 0 or not epsilon < f0.f_at_zero:
@@ -141,9 +128,10 @@ def spectrum_rate(
     n = levels.n
     if levels.exact:
         eps = Fraction(epsilon) if isinstance(epsilon, float) else epsilon
-        j_bar, j_under = _exact_quantile_levels(levels, Fraction(inverse(f0, eps)))
+        c = Fraction(inverse(f0, eps))
     else:
-        j_bar, j_under = _float_quantile_levels(levels, float(inverse(f0, epsilon)))
+        c = float(inverse(f0, epsilon))
+    j_bar, j_under = _quantile_levels(levels, c)
     kbar = levels.value(j_bar)
     kunder = levels.value(j_under)
     if order == "second":
@@ -190,6 +178,11 @@ def equivalence_report(
     against kbar and the min entropy against kunder.  The gaps are
     expected to shrink from the first to the last n; violations land in
     ``warnings``.
+
+    On an exact base a float ``D`` or nu is read at its binary value,
+    ``Fraction(D)``, not at its decimal face value as :func:`bernoulli`
+    reads its parameter: ``D=0.1`` is 3602879701896397/2**55.  Pass a
+    ``Fraction`` for a decimal target.
     """
     f0 = offset(f)
     nu_f = float(nu)

@@ -1,21 +1,28 @@
-"""The float lane against its frozen single-scan reference, bitwise.
+"""The prefix-mass profile: frozen float reference, no cycle, metamorphic checks.
 
 ``oracle_float_levels`` keeps the float smoothers and quantile scans as
 one walk of the level table per quantity.  Every value and witness the
-library returns must equal it bit for bit, on tables that reach the
-log-space tail (binary n = 2048 and up, where the per-sequence
-probability at the crossing underflows) and on a three-symbol base with
-one level per composition.
+library returns, one delta at a time or a whole delta list at once,
+must equal it bit for bit, on tables that reach the log-space tail
+(binary n = 2048 and up, where the per-sequence probability at the
+crossing underflows) and on a three-symbol base with one level per
+composition.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_float_levels as ref
 from smoothgen import (
+    FiniteDistribution,
+    bernoulli,
     half_variational,
     iid_power,
     inverse,
@@ -25,6 +32,7 @@ from smoothgen import (
     smooth_min_entropy,
     spectrum_rate,
 )
+from smoothgen.smooth_entropy import _smooth_entropies
 
 BINARY = make_distribution([0.89, 0.11])
 TERNARY = make_distribution([w / 101 for w in (48, 34, 19)])
@@ -43,16 +51,32 @@ def view(request):
     return iid_power(base, n)
 
 
+def _max_tuple(r):
+    return r.value, r.witness.set_size, r.witness.mass
+
+
+def _min_tuple(r):
+    return r.value, r.witness.beta, r.witness.log_beta, r.witness.residual
+
+
+def test_delta_lists_equal_the_single_scan_reference():
+    # A fresh view per source, so that the list meets an empty profile.
+    for base, n in SOURCES:
+        view = iid_power(base, n)
+        levels = view.levels
+        for got, delta in zip(_smooth_entropies(view, "max", DELTAS), DELTAS):
+            assert got.delta == float(delta)
+            assert _max_tuple(got) == ref.max_entropy(levels, delta)
+        for got, delta in zip(_smooth_entropies(view, "min", DELTAS), DELTAS):
+            assert got.delta == float(delta)
+            assert _min_tuple(got) == ref.min_entropy(levels, delta)
+
+
 def test_smoothers_equal_the_single_scan_reference(view):
     levels = view.levels
     for delta in DELTAS:
-        hmax = smooth_max_entropy(view, delta)
-        assert (hmax.value, hmax.witness.set_size, hmax.witness.mass) == ref.max_entropy(
-            levels, delta
-        )
-        hmin = smooth_min_entropy(view, delta)
-        w = hmin.witness
-        assert (hmin.value, w.beta, w.log_beta, w.residual) == ref.min_entropy(levels, delta)
+        assert _max_tuple(smooth_max_entropy(view, delta)) == ref.max_entropy(levels, delta)
+        assert _min_tuple(smooth_min_entropy(view, delta)) == ref.min_entropy(levels, delta)
 
 
 def test_spectrum_quantiles_equal_the_single_scan_reference(view):
@@ -68,3 +92,81 @@ def test_the_reference_reaches_the_log_space_tail():
     # Guards the inputs above: at least one crossing sits in the tail.
     levels = iid_power(BINARY, 4096).levels
     assert ref.max_entropy(levels, 0.375)[1] is None
+
+
+@pytest.mark.parametrize("base", [make_distribution([0.89, 0.11]), bernoulli(Fraction(11, 100))])
+def test_a_read_view_is_freed_without_the_cycle_collector(base):
+    # The profile lives on the level table; a reference from it back to
+    # the table or the view would keep both alive until a collection.
+    f = half_variational()
+    gc.disable()
+    try:
+        view = iid_power(base, 256)
+        smooth_max_entropy(view, 0.375)
+        smooth_min_entropy(view, 0.375)
+        spectrum_rate(view, f, 0.3125)
+        _smooth_entropies(view, "max", [0.5, 0.1, 0.375])
+        _smooth_entropies(view, "min", [0.5, 0.1, 0.375])
+        refs = [weakref.ref(view), weakref.ref(view.levels)]
+        del view
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+# Metamorphic checks on both lanes.  Float three-symbol views are left
+# out of the label permutation: a view sums its per-symbol log terms in
+# label order, so a permuted base may round a level differently.  Two
+# float terms commute exactly, so float binary views are included.
+
+deltas = st.one_of(
+    st.fractions(min_value=0, max_value=Fraction(19, 20), max_denominator=200),
+    st.floats(min_value=0.0, max_value=0.95),
+)
+
+
+@st.composite
+def permuted_sources(draw):
+    """(source, the same source with its base labels permuted)."""
+    kind = draw(st.sampled_from(["exact-view", "exact-dist", "float-binary-view", "float-dist"]))
+    if kind.startswith("exact"):
+        size = draw(st.integers(min_value=2, max_value=4 if kind == "exact-view" else 8))
+        weights = draw(st.lists(st.integers(0, 20), min_size=size, max_size=size))
+        if not any(weights):
+            weights[0] = 1
+        masses = list(make_distribution(weights).masses)
+    else:
+        size = 2 if kind == "float-binary-view" else draw(st.integers(2, 8))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size))
+        masses = list(make_distribution(weights).masses)
+    order = draw(st.permutations(range(size)))
+    pair = [FiniteDistribution(tuple(range(size)), tuple(masses[i] for i in perm))
+            for perm in (range(size), order)]
+    if kind.endswith("view"):
+        n = draw(st.integers(1, 12 if kind == "exact-view" else 300))
+        pair = [iid_power(d, n) for d in pair]
+    return pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_sources(), st.lists(deltas, min_size=1, max_size=4), st.floats(0.0, 0.49))
+def test_permuting_base_labels_changes_nothing(pair, ds, eps):
+    source, permuted = pair
+    f = half_variational()
+    for delta in ds:
+        assert smooth_max_entropy(source, delta) == smooth_max_entropy(permuted, delta)
+        assert smooth_min_entropy(source, delta) == smooth_min_entropy(permuted, delta)
+    assert spectrum_rate(source, f, eps) == spectrum_rate(permuted, f, eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_sources(), st.lists(deltas, min_size=1, max_size=6), st.data())
+def test_delta_list_order_and_duplicates_change_nothing(pair, ds, data):
+    source, _ = pair
+    shuffled = data.draw(st.permutations(ds + data.draw(st.lists(st.sampled_from(ds)))))
+    for order in ("max", "min"):
+        # The whole list first, while the profile is empty.
+        first = _smooth_entropies(source, order, ds)
+        want = {d: _smooth_entropies(source, order, [d])[0] for d in ds}
+        assert first == [want[d] for d in ds]
+        assert _smooth_entropies(source, order, shuffled) == [want[d] for d in shuffled]

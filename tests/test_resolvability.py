@@ -18,9 +18,11 @@ from smoothgen import (
     bernoulli,
     build_resolvability_map,
     converse_check,
+    equivalence_report,
     half_variational,
     hellinger,
     iid_power,
+    ir_rate_formula,
     make_distribution,
     rate_formula,
     reverse_kl,
@@ -143,6 +145,19 @@ def test_rate_formula_validates_the_ladder():
         rate_formula(
             bernoulli(0.3), [4], half_variational(), 0.2, nu_ladder=(0.1, -0.01)
         )
+
+
+def test_float_targets_on_exact_bases_are_read_at_their_binary_value():
+    # bernoulli reads its parameter at decimal face value; a float D or nu
+    # on an exact base is read as Fraction(x), the float's binary value.
+    base = bernoulli(Fraction(3, 10))
+    f = half_variational()
+    ns, ladder = [8, 32], (0.05, 0.01)
+    for sweep in (rate_formula, ir_rate_formula):
+        assert sweep(base, ns, f, 0.1, ladder) == sweep(base, ns, f, Fraction(0.1), ladder)
+    assert equivalence_report(base, f, 0.1, 0.05, ns) == equivalence_report(
+        base, f, Fraction(0.1), 0.05, ns
+    )
 
 
 def test_rate_evaluation_validates_lengths():
