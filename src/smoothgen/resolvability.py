@@ -560,6 +560,8 @@ def _rate_sweep(
                 ),
             )
         )
+        # Free this view and its profile before the next n's view is built.
+        del view
     return out
 
 

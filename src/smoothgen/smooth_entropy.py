@@ -11,8 +11,8 @@ source's cached :class:`Levels` table: the running mass of its levels,
 most probable first.  The spectrum quantiles read the same profile, so
 the paper's two optimum rates, H_max^delta for resolvability and
 H_min^delta for intrinsic randomness, are two readings of one scan.  The
-profile is kept on the table and grown only as far as the deepest delta
-asked.  The max entropy's crossing level and the min entropy's
+profile is kept on the table and grown in doubling chunks, so it never
+reads the table much more than twice as deep as the deepest delta asked.  The max entropy's crossing level and the min entropy's
 water-filling stop both move monotonically with delta, so a list of
 deltas costs one pass.  Exact tables count in integers over the table's
 common denominator, and only the returned cap becomes a ``Fraction``;
@@ -27,6 +27,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
+from operator import add, mul, neg, sub
 from typing import Optional, Sequence, Union
 
 from .distributions import (
@@ -132,7 +134,7 @@ def _profile(levels: Levels) -> _Profile:
 
 
 class _Profile:
-    """Descending prefix sums of one level table, grown one level at a time.
+    """Descending prefix sums of one level table, grown on demand.
 
     ``cum[j]`` is the mass of the levels before j: an integer over the
     table's denominator on exact tables, the running float sum of
@@ -145,7 +147,7 @@ class _Profile:
     ``cum_exp`` of the latter, each added in the order a level-by-level
     scan adds them.
 
-    Levels are added only as far as a query needs.  The profile keeps the
+    Levels are added only when a query needs them.  The profile keeps the
     table's columns, never the table: the table keeps the profile, and a
     reference back would make a cycle that leaves a view and its big
     multiplicities to the cyclic garbage collector.
@@ -164,28 +166,37 @@ class _Profile:
             self.log_counts, self.exp_masses = array("d"), array("d")
 
     def _grow(self) -> bool:
-        """Add the next level; False once the table is exhausted."""
-        j = len(self.cum) - 1
-        probs = self.probs
-        if j == len(probs):
+        """Add the next levels, as many as are in already and at least 64.
+
+        Doubling keeps the table read at most about twice as deep as the
+        deepest query, in C-speed passes.  Returns False once the table is
+        exhausted.
+        """
+        start = len(self.cum) - 1
+        stop = min(start + max(start, 64), len(self.probs))
+        if start == stop:
             return False
-        prob, count = probs[j], self.counts[j]
-        self.atoms += count
+        probs, counts = self.probs[start:stop], self.counts[start:stop]
+        atoms = list(accumulate(counts, initial=self.atoms))[1:]
+        self.atoms = atoms[-1]
         if self.exact:
-            self.cum.append(self.cum[j] + prob * count)
-            self.whole.append(self.atoms)
-            nxt = probs[j + 1] if j + 1 < len(probs) else 0
-            self.excess.append(self.cum[j + 1] - self.atoms * nxt)
+            cum = list(accumulate(map(mul, probs, counts), initial=self.cum[-1]))[1:]
+            nxt = self.probs[start + 1 : stop + 1] + (0,) * (stop == len(self.probs))
+            self.cum += cum
+            self.whole += atoms
+            self.excess += map(sub, cum, map(mul, atoms, nxt))
             return True
-        log_count = math.log(count)
-        mass = math.exp(self.logs[j] + log_count)
+        log_counts = list(map(math.log, counts))
+        masses = list(map(math.exp, map(add, self.logs[start:stop], log_counts)))
         # As Levels.float_mass: linear while the level is representable.
-        linear = prob > 0.0 and count < (1 << 53)
-        self.cum.append(self.cum[j] + (prob * count if linear else mass))
-        self.cum_exp.append(self.cum_exp[j] + mass)
-        self.log_whole.append(math.log(self.atoms))
-        self.log_counts.append(log_count)
-        self.exp_masses.append(mass)
+        linear = [
+            p * c if p > 0.0 and c < (1 << 53) else m for p, c, m in zip(probs, counts, masses)
+        ]
+        self.cum.extend(islice(accumulate(linear, initial=self.cum[-1]), 1, None))
+        self.cum_exp.extend(islice(accumulate(masses, initial=self.cum_exp[-1]), 1, None))
+        self.log_whole.extend(map(math.log, atoms))
+        self.log_counts.extend(log_counts)
+        self.exp_masses.extend(masses)
         return True
 
     def _first(self, column, threshold: Number, lo: int = 0) -> int:
@@ -295,13 +306,10 @@ class _Profile:
         return value, MinEntropyWitness(beta=beta0, log_beta=-value, residual=residual)
 
     def _residual(self, log_beta: float) -> float:
-        """Float excess mass over the levels above exp(log_beta), all grown."""
-        terms = []
-        for log_prob, log_count, mass in zip(self.logs, self.log_counts, self.exp_masses):
-            if log_prob <= log_beta:
-                break
-            terms.append(mass - math.exp(log_beta + log_count))
-        return max(math.fsum(terms), 0.0)
+        """Float excess mass over the k levels above exp(log_beta), all grown."""
+        k = bisect_left(self.logs, -log_beta, 0, len(self.log_counts), key=neg)
+        caps = map(math.exp, map(add, repeat(log_beta), self.log_counts[:k]))
+        return max(math.fsum(map(sub, self.exp_masses[:k], caps)), 0.0)
 
 
 def _smooth_entropies(

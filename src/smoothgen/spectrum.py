@@ -214,6 +214,8 @@ def equivalence_report(
                 gapinf=abs(hinf - sr.kunder),
             )
         )
+        # Free this view and its profile before the next n's view is built.
+        del view
     warnings: list[str] = []
     h0_shrank = rows[-1].gap0 <= rows[0].gap0 + 1e-12
     hinf_shrank = rows[-1].gapinf <= rows[0].gapinf + 1e-12
