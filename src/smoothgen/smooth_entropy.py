@@ -125,6 +125,19 @@ def _logaddexp(x: float, y: float) -> float:
     return max(x, y) + math.log1p(math.exp(-abs(x - y)))
 
 
+def _float_masses(probs, counts, logs) -> tuple[list[float], list[float], list[float]]:
+    """:meth:`Levels.float_mass` of each float level, and what it is made of.
+
+    Returns the masses, log(count) per level and exp(log_prob +
+    log(count)) per level; a mass is linear while the level is
+    representable and that exponential otherwise.
+    """
+    log_counts = list(map(math.log, counts))
+    exps = list(map(math.exp, map(add, logs, log_counts)))
+    masses = [p * c if p > 0.0 and c < (1 << 53) else e for p, c, e in zip(probs, counts, exps)]
+    return masses, log_counts, exps
+
+
 def _profile(levels: Levels) -> _Profile:
     """The table's profile, made on first use and kept in its ``__dict__``."""
     profile = levels.__dict__.get("_profile")
@@ -186,12 +199,7 @@ class _Profile:
             self.whole += atoms
             self.excess += map(sub, cum, map(mul, atoms, nxt))
             return True
-        log_counts = list(map(math.log, counts))
-        masses = list(map(math.exp, map(add, self.logs[start:stop], log_counts)))
-        # As Levels.float_mass: linear while the level is representable.
-        linear = [
-            p * c if p > 0.0 and c < (1 << 53) else m for p, c, m in zip(probs, counts, masses)
-        ]
+        linear, log_counts, masses = _float_masses(probs, counts, self.logs[start:stop])
         self.cum.extend(islice(accumulate(linear, initial=self.cum[-1]), 1, None))
         self.cum_exp.extend(islice(accumulate(masses, initial=self.cum_exp[-1]), 1, None))
         self.log_whole.extend(map(math.log, atoms))

@@ -20,8 +20,10 @@ for one n from one scan.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from .distributions import (
@@ -33,7 +35,7 @@ from .distributions import (
 )
 from .errors import BadParamError, OutOfRangeError, TooFewPointsError
 from .fdiv import FFunction, inverse, offset
-from .smooth_entropy import _profile, smooth_max_entropy, smooth_min_entropy
+from .smooth_entropy import _float_masses, _profile, smooth_max_entropy, smooth_min_entropy
 
 Number = Union[int, float, Fraction]
 Source = Union[FiniteDistribution, ProductSourceView]
@@ -93,12 +95,9 @@ def _quantile_levels(levels: Levels, c: Number) -> tuple[int, int]:
         j_under = profile.crossing((c_den - c_num) * den // c_den + 1)
         return min(j_bar, last), min(j_under, last)
     j_bar = min(profile.crossing(c), last)
-    cum = 0.0
-    for j in reversed(range(len(levels))):
-        cum = cum + levels.float_mass(j)
-        if cum >= c:
-            return j_bar, j
-    return j_bar, 0
+    masses = _float_masses(levels.probs[::-1], levels.counts[::-1], levels.logs[::-1])[0]
+    k = bisect_left(list(accumulate(masses)), c)
+    return j_bar, max(last - k, 0)
 
 
 def spectrum_rate(
