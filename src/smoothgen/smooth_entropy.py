@@ -12,7 +12,8 @@ most probable first.  The spectrum quantiles read the same profile, so
 the paper's two optimum rates, H_max^delta for resolvability and
 H_min^delta for intrinsic randomness, are two readings of one scan.  The
 profile is kept on the table and grown in doubling chunks, so it never
-reads the table much more than twice as deep as the deepest delta asked.  The max entropy's crossing level and the min entropy's
+reads the table much more than twice as deep as the deepest delta
+asked.  The max entropy's crossing level and the min entropy's
 water-filling stop both move monotonically with delta, so a list of
 deltas costs one pass.  Exact tables count in integers over the table's
 common denominator, and only the returned cap becomes a ``Fraction``;
@@ -160,10 +161,10 @@ class _Profile:
     ``cum_exp`` of the latter, each added in the order a level-by-level
     scan adds them.
 
-    Levels are added only when a query needs them.  The profile keeps the
-    table's columns, never the table: the table keeps the profile, and a
-    reference back would make a cycle that leaves a view and its big
-    multiplicities to the cyclic garbage collector.
+    Levels are added in chunks, only when a query needs them.  The
+    profile keeps the table's columns, never the table: the table keeps
+    the profile, and a reference back would make a cycle that leaves a
+    view and its big multiplicities to the cyclic garbage collector.
     """
 
     def __init__(self, levels: Levels) -> None:
@@ -239,7 +240,8 @@ class _Profile:
             j = self.crossing(target)
         cum = self.cum[j]
         if j == len(self.probs):
-            return math.log(self.atoms), MaxEntropyWitness(self.atoms, cum / den if self.exact else cum)
+            mass = cum / den if self.exact else cum
+            return math.log(self.atoms), MaxEntropyWitness(self.atoms, mass)
         prob, count, log_prob = self.probs[j], self.counts[j], self.logs[j]
         if self.exact:
             extra = -((cum * q - target) // (prob * q))
