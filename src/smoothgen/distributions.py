@@ -286,18 +286,19 @@ class Levels:
             return -_log_exact(Fraction(self.probs[j], self.denominator)) / self.n
         return -self.logs[j] / self.n
 
-    def float_mass(self, j: int) -> float:
-        """Total mass of level j as a float, computed without overflow.
 
-        Linear while the probability is representable and the count
-        converts exactly, in log space otherwise.
-        """
-        prob, count = self.probs[j], self.counts[j]
-        if self.exact:
-            return prob * count / self.denominator
-        if prob > 0.0 and count < (1 << 53):
-            return prob * count
-        return math.exp(self.logs[j] + math.log(count))
+def _float_masses(probs, counts, logs) -> tuple[list[float], list[float], list[float]]:
+    """Total mass of each float level, computed without overflow, and its parts.
+
+    Returns the masses, log(count) per level and exp(log_prob +
+    log(count)) per level.  A mass is the linear prob * count while the
+    probability is representable and the count converts exactly, and
+    that exponential otherwise.
+    """
+    log_counts = list(map(math.log, counts))
+    exps = list(map(math.exp, map(operator.add, logs, log_counts)))
+    masses = [p * c if p > 0.0 and c < (1 << 53) else e for p, c, e in zip(probs, counts, exps)]
+    return masses, log_counts, exps
 
 
 @dataclass(frozen=True)
@@ -705,10 +706,12 @@ def spectrum_of(view: ProductSourceView) -> list[SpectrumSample]:
     that round differently.
     """
     levels = view.levels
-    samples = [
-        SpectrumSample(value=levels.value(j), mass=levels.float_mass(j))
-        for j in range(len(levels))
-    ]
+    if levels.exact:
+        den = levels.denominator
+        masses = [prob * count / den for prob, count in zip(levels.probs, levels.counts)]
+    else:
+        masses = _float_masses(levels.probs, levels.counts, levels.logs)[0]
+    samples = [SpectrumSample(value=levels.value(j), mass=mass) for j, mass in enumerate(masses)]
     total = math.fsum(s.mass for s in samples)
     if abs(total - 1) > 1e-10:
         raise BadParamError(f"spectrum masses sum to {total}, not 1")
@@ -723,28 +726,41 @@ def from_json_obj(obj: dict) -> FiniteDistribution:
 
     Accepted shapes: {"weights": [...], "labels": [...]} with labels
     optional, {"uniform": M}, or {"bernoulli": p}.  Numeric strings and
-    floats are read at decimal face value and kept exact.
+    floats are read at decimal face value and kept exact.  A value that
+    is not a number, a fractional uniform size and labels that cannot
+    be hashed raise BadParamError.
     """
     if not isinstance(obj, dict):
         raise BadParamError("distribution JSON must be an object")
-    if "weights" in obj:
-        raw = obj["weights"]
-        if not isinstance(raw, list) or not raw:
-            raise BadParamError("weights must be a nonempty list")
-        weights = [Fraction(str(w)) for w in raw]
-        labels = obj.get("labels")
-        if labels is not None:
-            labels = tuple(_canon_label(lab) for lab in labels)
-        return make_distribution(weights, labels=labels)
-    if "uniform" in obj:
-        return uniform_distribution(int(obj["uniform"]))
-    if "bernoulli" in obj:
-        return bernoulli(str(obj["bernoulli"]))
+    try:
+        if "weights" in obj:
+            raw = obj["weights"]
+            if not isinstance(raw, list) or not raw:
+                raise BadParamError("weights must be a nonempty list")
+            weights = [Fraction(str(w)) for w in raw]
+            labels = obj.get("labels")
+            if labels is not None:
+                labels = tuple(_canon_label(lab) for lab in labels)
+            return make_distribution(weights, labels=labels)
+        if "uniform" in obj:
+            size = Fraction(str(obj["uniform"]))
+            if size.denominator != 1:
+                raise BadParamError(f"uniform size must be an integer, got {obj['uniform']!r}")
+            return uniform_distribution(int(size))
+        if "bernoulli" in obj:
+            return bernoulli(str(obj["bernoulli"]))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BadParamError(f"distribution JSON holds a malformed number: {exc}")
     raise BadParamError("distribution JSON needs weights, uniform, or bernoulli")
 
 
 def _canon_label(lab):
-    return tuple(lab) if isinstance(lab, list) else lab
+    lab = tuple(lab) if isinstance(lab, list) else lab
+    try:
+        hash(lab)
+    except TypeError:
+        raise BadParamError(f"label {lab!r} is not a number, a string or a list of them")
+    return lab
 
 
 def parse_source(spec: str) -> FiniteDistribution:

@@ -9,12 +9,20 @@ with the boundary conventions 0*f(0/0) = 0, f(0) = lim_{t->0+} f(t),
 and 0*f(a/0) = a * c_f where c_f = lim_{u->inf} f(u)/u.  Values are in
 nats throughout.
 
+Every divergence in the package is one counted sum over (count, p, q)
+groups of atoms that share a P-mass and a Q-mass, with these conventions
+applied once per group: :func:`f_divergence` sums one group per atom,
+the constructions one group per level of a source's table.
+
 Generators whose c_f is finite admit an offset form
 f0(t) = f(t) + c_f*(1 - t) that induces the same divergence while being
 nonincreasing with a zero slope at infinity, hence invertible on [0, 1].
-Exact rational arithmetic is preserved wherever the generator allows it:
-evaluating a rational-valued generator at a ``Fraction`` returns a
-``Fraction``.
+Its inverse f0^{-1} turns a divergence target into the mass a smoothing
+keeps; the builders, the converses and the spectrum quantiles all read
+the target through one reader of it, which on exact sources takes a float
+target at its binary value and returns a ``Fraction``.  Exact rational
+arithmetic is preserved wherever the generator allows it: evaluating a
+rational-valued generator at a ``Fraction`` returns a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -271,15 +280,48 @@ def parse_generator(spec: str) -> FFunction:
         if arg:
             raise BadParamError(f"{base} takes no parameter, got {spec!r}")
         return _PLAIN[base]()
-    if base == "alpha":
-        if not arg:
-            raise BadParamError("alpha needs an order, e.g. alpha:0.5")
-        return alpha_divergence(float(arg))
-    if base == "e-gamma":
-        if not arg:
-            raise BadParamError("e-gamma needs a parameter, e.g. e-gamma:2.0")
-        return e_gamma(Fraction(arg))
+    try:
+        if base == "alpha":
+            if not arg:
+                raise BadParamError("alpha needs an order, e.g. alpha:0.5")
+            return alpha_divergence(float(arg))
+        if base == "e-gamma":
+            if not arg:
+                raise BadParamError("e-gamma needs a parameter, e.g. e-gamma:2.0")
+            return e_gamma(Fraction(arg))
+    except (ValueError, ZeroDivisionError):
+        raise BadParamError(f"{base} parameter must be a finite number, got {arg!r}")
     raise BadParamError(f"unknown generator {spec!r}")
+
+
+def _divergence_sum(f: FFunction, terms) -> DivergenceValue:
+    """sum count * Q(z) * f(P(z)/Q(z)) over (count, p, q) groups, in order.
+
+    Each group is ``count`` atoms of P-mass p and Q-mass q, with the
+    boundary conventions applied to it; a group of one atom is added
+    without the multiplication.  An infinite term ends the sum.
+    """
+    total: Number = 0
+    for count, p, q in terms:
+        if q > 0:
+            if p > 0:
+                term = q * f.eval(p / q)
+            elif f.f_at_zero == math.inf:
+                return DivergenceValue(math.inf, finite=False)
+            else:
+                term = q * f.f_at_zero
+        elif p > 0:
+            if f.c_f == math.inf:
+                return DivergenceValue(math.inf, finite=False)
+            if f.c_f == 0:
+                continue
+            term = p * f.c_f
+        else:
+            continue
+        total += term if count == 1 else count * term
+    if total < 0 and total > -1e-12:
+        total = 0
+    return DivergenceValue(total, finite=True)
 
 
 def f_divergence(f: FFunction, P, Q) -> DivergenceValue:
@@ -292,23 +334,7 @@ def f_divergence(f: FFunction, P, Q) -> DivergenceValue:
         raise AlphabetMismatchError(
             f"alphabets differ: {len(P.labels)} vs {len(Q.labels)} labels"
         )
-    total: Number = 0
-    for p, q in zip(P.masses, Q.masses):
-        if q > 0:
-            if p > 0:
-                total += q * f.eval(p / q)
-            elif f.f_at_zero == math.inf:
-                return DivergenceValue(math.inf, finite=False)
-            else:
-                total += q * f.f_at_zero
-        elif p > 0:
-            if f.c_f == math.inf:
-                return DivergenceValue(math.inf, finite=False)
-            if f.c_f != 0:
-                total += p * f.c_f
-    if total < 0 and total > -1e-12:
-        total = 0
-    return DivergenceValue(total, finite=True)
+    return _divergence_sum(f, zip(repeat(1), P.masses, Q.masses))
 
 
 def offset(f: FFunction) -> OffsetFunction:
@@ -346,6 +372,21 @@ def inverse(f0: OffsetFunction, D: Number) -> Number:
         if hi - lo <= 1e-13:
             break
     return hi
+
+
+def _inverse_level(f0: OffsetFunction, level: Number, exact: bool) -> Number:
+    """f0^{-1}(level), the one reading of a divergence target as a mass.
+
+    On an exact source a float level is read at its binary value,
+    ``Fraction(level)``, and a float inverse is coerced to a ``Fraction``
+    for the exact mass compares that follow; other sources get
+    :func:`inverse` as it is.
+    """
+    lvl = Fraction(level) if exact and isinstance(level, float) else level
+    t = inverse(f0, lvl)
+    if exact and isinstance(t, float):
+        t = Fraction(t)
+    return t
 
 
 @dataclass(frozen=True)

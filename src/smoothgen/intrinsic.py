@@ -44,6 +44,7 @@ from .distributions import (
     _labels,
     _LazyFields,
     _lazily,
+    _runs,
     _sequence_weights,
     uniform_distribution,
 )
@@ -52,10 +53,9 @@ from .errors import (
     DegenerateSupportError,
     MTooSmallError,
     OverflowGuardError,
-    TargetInfeasibleError,
 )
-from .fdiv import DivergenceValue, FFunction, f_divergence, offset
-from .resolvability import RateEvaluation, _inverse_level, _rate_sweep
+from .fdiv import DivergenceValue, FFunction, _divergence_sum, _inverse_level, f_divergence, offset
+from .resolvability import RateEvaluation, _check_m_override, _construction_start, _rate_sweep
 from .smooth_entropy import smooth_min_entropy
 
 Number = Union[int, float, Fraction]
@@ -200,10 +200,8 @@ class _Binning:
     def __init__(self, source: Source, levels, modified: list, M: int, cap: Number) -> None:
         self.source = source
         self.levels = levels
-        self.starts = [j for j in range(len(modified)) if not j or modified[j] != modified[j - 1]]
+        self.mass, self.sizes, self.starts = _runs(modified, levels.counts)
         self.ends = self.starts[1:] + [len(modified)]
-        self.mass = [modified[j] for j in self.starts]
-        self.sizes = [sum(levels.counts[a:b]) for a, b in zip(self.starts, self.ends)]
         self.group_of = [g for g, (a, b) in enumerate(zip(self.starts, self.ends)) for _ in range(a, b)]
         self.order: dict[int, list[int]] = {
             g: [] for g, (a, b) in enumerate(zip(self.starts, self.ends)) if b - a > 1
@@ -340,16 +338,7 @@ def build_extractor(
     value, which backs off by e^{-n*gamma/2} for every positive gamma).
     Views of more than ``max_atoms`` atoms are refused with TooLargeError.
     """
-    f0 = offset(f)
-    if Delta < 0:
-        raise BadParamError(f"divergence target must be nonnegative, got {Delta}")
-    if not Delta < f0.f_at_zero:
-        raise TargetInfeasibleError(f"target {Delta} not below f0(0) = {f0.f_at_zero}")
-    gamma_f = float(gamma)
-    if not gamma_f > 0:
-        raise BadParamError(f"gamma must be positive, got {gamma}")
-    n = _block_length(source, max_atoms)
-    levels = _construction_levels(source)
+    f0, gamma_f, n, levels = _construction_start(source, f, Delta, gamma, max_atoms)
     exact = levels.exact
 
     t = _inverse_level(f0, Delta, exact)
@@ -361,7 +350,8 @@ def build_extractor(
         beta0 = Fraction(beta0)
     a_n = _clip_normalizer(source, levels, beta0)
 
-    if M is None:
+    m_from_formula = M is None
+    if m_from_formula:
         shrink = math.exp(-n * gamma_f / 2.0)
         m_real = Fraction(a_n) / Fraction(beta0) * Fraction(shrink)
         M = math.floor(m_real)
@@ -369,11 +359,8 @@ def build_extractor(
             raise MTooSmallError(
                 f"(A_n/beta0)*e^(-n*gamma/2) = {float(m_real):.6g} admits no M >= 1"
             )
-        m_from_formula = True
     else:
-        if not isinstance(M, int) or M < 1:
-            raise BadParamError(f"M override must be a positive integer, got {M!r}")
-        m_from_formula = False
+        _check_m_override(M)
 
     _check_clip(beta0, a_n)
     if exact:
@@ -409,7 +396,8 @@ def build_extractor(
     induced = FiniteDistribution(
         labels=tuple(range(1, M + 1)), masses=tuple(binning.induced_masses())
     )
-    achieved = f_divergence(f, induced, uniform_distribution(M))
+    q = Fraction(1, M)
+    achieved = _divergence_sum(f, ((1, p, q) for p in induced.masses))
 
     def modified_dist() -> FiniteDistribution:
         zero = beta0 * 0 / a_n
@@ -457,8 +445,11 @@ def achieved_uniformity(map_: ExtractorMap, source: Source, f: FFunction) -> Div
     """D_f(output || uniform M) by the explicit sum (1/M) f(M * P(i)).
 
     Recomputes the induced masses from the bins and the source, so this
-    is an independent route around the builder's f_divergence call.  A
-    view weighs each label by the type class of its composition.
+    is an independent route around the builder, which sums Q * f(P/Q)
+    over its own masses with the counted sum of :mod:`smoothgen.fdiv`.
+    The sum stays its own on purpose: in floats (1/M) * f(M * P) differs
+    in its last bits from Q * f(P / Q).  A view weighs each label by the
+    type class of its composition.
     """
     if isinstance(source, ProductSourceView):
         weight = _sequence_weights(source)

@@ -40,6 +40,7 @@ from .distributions import (
     _labels,
     _LazyFields,
     _lazily,
+    _runs,
     iid_power,
 )
 from .errors import (
@@ -49,7 +50,15 @@ from .errors import (
     OverflowGuardError,
     TargetInfeasibleError,
 )
-from .fdiv import DivergenceValue, FFunction, OffsetFunction, f_divergence, inverse, offset
+from .fdiv import (
+    DivergenceValue,
+    FFunction,
+    _divergence_sum,
+    _inverse_level,
+    f_divergence,
+    inverse,
+    offset,
+)
 from .smooth_entropy import _smooth_entropies, smooth_max_entropy
 
 Number = Union[int, float, Fraction]
@@ -127,15 +136,6 @@ class ResolvabilityMap(_LazyFields):
                 )
 
 
-def _inverse_level(f0: OffsetFunction, level: Number, exact: bool) -> Number:
-    """f0^{-1}(level), coerced to Fraction when exact mass compares follow."""
-    lvl = Fraction(level) if exact and isinstance(level, float) else level
-    t = inverse(f0, lvl)
-    if exact and isinstance(t, float):
-        t = Fraction(t)
-    return t
-
-
 def _same_source(a: Source, b: Source) -> bool:
     """Whether two sources are the same product source (a view of one base at one n)."""
     if a is b:
@@ -150,9 +150,11 @@ def _level_divergence(f: FFunction, levels, terms, in_image: Sequence[int]) -> D
 
     ``terms`` holds (count, level, q) with q > 0, level -1 for atoms of
     zero P-mass; ``in_image[j]`` counts level j's atoms among them, and
-    the rest of each level has q = 0.  On an exact source with a
-    rational-valued generator the value equals the atom-by-atom sum of
-    :func:`f_divergence`; with a float-valued one it is summed per group.
+    the rest of each level has q = 0.  The groups, then all of the mass
+    outside the image as one last group, go to the counted sum of
+    :mod:`smoothgen.fdiv`.  On an exact source with a rational-valued
+    generator the value equals the atom-by-atom :func:`f_divergence`;
+    with a float-valued one it is summed per group.
     """
     exact = levels.exact
 
@@ -161,25 +163,12 @@ def _level_divergence(f: FFunction, levels, terms, in_image: Sequence[int]) -> D
             return 0
         return Fraction(levels.probs[j], levels.denominator) if exact else levels.probs[j]
 
-    total: Number = 0
-    for count, j, q in terms:
-        p = mass(j)
-        if p > 0:
-            total += count * (q * f.eval(p / q))
-        elif f.f_at_zero == math.inf:
-            return DivergenceValue(math.inf, finite=False)
-        else:
-            total += count * (q * f.f_at_zero)
+    groups = [(count, mass(j), q) for count, j, q in terms]
     outside = [count - k for count, k in zip(levels.counts, in_image)]
     if any(outside):
-        if f.c_f == math.inf:
-            return DivergenceValue(math.inf, finite=False)
-        if f.c_f != 0:
-            weight = sum(k * p for k, p in zip(outside, levels.probs))
-            total += (Fraction(weight, levels.denominator) if exact else weight) * f.c_f
-    if total < 0 and total > -1e-12:
-        total = 0
-    return DivergenceValue(total, finite=True)
+        weight = sum(k * p for k, p in zip(outside, levels.probs))
+        groups.append((1, Fraction(weight, levels.denominator) if exact else weight, 0))
+    return _divergence_sum(f, groups)
 
 
 def _greedy_set(levels, target: Number) -> tuple[list[int], Number]:
@@ -283,6 +272,30 @@ class _Quantization:
         return _level_divergence(f, levels, terms, in_image)
 
 
+def _construction_start(source: Source, f: FFunction, target: Number, gamma: float, max_atoms: int):
+    """The checks both builders open with, and what they read next.
+
+    Refuses a negative or infeasible divergence target, a nonpositive
+    gamma and a view of more than ``max_atoms`` atoms, in that order.
+    Returns the offset form of f, gamma as a float, the block length and
+    the source's construction level table.
+    """
+    f0 = offset(f)
+    if target < 0:
+        raise BadParamError(f"divergence target must be nonnegative, got {target}")
+    if not target < f0.f_at_zero:
+        raise TargetInfeasibleError(f"target {target} not below f0(0) = {f0.f_at_zero}")
+    gamma_f = float(gamma)
+    if not gamma_f > 0:
+        raise BadParamError(f"gamma must be positive, got {gamma}")
+    return f0, gamma_f, _block_length(source, max_atoms), _construction_levels(source)
+
+
+def _check_m_override(M) -> None:
+    if not isinstance(M, int) or M < 1:
+        raise BadParamError(f"M override must be a positive integer, got {M!r}")
+
+
 def build_resolvability_map(
     source: Source,
     f: FFunction,
@@ -300,32 +313,21 @@ def build_resolvability_map(
     largest selected conditional mass; ties go to label order.  Views
     of more than ``max_atoms`` atoms are refused with TooLargeError.
     """
-    f0 = offset(f)
-    if D < 0:
-        raise BadParamError(f"divergence target must be nonnegative, got {D}")
-    if not D < f0.f_at_zero:
-        raise TargetInfeasibleError(f"target {D} not below f0(0) = {f0.f_at_zero}")
-    gamma_f = float(gamma)
-    if not gamma_f > 0:
-        raise BadParamError(f"gamma must be positive, got {gamma}")
-    n = _block_length(source, max_atoms)
-    levels = _construction_levels(source)
+    f0, gamma_f, n, levels = _construction_start(source, f, D, gamma, max_atoms)
     exact = levels.exact
 
     taken, cum = _greedy_set(levels, _inverse_level(f0, D, exact))
     pr_b = Fraction(cum, levels.denominator) if exact else cum
     b_size = sum(taken)
 
-    if M is None:
+    m_from_formula = M is None
+    if m_from_formula:
         scale = math.exp(n * gamma_f)
         if not math.isfinite(scale):
             raise OverflowGuardError(f"e^(n*gamma) overflows at n={n}, gamma={gamma_f}")
         M = math.ceil(Fraction(scale) * b_size)
-        m_from_formula = True
     else:
-        if not isinstance(M, int) or M < 1:
-            raise BadParamError(f"M override must be a positive integer, got {M!r}")
-        m_from_formula = False
+        _check_m_override(M)
 
     # Conditional masses p / Pr(B), one per level of B; they fall with
     # the level, so the levels reaching 1/M are a prefix.
@@ -337,12 +339,12 @@ def build_resolvability_map(
         raise DegenerateSupportError(
             f"no conditional mass reaches 1/M = 1/{M}; M is too small for this set"
         )
-    ends = [j for j in range(1, sel) if pbars[j] != pbars[j - 1]] + [sel]
-    starts = [0] + ends[:-1]
-    seeds = [math.floor(M * pbars[start]) for start in starts]
+    group_pbars, group_atoms, starts = _runs(pbars[:sel], taken[:sel])
+    ends = starts[1:] + [sel]
+    seeds = [math.floor(M * pbar) for pbar in group_pbars]
     assigned = 0
     for g in reversed(range(len(ends))):
-        atoms = sum(taken[starts[g]:ends[g]]) - (g == 0)
+        atoms = group_atoms[g] - (g == 0)
         if atoms and seeds[g] < 1:
             raise DegenerateSupportError(
                 "quantization stopped early: a selected atom got no seed values"
@@ -531,15 +533,15 @@ def _rate_sweep(
         1 - t_at_d + (Fraction(nu) if exact and isinstance(t_at_d, Fraction) else nu)
         for nu in nus
     ]
+    # The first-order levels, then the alternative ones below 1: the same for every n.
+    deltas = [
+        1 - _inverse_level(f0, d_exact + (Fraction(nu) if exact else nu), exact) for nu in nus
+    ] + [d for d in alts_d if d < 1]
     for n in n_list:
         view = iid_power(base, int(n))
         if on_view is not None:
             on_view(view)
-        firsts_d = [
-            1 - _inverse_level(f0, d_exact + (Fraction(nu) if exact else nu), exact)
-            for nu in nus
-        ]
-        hs = _smooth_entropies(view, order, firsts_d + [d for d in alts_d if d < 1])
+        hs = _smooth_entropies(view, order, deltas)
         values = [h.value for h in hs[: len(nus)]]
         alt_values = iter(h.value for h in hs[len(nus):])
         firsts = [v / n for v in values]

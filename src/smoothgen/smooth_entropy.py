@@ -36,6 +36,7 @@ from .distributions import (
     FiniteDistribution,
     Levels,
     ProductSourceView,
+    _float_masses,
     _levels_of,
     _log_exact,
 )
@@ -126,19 +127,6 @@ def _logaddexp(x: float, y: float) -> float:
     return max(x, y) + math.log1p(math.exp(-abs(x - y)))
 
 
-def _float_masses(probs, counts, logs) -> tuple[list[float], list[float], list[float]]:
-    """:meth:`Levels.float_mass` of each float level, and what it is made of.
-
-    Returns the masses, log(count) per level and exp(log_prob +
-    log(count)) per level; a mass is linear while the level is
-    representable and that exponential otherwise.
-    """
-    log_counts = list(map(math.log, counts))
-    exps = list(map(math.exp, map(add, logs, log_counts)))
-    masses = [p * c if p > 0.0 and c < (1 << 53) else e for p, c, e in zip(probs, counts, exps)]
-    return masses, log_counts, exps
-
-
 def _profile(levels: Levels) -> _Profile:
     """The table's profile, made on first use and kept in its ``__dict__``."""
     profile = levels.__dict__.get("_profile")
@@ -151,13 +139,14 @@ class _Profile:
     """Descending prefix sums of one level table, grown on demand.
 
     ``cum[j]`` is the mass of the levels before j: an integer over the
-    table's denominator on exact tables, the running float sum of
-    :meth:`Levels.float_mass` on float ones.  Exact tables also keep the
-    atom count ``whole[j]`` before level j and ``excess[j]``, the mass
-    above level j + 1's probability among the levels up to j, which never
-    decreases in j.  Float tables keep arrays of doubles instead: the log
-    ``log_whole[j]`` of that atom count (a big integer at large n), and
-    per level log(count), exp(log_prob + log(count)) and the running sum
+    table's denominator on exact tables, the running float sum of the
+    level masses of :func:`~smoothgen.distributions._float_masses` on
+    float ones.  Exact tables also keep the atom count ``whole[j]``
+    before level j and ``excess[j]``, the mass above level j + 1's
+    probability among the levels up to j, which never decreases in j.
+    Float tables keep arrays of doubles instead: the log ``log_whole[j]``
+    of that atom count (a big integer at large n), and per level
+    log(count), exp(log_prob + log(count)) and the running sum
     ``cum_exp`` of the latter, each added in the order a level-by-level
     scan adds them.
 

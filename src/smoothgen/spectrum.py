@@ -30,12 +30,13 @@ from .distributions import (
     FiniteDistribution,
     Levels,
     ProductSourceView,
+    _float_masses,
     _levels_of,
     iid_power,
 )
 from .errors import BadParamError, OutOfRangeError, TooFewPointsError
-from .fdiv import FFunction, inverse, offset
-from .smooth_entropy import _float_masses, _profile, smooth_max_entropy, smooth_min_entropy
+from .fdiv import FFunction, _inverse_level, offset
+from .smooth_entropy import _profile, smooth_max_entropy, smooth_min_entropy
 
 Number = Union[int, float, Fraction]
 Source = Union[FiniteDistribution, ProductSourceView]
@@ -111,10 +112,14 @@ def spectrum_rate(
 
     The generator is used through its offset form, which leaves C1
     families untouched (their linear coefficient is zero) and makes the
-    rest monotone.  kbar is read from the prefix-mass profile that the
-    smoothers share, kunder from the mass summed downward; exact sources
-    count in integers over the level table's common denominator, and
-    only the two returned levels become fractions.
+    rest monotone.  The threshold is read as the builders read their
+    targets (see :mod:`smoothgen.fdiv`): on an exact source a float
+    epsilon is taken at its binary value and the threshold is exact; on
+    a float source it is a float.  kbar is read from the prefix-mass
+    profile that the smoothers share, kunder from the mass summed
+    downward; exact sources count in integers over the level table's
+    common denominator, and only the two returned levels become
+    fractions.
     """
     f0 = offset(f)
     if epsilon < 0 or not epsilon < f0.f_at_zero:
@@ -125,12 +130,8 @@ def spectrum_rate(
         raise BadParamError("second order needs a reference rate R")
     levels = _levels_of(source)
     n = levels.n
-    if levels.exact:
-        eps = Fraction(epsilon) if isinstance(epsilon, float) else epsilon
-        c = Fraction(inverse(f0, eps))
-    else:
-        c = float(inverse(f0, epsilon))
-    j_bar, j_under = _quantile_levels(levels, c)
+    c = _inverse_level(f0, epsilon, levels.exact)
+    j_bar, j_under = _quantile_levels(levels, c if levels.exact else float(c))
     kbar = levels.value(j_bar)
     kunder = levels.value(j_under)
     if order == "second":
@@ -191,10 +192,7 @@ def equivalence_report(
         raise BadParamError("n list must be nonempty")
     exact = base.exact
     lvl = (Fraction(D) + Fraction(nu)) if exact else float(D) + nu_f
-    t = inverse(f0, lvl)
-    if exact and isinstance(t, float):
-        t = Fraction(t)
-    delta = 1 - t
+    delta = 1 - _inverse_level(f0, lvl, exact)
     rows: list[EquivalenceRow] = []
     for n in n_list:
         view = iid_power(base, int(n))

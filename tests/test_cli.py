@@ -321,13 +321,34 @@ def test_missing_input_file_exits_one(capsys, tmp_path):
 
 def test_malformed_source_file_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{broken")
-    code, _, err = run(
+    for text in (
+        "{broken",
+        '{"uniform": "abc"}',
+        '{"uniform": 2.5}',
+        '{"weights": [1, "x"]}',
+        '{"bernoulli": "x"}',
+        '{"weights": [1, 1], "labels": [{}, {}]}',
+        '{"weights": [1, 1], "labels": [[1, [2]], [3]]}',
+    ):
+        bad.write_text(text)
+        code, out, err = run(
+            capsys,
+            "entropy", "--order", "max", "--delta", "0.1", "--source", str(bad),
+        )
+        assert (code, out) == (2, ""), text
+        assert err.startswith("error:"), text
+
+
+@pytest.mark.parametrize("spec", ["alpha:abc", "e-gamma:abc", "e-gamma:inf", "e-gamma:1/0"])
+def test_malformed_generator_spec_exits_two(capsys, spec):
+    code, out, err = run(
         capsys,
-        "entropy", "--order", "max", "--delta", "0.1", "--source", str(bad),
+        "rates", "--kind", "resolvability", "--source", "bernoulli:0.3",
+        "--f", spec, "--D", "0.1", "--n", "4",
     )
     assert code == 2
-    assert "error:" in err
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_bad_n_list_exits_two(capsys):

@@ -108,6 +108,24 @@ def test_override_bypasses_the_formula():
     assert not map_.params.m_from_formula
 
 
+def test_builder_sums_against_one_mass_not_a_uniform_distribution(monkeypatch):
+    import smoothgen.distributions
+    import smoothgen.intrinsic
+
+    def refuse(size):
+        raise AssertionError(f"built a uniform distribution of {size} atoms")
+
+    monkeypatch.setattr(smoothgen.intrinsic, "uniform_distribution", refuse)
+    monkeypatch.setattr(smoothgen.distributions, "uniform_distribution", refuse)
+    for base in (bernoulli(0.3), make_distribution([0.5, 0.3, 0.2])):
+        view = iid_power(base, 6)
+        for f in (half_variational(), variational(), hellinger()):
+            map_ = build_extractor(view, f, 0.2, 0.3)
+            assert map_.M > 1 and map_.achieved_divergence.finite
+            if base.exact and f.name != "hellinger":
+                assert map_.achieved_divergence == achieved_uniformity(map_, view, f)
+
+
 def test_exhaustive_search_is_a_true_minimum():
     d = make_distribution([Fraction(k, 21) for k in (6, 5, 4, 3, 2, 1)])
     best, part = min_achievable_uniformity(d, half_variational(), 3)
