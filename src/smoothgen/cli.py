@@ -2,9 +2,17 @@
 
 Exit codes: 0 on success, 2 when a computation rejects its inputs
 (infeasible targets, malformed specs), 1 on I/O failures.  All outputs
-are deterministic for a fixed invocation: JSON objects are emitted with
-sorted keys, CSV rows in computation order with repr-formatted floats,
-and the seed is recorded in JSON artifacts but never drawn from.
+are deterministic for a fixed invocation: CSV rows come in computation
+order with repr-formatted floats, and the seed is recorded in JSON
+artifacts but never drawn from.
+
+Every JSON artifact is exactly ``json.dumps(obj, indent=2,
+sort_keys=True)`` followed by a newline, where ``obj`` holds labels as
+lists and exact rationals as strings, so ``python -m json.tool
+--sort-keys --indent 2`` reproduces it byte for byte.  :func:`_render`
+builds that text by joining, since ``json.dumps`` falls back to the
+stdlib's pure-Python encoder whenever ``indent`` is set, and a map's
+labels are rendered from one table of their base's label texts.
 """
 
 from __future__ import annotations
@@ -51,16 +59,55 @@ def _parse_float_list(text: str) -> list[float]:
     return out
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
+class _Text(str):
+    """JSON text already rendered at depth 0, written as is."""
+
+
+def _render(obj, pad: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    A value's text at depth L is its depth-0 text with every newline
+    followed by L indents, since a JSON string never holds a raw newline;
+    ``pad`` is a newline and the indents of ``obj``'s depth.  Containers
+    join their items' texts, scalars go through ``json.dumps``.  A
+    ``Fraction`` is written as its string, a tuple as a list and a
+    :class:`_Text` as it stands.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted(obj.items())
+        if not all(isinstance(key, str) for key, _ in items):
+            raise TypeError("JSON object keys must be str")
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [json.dumps(key) + ": " + _render(value, inner) for key, value in items]
+        ) + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_render(x, inner) for x in obj]) + pad + "]"
+    if isinstance(obj, _Text):
+        return obj.replace("\n", pad)
+    return json.dumps(str(obj) if isinstance(obj, Fraction) else obj)
+
+
+def _label_text(source):
+    """Map a label of ``source`` to what :func:`_render` writes for it.
+
+    A view's label is a tuple of its base's labels, which are unique
+    under ``==``, so each base label is rendered once into a table and a
+    label's text is the table's entries joined.
+    """
+    if isinstance(source, FiniteDistribution):
+        return lambda label: label
+    table = {lab: _render(lab, "\n  ") for lab in source.base.labels}
+    return lambda label: _Text("[\n  " + ",\n  ".join(map(table.__getitem__, label)) + "\n]")
 
 
 def _write_json(obj, path: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = _render(obj)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -175,6 +222,7 @@ def cmd_resolve(args) -> int:
     source = _source_at(args.source, args.n)
     map_ = build_resolvability_map(source, f, args.D, args.gamma, M=args.M)
     p = map_.params
+    text = _label_text(source)
     payload = {
         "M": map_.M,
         "n": p.n,
@@ -188,9 +236,7 @@ def cmd_resolve(args) -> int:
             if isinstance(map_.achieved_divergence.value, Fraction)
             else None
         ),
-        "image": [
-            {"sequence": _jsonable(lab), "count": k} for lab, k in map_.image
-        ],
+        "image": [{"sequence": text(lab), "count": k} for lab, k in map_.image],
         "bound": p.bound,
         "slack": p.slack,
         "pr_b": p.pr_b,
@@ -211,6 +257,7 @@ def cmd_extract(args) -> int:
     source = _source_at(args.source, args.n)
     map_ = build_extractor(source, f, args.Delta, args.gamma, M=args.M)
     p = map_.params
+    text = _label_text(source)
     payload = {
         "M": map_.M,
         "n": p.n,
@@ -226,7 +273,7 @@ def cmd_extract(args) -> int:
         ),
         "beta0": p.beta0,
         "A_n": p.a_n,
-        "bins": [_jsonable(list(b)) for b in map_.bins],
+        "bins": [list(map(text, b)) for b in map_.bins],
         "induced": [float(m) for m in map_.induced.masses],
         "bound": p.bound,
         "delta_n": p.delta_n,

@@ -401,3 +401,65 @@ def test_three_symbol_exact_constructions_fill_every_cell(capsys, tmp_path, kind
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [int(r[0]) for r in rows] == [2, 2, 2, 6, 6, 6, 12, 12, 12]
     assert all(all(cell for cell in r) for r in rows)
+
+
+LABELLED = {"weights": ["1/2", "1/3", "1/6"], "labels": ["aé\"q", None, [True, 1.5]]}
+
+
+def _labelled_source(tmp_path, name="p", weights=LABELLED["weights"]):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"weights": weights, "labels": LABELLED["labels"]}))
+    return str(path)
+
+
+def _assert_stdlib_bytes(text: str) -> None:
+    # The artifact is json.dumps(obj, indent=2, sort_keys=True) and a newline.
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("n", ["1", "5"])
+@pytest.mark.parametrize("kind", ["resolve", "extract"])
+def test_labelled_maps_are_stdlib_json_on_file_and_stdout(capsys, tmp_path, kind, n):
+    spec = _labelled_source(tmp_path)
+    flag = "--D" if kind == "resolve" else "--Delta"
+    argv = [kind, "--source", spec, "--n", n, "--f", "half-variational", flag, "0.25",
+            "--gamma", "0.1"]
+    target = tmp_path / "map.json"
+    code, _, err = run(capsys, *argv, "--emit", str(target))
+    assert (code, err) == (0, "")
+    emitted = target.read_text(encoding="utf-8")
+    _assert_stdlib_bytes(emitted)
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert out == emitted
+    obj = json.loads(emitted)
+    labels = [entry["sequence"] for entry in obj["image"]] if kind == "resolve" else [
+        lab for b in obj["bins"] for lab in b
+    ]
+    symbols = labels if n == "1" else [s for lab in labels for s in lab]
+    assert {json.dumps(s) for s in symbols} <= {json.dumps(s) for s in LABELLED["labels"]}
+
+
+def test_every_json_subcommand_writes_stdlib_json(capsys, tmp_path):
+    p = _labelled_source(tmp_path)
+    q = _labelled_source(tmp_path, "q", ["1/4", "1/4", "1/2"])
+    runs = [
+        ["entropy", "--order", "max", "--delta", "0.1", "--source", p, "--n", "4"],
+        ["entropy", "--order", "min", "--delta", "0.1", "--source", p, "--n", "4"],
+        ["divergence", "--p", p, "--q", q, "--f", "kl", "--n", "3", "--conditions"],
+        ["rates", "--kind", "intrinsic", "--source", p, "--f", "half-variational",
+         "--D", "0.25", "--nu", "0.125,0.0625", "--n", "2,4", "--gamma", "0.5", "--R", "1"],
+        ["rates", "--kind", "resolvability", "--source", p, "--f", "hellinger",
+         "--D", "0.25", "--n", "2,4"],
+        ["equivalence", "--source", p, "--f", "half-variational", "--D", "0.25",
+         "--nu", "0.0625", "--n", "4,8"],
+    ]
+    for argv in runs:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        _assert_stdlib_bytes(out)
+        if argv[0] in ("rates", "equivalence"):
+            target = tmp_path / "out.json"
+            code, _, _ = run(capsys, *argv, "--json", "--out", str(target))
+            assert code == 0
+            assert target.read_text(encoding="utf-8") == out

@@ -13,10 +13,12 @@ from oracle_entropy import oracle_max_entropy, oracle_min_entropy
 from smoothgen import (
     BadParamError,
     bernoulli,
+    half_variational,
     iid_power,
     make_distribution,
     smooth_max_entropy,
     smooth_min_entropy,
+    spectrum_rate,
     uniform_distribution,
 )
 
@@ -146,3 +148,55 @@ def test_exact_lane_keeps_a_rational_cap():
     assert isinstance(r.witness.beta, Fraction)
     assert r.witness.beta == Fraction(2, 5)
     assert r.witness.residual <= 0.1 + 1e-15
+
+
+@st.composite
+def zero_padded_bases(draw):
+    """(weights, the same weights with zeros inserted, exact lane?)."""
+    exact = draw(st.booleans())
+    size = draw(st.integers(min_value=2, max_value=4))
+    w = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=size, max_size=size))
+    weights = [Fraction(x, sum(w)) if exact else x / sum(w) for x in w]
+    zero = Fraction(0) if exact else 0.0
+    padded = list(weights)
+    for at in draw(st.lists(st.integers(min_value=0, max_value=size), min_size=1, max_size=3)):
+        padded.insert(min(at, len(padded)), zero)
+    return weights, padded, exact
+
+
+@settings(max_examples=120, deadline=None)
+@given(zero_padded_bases(), st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=9))
+def test_zero_mass_atoms_move_only_the_min_entropy_clamp(bases, n, twentieths):
+    weights, padded, exact = bases
+    delta = Fraction(twentieths, 20) if exact else twentieths / 20
+    zero = Fraction(0) if exact else 0.0
+    # As many zero atoms again as positive ones: the clamp 1/(2k)^n lies
+    # below (1 - delta)/k^n, the least the water-filling cap can be, so
+    # this source shows the unclamped cap.
+    wide = weights + [zero] * len(weights)
+
+    def source(ws):
+        base = make_distribution(ws)
+        return base if n == 1 else iid_power(base, n)
+
+    f = half_variational()
+    plain, zeros, unclamped = source(weights), source(padded), source(wide)
+    for other in (zeros, unclamped):
+        assert repr(smooth_max_entropy(other, delta)) == repr(smooth_max_entropy(plain, delta))
+        assert repr(spectrum_rate(other, f, delta)) == repr(spectrum_rate(plain, f, delta))
+
+    cap = smooth_min_entropy(unclamped, delta)
+    assert cap.witness.beta > Fraction(1, (2 * len(weights)) ** n)
+    for ws, src in ((weights, plain), (padded, zeros)):
+        got = smooth_min_entropy(src, delta)
+        size = len(ws) ** n
+        if exact:
+            clamp = Fraction(1, size)
+            assert got.witness.beta == max(cap.witness.beta, clamp)
+            clamped = cap.witness.beta <= clamp
+        else:
+            clamp = -math.log(size)
+            assert got.witness.log_beta == max(cap.witness.log_beta, clamp)
+            clamped = cap.witness.log_beta <= clamp
+        if not clamped:
+            assert repr(got) == repr(cap)
