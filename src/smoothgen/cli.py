@@ -1,5 +1,12 @@
 """Command-line front end: parsing, dispatch, and CSV/JSON emission.
 
+Every subcommand reports through :func:`_report`.  By default it writes
+its summary: a text line, or a CSV table for ``rates`` and
+``equivalence``.  ``--json`` writes JSON instead, to stdout or, for
+``rates`` and ``equivalence``, to ``--out`` when given.  ``--emit``
+writes a map as JSON to its path, and ``--emit`` with ``--json`` leaves
+stdout empty.
+
 Exit codes: 0 on success, 2 when a computation rejects its inputs
 (infeasible targets, malformed specs), 1 on I/O failures.  All outputs
 are deterministic for a fixed invocation: CSV rows come in computation
@@ -24,7 +31,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .distributions import FiniteDistribution, expand, iid_power, parse_source
 from .errors import SmoothgenError
@@ -106,47 +113,49 @@ def _label_text(source):
     return lambda label: _Text("[\n  " + ",\n  ".join(map(table.__getitem__, label)) + "\n]")
 
 
-def _write_json(obj, path: Optional[str]) -> None:
-    text = _render(obj)
+def _write(text: str, path: Optional[str]) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout when there is none."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
-def _write_csv(header: list[str], rows: list[list], path: Optional[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if cell is None else _cell(cell) for cell in row])
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+def _report(args, payload: dict, summary: Union[str, tuple[list[str], list[list]]]) -> None:
+    """Write a subcommand's result: ``payload`` as JSON under ``--json``, else ``summary``.
+
+    A summary is a text line, or a (header, rows) table written as CSV
+    whose rows join the payload keyed by their header's first words.
+    Output goes to ``--out`` where a subcommand has it, else to stdout.
+    A map is written to ``--emit`` first, and ``--json`` then adds nothing.
+    """
+    emit, out = getattr(args, "emit", None), getattr(args, "out", None)
+    if emit:
+        _write(_render(payload) + "\n", emit)
+    if isinstance(summary, tuple):
+        header, rows = summary
+        keys = [h.split(" ")[0] for h in header]
+        payload["rows"] = [dict(zip(keys, row)) for row in rows]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        summary = buf.getvalue()
     else:
-        sys.stdout.write(buf.getvalue())
+        summary += "\n"
+    if not args.json:
+        _write(summary, out)
+    elif not emit:
+        _write(_render(payload) + "\n", out)
 
 
-def _cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _exact(value) -> Optional[str]:
+    """The string of a divergence's exact value, or None for a float one."""
+    return str(value.value) if isinstance(value.value, Fraction) else None
 
 
 def _source_at(spec: str, n: int):
     base = parse_source(spec)
     return base if n == 1 else iid_power(base, n)
-
-
-def _emit_map(args, payload: dict, summary: str) -> None:
-    """Write a construction to ``--emit``, then print JSON or the summary line."""
-    if args.emit:
-        _write_json(payload, args.emit)
-    if args.json and not args.emit:
-        _write_json(payload, None)
-    elif not args.json:
-        print(summary)
 
 
 def cmd_divergence(args) -> int:
@@ -160,30 +169,24 @@ def cmd_divergence(args) -> int:
         "f": f.name,
         "finite": value.finite,
         "value": float(value),
-        "value_exact": str(value.value) if isinstance(value.value, Fraction) else None,
+        "value_exact": _exact(value),
         "seed": args.seed,
     }
+    summary = f"D_{f.name}(P||Q) = {float(value)!r}" + ("" if value.finite else " (infinite)")
     if args.conditions:
         rep = check_conditions(f)
-        payload["conditions"] = {
+        verdicts = {
             "c1": rep.c1,
             "c2": rep.c2,
             "c2_prime": rep.c2_prime,
             "c3": rep.c3,
             "c3_prime": rep.c3_prime,
-            "c_f_estimate": rep.c_f_estimate,
-            "warnings": list(rep.warnings),
         }
-    if args.json:
-        _write_json(payload, None)
-    else:
-        print(f"D_{f.name}(P||Q) = {float(value)!r}" + ("" if value.finite else " (infinite)"))
-        if args.conditions:
-            rep = payload["conditions"]
-            print(
-                "conditions: C1=%s C2=%s C2'=%s C3=%s C3'=%s"
-                % (rep["c1"], rep["c2"], rep["c2_prime"], rep["c3"], rep["c3_prime"])
-            )
+        payload["conditions"] = {
+            **verdicts, "c_f_estimate": rep.c_f_estimate, "warnings": rep.warnings
+        }
+        summary += "\nconditions: C1=%s C2=%s C2'=%s C3=%s C3'=%s" % tuple(verdicts.values())
+    _report(args, payload, summary)
     return 0
 
 
@@ -191,30 +194,49 @@ def cmd_entropy(args) -> int:
     source = _source_at(args.source, args.n)
     fn = smooth_max_entropy if args.order == "max" else smooth_min_entropy
     result = fn(source, args.delta)
-    if args.json:
-        witness = {}
-        if args.order == "max":
-            witness = {"set_size": result.witness.set_size, "mass": result.witness.mass}
-        else:
-            witness = {
-                "beta": float(result.witness.beta),
-                "log_beta": result.witness.log_beta,
-                "residual": float(result.witness.residual),
-            }
-        _write_json(
-            {
-                "order": args.order,
-                "delta": args.delta,
-                "n": args.n,
-                "value": result.value,
-                "witness": witness,
-                "seed": args.seed,
-            },
-            None,
-        )
+    w = result.witness
+    if args.order == "max":
+        witness = {"set_size": w.set_size, "mass": w.mass}
     else:
-        print(f"H_{args.order}(delta={args.delta:g}) = {result.value!r} nats")
+        witness = {"beta": float(w.beta), "log_beta": w.log_beta, "residual": float(w.residual)}
+    payload = {
+        "order": args.order,
+        "delta": args.delta,
+        "n": args.n,
+        "value": result.value,
+        "witness": witness,
+        "seed": args.seed,
+    }
+    _report(args, payload, f"H_{args.order}(delta={args.delta:g}) = {result.value!r} nats")
     return 0
+
+
+def _report_map(args, map_, target: str, last: str, fields: dict) -> None:
+    """Report a construction: the artifact fields every map has, then ``fields``.
+
+    The summary line names the divergence target ``fields[target]`` and
+    the certificate's ``fields[last]``.
+    """
+    p = map_.params
+    achieved = float(map_.achieved_divergence)
+    payload = {
+        "M": map_.M,
+        "n": p.n,
+        "f": p.f_name,
+        "gamma": p.gamma,
+        "seed": args.seed,
+        "achieved": achieved,
+        "achieved_exact": _exact(map_.achieved_divergence),
+        "bound": p.bound,
+        "m_from_formula": p.m_from_formula,
+        **fields,
+    }
+    _report(
+        args,
+        payload,
+        f"M = {map_.M}; achieved D_f = {achieved!r} (target {fields[target]:g}, "
+        f"certified bound {p.bound!r}, {last} {fields[last]!r})",
+    )
 
 
 def cmd_resolve(args) -> int:
@@ -223,32 +245,14 @@ def cmd_resolve(args) -> int:
     map_ = build_resolvability_map(source, f, args.D, args.gamma, M=args.M)
     p = map_.params
     text = _label_text(source)
-    payload = {
-        "M": map_.M,
-        "n": p.n,
-        "f": p.f_name,
+    fields = {
         "D": p.D,
-        "gamma": p.gamma,
-        "seed": args.seed,
-        "achieved": float(map_.achieved_divergence),
-        "achieved_exact": (
-            str(map_.achieved_divergence.value)
-            if isinstance(map_.achieved_divergence.value, Fraction)
-            else None
-        ),
         "image": [{"sequence": text(lab), "count": k} for lab, k in map_.image],
-        "bound": p.bound,
         "slack": p.slack,
         "pr_b": p.pr_b,
         "b_size": p.b_size,
-        "m_from_formula": p.m_from_formula,
     }
-    _emit_map(
-        args,
-        payload,
-        f"M = {map_.M}; achieved D_f = {float(map_.achieved_divergence)!r} "
-        f"(target {p.D:g}, certified bound {p.bound!r}, slack {p.slack!r})",
-    )
+    _report_map(args, map_, "D", "slack", fields)
     return 0
 
 
@@ -258,34 +262,37 @@ def cmd_extract(args) -> int:
     map_ = build_extractor(source, f, args.Delta, args.gamma, M=args.M)
     p = map_.params
     text = _label_text(source)
-    payload = {
-        "M": map_.M,
-        "n": p.n,
-        "f": p.f_name,
+    fields = {
         "Delta": p.Delta,
-        "gamma": p.gamma,
-        "seed": args.seed,
-        "achieved": float(map_.achieved_divergence),
-        "achieved_exact": (
-            str(map_.achieved_divergence.value)
-            if isinstance(map_.achieved_divergence.value, Fraction)
-            else None
-        ),
         "beta0": p.beta0,
         "A_n": p.a_n,
         "bins": [list(map(text, b)) for b in map_.bins],
         "induced": [float(m) for m in map_.induced.masses],
-        "bound": p.bound,
         "delta_n": p.delta_n,
-        "m_from_formula": p.m_from_formula,
     }
-    _emit_map(
-        args,
-        payload,
-        f"M = {map_.M}; achieved D_f = {float(map_.achieved_divergence)!r} "
-        f"(target {p.Delta:g}, certified bound {p.bound!r}, delta_n {p.delta_n!r})",
-    )
+    _report_map(args, map_, "Delta", "delta_n", fields)
     return 0
+
+
+def _construction_cells(args, f, view, n: int, nu: float) -> list:
+    """The achieved_Df and M cells (and beta0, A_n) of one rates row, built at D + nu.
+
+    They are empty without ``--gamma``, and when the construction is
+    refused, which is named on stderr.
+    """
+    intrinsic = args.kind == "intrinsic"
+    if args.gamma is not None:
+        build = build_extractor if intrinsic else build_resolvability_map
+        try:
+            built = build(view, f, args.D + nu, args.gamma)
+            cells = [float(built.achieved_divergence), built.M]
+            return cells + [built.params.beta0, built.params.a_n] if intrinsic else cells
+        except SmoothgenError as exc:
+            print(
+                f"warning: n={n} nu={nu}: construction skipped: {type(exc).__name__}: {exc}",
+                file=sys.stderr,
+            )
+    return [None] * (4 if intrinsic else 2)
 
 
 def _rates_rows(args, f, base) -> tuple[list[str], list[list]]:
@@ -305,58 +312,16 @@ def _rates_rows(args, f, base) -> tuple[list[str], list[list]]:
     rows: list[list] = []
     for ev, view in itertools.zip_longest(evals, views):
         for j, nu in enumerate(ev.nu_ladder):
-            achieved: Optional[float] = None
-            m_val: Optional[int] = None
-            beta0: Optional[float] = None
-            a_n: Optional[float] = None
-            if args.gamma is not None:
-                try:
-                    if args.kind == "resolvability":
-                        built = build_resolvability_map(
-                            view, f, args.D + nu, args.gamma
-                        )
-                    else:
-                        built = build_extractor(view, f, args.D + nu, args.gamma)
-                        beta0 = built.params.beta0
-                        a_n = built.params.a_n
-                    achieved = float(built.achieved_divergence)
-                    m_val = built.M
-                except SmoothgenError as exc:
-                    print(
-                        f"warning: n={ev.n} nu={nu}: construction skipped: "
-                        f"{type(exc).__name__}: {exc}",
-                        file=sys.stderr,
-                    )
-            row: list = [
-                ev.n,
-                nu,
-                ev.first_order[j],
-                ev.second_order[j] if ev.second_order is not None else None,
-                achieved,
-                m_val,
-            ]
-            if args.kind == "intrinsic":
-                row += [beta0, a_n]
-            rows.append(row)
+            second = ev.second_order[j] if ev.second_order is not None else None
+            cells = _construction_cells(args, f, view, ev.n, nu)
+            rows.append([ev.n, nu, ev.first_order[j], second, *cells])
     return header, rows
 
 
 def cmd_rates(args) -> int:
     f = parse_generator(args.f)
     base = parse_source(args.source)
-    header, rows = _rates_rows(args, f, base)
-    if args.json:
-        keys = [h.split(" ")[0] for h in header]
-        _write_json(
-            {
-                "kind": args.kind,
-                "seed": args.seed,
-                "rows": [dict(zip(keys, row)) for row in rows],
-            },
-            args.out,
-        )
-    else:
-        _write_csv(header, rows, args.out)
+    _report(args, {"kind": args.kind, "seed": args.seed}, _rates_rows(args, f, base))
     return 0
 
 
@@ -374,22 +339,11 @@ def cmd_equivalence(args) -> int:
         "gap0 [nats]",
         "gapinf [nats]",
     ]
-    data = [
+    rows = [
         [r.n, r.nu, r.h0_rate, r.hinf_rate, r.kbar, r.kunder, r.gap0, r.gapinf]
         for r in report.rows
     ]
-    if args.json:
-        keys = [h.split(" ")[0] for h in header]
-        _write_json(
-            {
-                "seed": args.seed,
-                "rows": [dict(zip(keys, row)) for row in data],
-                "warnings": list(report.warnings),
-            },
-            args.out,
-        )
-    else:
-        _write_csv(header, data, args.out)
+    _report(args, {"seed": args.seed, "warnings": report.warnings}, (header, rows))
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0

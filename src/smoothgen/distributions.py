@@ -379,20 +379,22 @@ class ProductSourceView:
             for comp, lp, mult, num in zip(self.compositions, self.log_probs, self.multiplicities, nums)
         )
 
-    @cached_property
-    def levels(self) -> Levels:
-        """Runs of classes sharing one probability level, built once.
+    @property
+    def _level_keys(self) -> tuple:
+        """The column whose runs of equal values are the levels.
 
         Exact views group equal numerators, float views equal stored
         log-probabilities (which may split equal levels that round
         differently).
         """
-        exact = self.exact
-        keys, counts, firsts = _runs(
-            self.numerators if exact else self.log_probs, self.multiplicities
-        )
+        return self.numerators if self.exact else self.log_probs
+
+    @cached_property
+    def levels(self) -> Levels:
+        """Runs of classes sharing one probability level, built once."""
+        keys, counts, firsts = _runs(self._level_keys, self.multiplicities)
         logs = [self.log_probs[i] for i in firsts]
-        probs = keys if exact else list(map(math.exp, logs))
+        probs = keys if self.exact else list(map(math.exp, logs))
         return Levels(
             probs=tuple(probs),
             counts=tuple(counts),
@@ -403,13 +405,18 @@ class ProductSourceView:
         )
 
 
+def _run_firsts(keys: Sequence) -> list[int]:
+    """The first position of each run of equal consecutive keys."""
+    return [0, *itertools.compress(range(1, len(keys)), map(operator.ne, keys[1:], keys))]
+
+
 def _runs(keys: Sequence, counts: Sequence[int]) -> tuple[list, list[int], list[int]]:
     """Merge consecutive positions of equal key.
 
     Returns each run's key, summed count and first position.  A run of
     one position keeps that position's count object rather than a copy.
     """
-    firsts = [0, *itertools.compress(range(1, len(keys)), map(operator.ne, keys[1:], keys))]
+    firsts = _run_firsts(keys)
     bounds = zip(firsts, firsts[1:] + [len(keys)])
     summed = [counts[a] if b - a == 1 else sum(counts[a:b]) for a, b in bounds]
     return [keys[i] for i in firsts], summed, firsts
@@ -443,16 +450,8 @@ def _labels(source: Union[FiniteDistribution, ProductSourceView]) -> Iterable:
 
 def _level_starts(view: ProductSourceView) -> list[int]:
     """Index of each level's first class in the view's columns, then the class count."""
-    starts: list[int] = []
-    counts = iter(view.levels.counts)
-    left = 0
-    for i, mult in enumerate(view.multiplicities):
-        if not left:
-            starts.append(i)
-            left = next(counts)
-        left -= mult
-    starts.append(len(view.multiplicities))
-    return starts
+    keys = view._level_keys
+    return [*_run_firsts(keys), len(keys)]
 
 
 def _rounded_product(masses: Sequence[float], composition: Sequence[int]) -> float:
@@ -755,7 +754,9 @@ def from_json_obj(obj: dict) -> FiniteDistribution:
 
 
 def _canon_label(lab):
-    lab = tuple(lab) if isinstance(lab, list) else lab
+    """A JSON label as a hashable value: lists become tuples at every depth."""
+    if isinstance(lab, list):
+        return tuple(map(_canon_label, lab))
     try:
         hash(lab)
     except TypeError:

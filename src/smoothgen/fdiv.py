@@ -249,20 +249,6 @@ def e_gamma(g: Number) -> FFunction:
     )
 
 
-def registry(alpha: float = 0.5, gamma: Number = 2) -> list[FFunction]:
-    """All built-in generators, parametric families at the given orders."""
-    return [
-        kl(),
-        reverse_kl(),
-        hellinger(),
-        sq_hellinger(),
-        variational(),
-        half_variational(),
-        alpha_divergence(alpha),
-        e_gamma(gamma),
-    ]
-
-
 _PLAIN = {
     "kl": kl,
     "reverse-kl": reverse_kl,
@@ -271,6 +257,11 @@ _PLAIN = {
     "variational": variational,
     "half-variational": half_variational,
 }
+
+
+def registry(alpha: float = 0.5, gamma: Number = 2) -> list[FFunction]:
+    """All built-in generators, parametric families at the given orders."""
+    return [*(make() for make in _PLAIN.values()), alpha_divergence(alpha), e_gamma(gamma)]
 
 
 def parse_generator(spec: str) -> FFunction:
@@ -331,8 +322,13 @@ def f_divergence(f: FFunction, P, Q) -> DivergenceValue:
     rational-valued generator produce an exact ``Fraction`` value.
     """
     if P.labels != Q.labels:
+        if len(P.labels) != len(Q.labels):
+            raise AlphabetMismatchError(
+                f"alphabets differ: {len(P.labels)} vs {len(Q.labels)} labels"
+            )
+        i = next(i for i, (a, b) in enumerate(zip(P.labels, Q.labels)) if a is not b and a != b)
         raise AlphabetMismatchError(
-            f"alphabets differ: {len(P.labels)} vs {len(Q.labels)} labels"
+            f"alphabets differ at position {i}: P has label {P.labels[i]!r}, Q has {Q.labels[i]!r}"
         )
     return _divergence_sum(f, zip(repeat(1), P.masses, Q.masses))
 
@@ -507,29 +503,13 @@ def check_conditions(f: FFunction) -> ConditionReport:
             warnings.append(
                 "offset form vanishes at zero; divergence targets collapse to 0"
             )
-    if analytic is not None:
-        c1, c2, c2p, c3, c3p = analytic
-        return ConditionReport(
-            name=f.name,
-            c1=c1,
-            c2=c2,
-            c2_prime=c2p,
-            c3=c3,
-            c3_prime=c3p,
-            c_f_estimate=cf,
-            analytic=True,
-            numeric=numeric,
-            warnings=tuple(warnings),
-        )
+    # The table's verdicts come in the order of the grid's keys.
+    verdicts = numeric if analytic is None else dict(zip(numeric, analytic))
     return ConditionReport(
         name=f.name,
-        c1=numeric["c1"],
-        c2=numeric["c2"],
-        c2_prime=numeric["c2_prime"],
-        c3=numeric["c3"],
-        c3_prime=numeric["c3_prime"],
+        **verdicts,
         c_f_estimate=cf,
-        analytic=False,
+        analytic=analytic is not None,
         numeric=numeric,
         warnings=tuple(warnings),
     )

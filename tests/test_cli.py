@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from same_text import assert_same_text
 import smoothgen
 from smoothgen.cli import main
 
@@ -328,7 +329,7 @@ def test_malformed_source_file_exits_two(capsys, tmp_path):
         '{"weights": [1, "x"]}',
         '{"bernoulli": "x"}',
         '{"weights": [1, 1], "labels": [{}, {}]}',
-        '{"weights": [1, 1], "labels": [[1, [2]], [3]]}',
+        '{"weights": [1, 1], "labels": [[1, [{"a": 2}]], [3]]}',
     ):
         bad.write_text(text)
         code, out, err = run(
@@ -383,7 +384,7 @@ def test_emitted_maps_are_pinned_byte_for_byte(capsys, tmp_path, kind, weights, 
         flag, "0.2", "--gamma", "0.3", "--emit", str(target),
     )
     assert (code, err) == (0, "")
-    assert target.read_bytes() == (EMIT_PINS / f"{kind}-{tag}-n{n}.json").read_bytes()
+    assert_same_text(target.read_bytes(), (EMIT_PINS / f"{kind}-{tag}-n{n}.json").read_bytes())
 
 
 @pytest.mark.parametrize("kind", ["resolvability", "intrinsic"])
@@ -414,7 +415,7 @@ def _labelled_source(tmp_path, name="p", weights=LABELLED["weights"]):
 
 def _assert_stdlib_bytes(text: str) -> None:
     # The artifact is json.dumps(obj, indent=2, sort_keys=True) and a newline.
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert_same_text(text, json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n")
 
 
 @pytest.mark.parametrize("n", ["1", "5"])
@@ -457,3 +458,46 @@ def test_every_json_subcommand_writes_stdlib_json(capsys, tmp_path):
             code, _, _ = run(capsys, *argv, "--json", "--out", str(target))
             assert code == 0
             assert target.read_text(encoding="utf-8") == out
+
+
+def test_labels_nested_in_lists_at_any_depth_are_read(capsys, tmp_path):
+    spec = tmp_path / "nested.json"
+    labels = [1.5, "x", [[1, [2, "z"]], None]]
+    spec.write_text(json.dumps({"weights": [0.5, 0.25, 0.25], "labels": labels}))
+    code, out, err = run(
+        capsys, "entropy", "--order", "min", "--delta", "0.1", "--source", str(spec), "--json"
+    )
+    assert (code, err) == (0, "")
+    _assert_stdlib_bytes(out)
+    target = tmp_path / "map.json"
+    code, _, err = run(
+        capsys,
+        "resolve", "--source", str(spec), "--n", "2", "--f", "half-variational",
+        "--D", "0.25", "--gamma", "0.1", "--emit", str(target),
+    )
+    assert (code, err) == (0, "")
+    emitted = target.read_text(encoding="utf-8")
+    _assert_stdlib_bytes(emitted)
+    sequences = [entry["sequence"] for entry in json.loads(emitted)["image"]]
+    assert [labels[0], labels[2]] in sequences
+    spec.write_text(json.dumps({"weights": [1, 1], "labels": [[1, [{"a": 2}]], [3]]}))
+    code, out, err = run(
+        capsys, "entropy", "--order", "min", "--delta", "0.1", "--source", str(spec)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: label {'a': 2} is not")
+
+
+def test_divergence_names_the_first_label_that_differs(capsys, tmp_path):
+    argv = ["divergence", "--p", _labelled_source(tmp_path), "--f", "half-variational"]
+    code, out, err = run(capsys, *argv, "--q", "uniform:3")
+    assert (code, out) == (2, "")
+    assert err == "error: alphabets differ at position 0: P has label 'aé\"q', Q has 1\n"
+    code, out, err = run(capsys, *argv, "--q", "uniform:3", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: alphabets differ at position 0: P has label ('aé\"q', 'aé\"q'), Q has (1, 1)\n"
+    )
+    code, out, err = run(capsys, *argv, "--q", "uniform:4")
+    assert (code, out) == (2, "")
+    assert err == "error: alphabets differ: 3 vs 4 labels\n"

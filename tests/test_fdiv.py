@@ -126,8 +126,11 @@ def test_reverse_kl_hits_infinity_where_p_vanishes():
 def test_alphabet_mismatch_is_reported():
     p = make_distribution([1, 1], labels=("a", "b"))
     q = make_distribution([1, 1], labels=("a", "c"))
-    with pytest.raises(AlphabetMismatchError):
+    message = "^alphabets differ at position 1: P has label 'b', Q has 'c'$"
+    with pytest.raises(AlphabetMismatchError, match=message):
         f_divergence(half_variational(), p, q)
+    with pytest.raises(AlphabetMismatchError, match="^alphabets differ: 2 vs 3 labels$"):
+        f_divergence(half_variational(), p, make_distribution([1, 1, 1], labels=("a", "b", "c")))
 
 
 def _direct_divergence(f, p, q) -> float:

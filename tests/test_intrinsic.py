@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from smoothgen import (
     BadParamError,
+    ExtractorMap,
+    ModifiedDistribution,
     MTooSmallError,
     achieved_uniformity,
     bernoulli,
@@ -67,6 +69,55 @@ def test_bins_partition_the_alphabet():
     map_ = build_extractor(view, variational(), 0.3, 0.2)
     seen = [lab for b in map_.bins for lab in b]
     assert len(seen) == len(set(seen)) == view.full_alphabet_size
+
+
+def _hand_made(map_, **changes):
+    """An ExtractorMap built by its constructor from a built map's fields, some changed."""
+    mod = map_.modified
+    fields = dict(
+        M=map_.M,
+        bins=tuple(map_.bins),
+        induced=map_.induced,
+        achieved_divergence=map_.achieved_divergence,
+        modified=ModifiedDistribution(dist=mod.dist, beta0=mod.beta0, a_n=mod.a_n),
+        params=map_.params,
+    )
+    fields.update(changes)
+    return ExtractorMap(**fields)
+
+
+def test_hand_made_extractors_are_validated():
+    # Exact lane, M = 25: 1/M = 0.04 and beta0/A_n ~ 0.0119, so a bin's
+    # mass must lie in [0.0281, 0.04] except the last, which has no cap.
+    map_ = build_extractor(iid_power(bernoulli("0.3"), 8), half_variational(), 0.2, 0.3)
+    bins = list(map_.bins)
+    assert _hand_made(map_).bins == map_.bins
+
+    by_label = dict(zip(map_.modified.dist.labels, map_.modified.dist.masses))
+    heaviest = max(bins[-1], key=by_label.__getitem__)
+    rest = tuple(lab for lab in bins[-1] if lab != heaviest)
+    refusals = [
+        ({"bins": (bins[0] + bins[1][:1], *bins[1:])}, "partition"),
+        ({"bins": (bins[0][:1] + bins[1][:1], *bins[1:])}, "partition"),
+        ({"bins": tuple(bins[:-1])}, "bins for M"),
+        ({"bins": ((), bins[0] + bins[1], *bins[2:])}, "nonempty"),
+        ({"induced": make_distribution(map_.induced.masses)}, "labeled 1..M"),
+        ({"bins": (bins[0] + (heaviest,), *bins[1:-1], rest)}, "exceeds modified mass 1/M"),
+        ({"bins": (bins[0][:1], *bins[1:-1], bins[-1] + bins[0][1:])}, "below 1/M - beta0/A_n"),
+    ]
+    for changes, message in refusals:
+        with pytest.raises(BadParamError, match=message):
+            _hand_made(map_, **changes)
+
+
+def test_hand_made_modified_distributions_are_validated():
+    mod = build_extractor(iid_power(bernoulli("0.3"), 8), half_variational(), 0.2, 0.3).modified
+    assert ModifiedDistribution(dist=mod.dist, beta0=mod.beta0, a_n=mod.a_n).dist is mod.dist
+    with pytest.raises(BadParamError, match="exceeds beta0/A_n"):
+        ModifiedDistribution(dist=mod.dist, beta0=mod.beta0 / 2, a_n=mod.a_n)
+    for beta0, a_n in ((0, mod.a_n), (mod.beta0, Fraction(3, 2))):
+        with pytest.raises(BadParamError, match="must lie in"):
+            ModifiedDistribution(dist=mod.dist, beta0=beta0, a_n=a_n)
 
 
 def test_achieved_uniformity_is_divergence_to_uniform():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from same_text import assert_same_text
 from smoothgen import iid_power, make_distribution
 from smoothgen.cli import _label_text, _render
 
@@ -44,12 +45,12 @@ def dumps(obj) -> str:
 @settings(max_examples=400, deadline=None)
 @given(payloads)
 def test_render_matches_the_stdlib_encoder(obj):
-    assert _render(obj) == dumps(obj)
+    assert_same_text(_render(obj), dumps(obj))
 
 
 def test_render_writes_a_fraction_as_its_string():
     obj = {"x": [Fraction(1, 3), (Fraction(-2), Fraction(7, 8))]}
-    assert _render(obj) == dumps({"x": ["1/3", ["-2", "7/8"]]})
+    assert_same_text(_render(obj), dumps({"x": ["1/3", ["-2", "7/8"]]}))
 
 
 def test_render_refuses_non_str_keys_and_unknown_types():
@@ -108,4 +109,4 @@ def test_label_blocks_match_the_stdlib_encoder(base_labels, n, exact):
             "bins": [as_lists(tuple(view_labels[:2])), as_lists(tuple(view_labels[2:]))],
             "image": [{"count": k, "sequence": as_lists(lab)} for k, lab in enumerate(view_labels)],
         }
-        assert _render(payload) == dumps(expected)
+        assert_same_text(_render(payload), dumps(expected))
