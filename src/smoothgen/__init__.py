@@ -20,7 +20,6 @@ from .distributions import (
     iid_power,
     make_distribution,
     parse_source,
-    spectrum_of,
     uniform_distribution,
 )
 from .errors import (
@@ -66,7 +65,6 @@ from .intrinsic import (
     build_extractor,
     intrinsic_converse_check,
     ir_rate_formula,
-    min_achievable_uniformity,
 )
 from .resolvability import (
     RateEvaluation,
@@ -108,7 +106,6 @@ __all__ = [
     "iid_power",
     "make_distribution",
     "parse_source",
-    "spectrum_of",
     "uniform_distribution",
     # errors
     "SmoothgenError",
@@ -165,7 +162,6 @@ __all__ = [
     "build_extractor",
     "intrinsic_converse_check",
     "ir_rate_formula",
-    "min_achievable_uniformity",
     # spectrum
     "EquivalenceReport",
     "EquivalenceRow",

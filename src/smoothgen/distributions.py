@@ -48,18 +48,21 @@ from .errors import (
 
 Number = Union[int, float, Fraction]
 
+# Size caps: atoms a source may enumerate, bits of |base|^n, type classes of a view.
+_MAX_ATOMS = 1 << 20
+_MAX_BITS = 1 << 20
+_MAX_CLASSES = 5_000_000
+
 __all__ = [
     "FiniteDistribution",
     "TypeClass",
     "ProductSourceView",
     "Levels",
-    "SpectrumSample",
     "make_distribution",
     "uniform_distribution",
     "bernoulli",
     "iid_power",
     "expand",
-    "spectrum_of",
     "from_json_obj",
     "parse_source",
 ]
@@ -194,9 +197,10 @@ def make_distribution(
 
 
 def uniform_distribution(size: int) -> FiniteDistribution:
-    """The uniform distribution on {1..size}, kept exact."""
+    """The uniform distribution on {1..size}, kept exact; at most 2^20 atoms."""
     if not isinstance(size, int) or size < 1:
         raise BadParamError(f"uniform size must be a positive integer, got {size!r}")
+    _check_cap(size)
     return FiniteDistribution(
         labels=tuple(range(1, size + 1)),
         masses=(Fraction(1, size),) * size,
@@ -392,8 +396,8 @@ class ProductSourceView:
     @cached_property
     def levels(self) -> Levels:
         """Runs of classes sharing one probability level, built once."""
-        keys, counts, firsts = _runs(self._level_keys, self.multiplicities)
-        logs = [self.log_probs[i] for i in firsts]
+        keys, counts, bounds = _runs(self._level_keys, self.multiplicities)
+        logs = [self.log_probs[i] for i in bounds[:-1]]
         probs = keys if self.exact else list(map(math.exp, logs))
         return Levels(
             probs=tuple(probs),
@@ -405,21 +409,31 @@ class ProductSourceView:
         )
 
 
-def _run_firsts(keys: Sequence) -> list[int]:
-    """The first position of each run of equal consecutive keys."""
-    return [0, *itertools.compress(range(1, len(keys)), map(operator.ne, keys[1:], keys))]
+def _run_bounds(keys: Sequence) -> list[int]:
+    """Where each run of equal consecutive keys starts, then ``len(keys)``.
+
+    Run g spans positions ``bounds[g]:bounds[g + 1]``; ``keys`` is nonempty.
+    """
+    changes = itertools.compress(range(1, len(keys)), map(operator.ne, keys[1:], keys))
+    return [0, *changes, len(keys)]
 
 
 def _runs(keys: Sequence, counts: Sequence[int]) -> tuple[list, list[int], list[int]]:
     """Merge consecutive positions of equal key.
 
-    Returns each run's key, summed count and first position.  A run of
-    one position keeps that position's count object rather than a copy.
+    Returns each run's key and summed count, and the run bounds of
+    :func:`_run_bounds`.  A run of one position keeps that position's
+    count object rather than a copy.
     """
-    firsts = _run_firsts(keys)
-    bounds = zip(firsts, firsts[1:] + [len(keys)])
-    summed = [counts[a] if b - a == 1 else sum(counts[a:b]) for a, b in bounds]
-    return [keys[i] for i in firsts], summed, firsts
+    bounds = _run_bounds(keys)
+    spans = zip(bounds, bounds[1:])
+    summed = [counts[a] if b - a == 1 else sum(counts[a:b]) for a, b in spans]
+    return [keys[i] for i in bounds[:-1]], summed, bounds
+
+
+def _group_of(bounds: Sequence[int]) -> list[int]:
+    """The run of every position, from run bounds."""
+    return [g for g, (a, b) in enumerate(zip(bounds, bounds[1:])) for _ in range(a, b)]
 
 
 def _levels_of(source: Union[FiniteDistribution, ProductSourceView]) -> Levels:
@@ -429,16 +443,10 @@ def _levels_of(source: Union[FiniteDistribution, ProductSourceView]) -> Levels:
     return source.levels
 
 
-def _block_length(source: Union[FiniteDistribution, ProductSourceView], max_atoms: int) -> int:
-    """n of a view (1 for a distribution), refusing views of more than ``max_atoms`` atoms."""
-    if isinstance(source, FiniteDistribution):
-        return 1
-    if not isinstance(source, ProductSourceView):
-        raise BadParamError(f"unsupported source type {type(source).__name__}")
-    total = source.full_alphabet_size
-    if total > max_atoms:
-        raise TooLargeError(f"{total} atoms exceed the expansion cap of {max_atoms}")
-    return source.n
+def _check_cap(atoms: int) -> None:
+    """Refuse to enumerate more than 2^20 atoms with TooLargeError."""
+    if atoms > _MAX_ATOMS:
+        raise TooLargeError(f"{atoms} atoms exceed the expansion cap of {_MAX_ATOMS}")
 
 
 def _labels(source: Union[FiniteDistribution, ProductSourceView]) -> Iterable:
@@ -446,12 +454,6 @@ def _labels(source: Union[FiniteDistribution, ProductSourceView]) -> Iterable:
     if isinstance(source, FiniteDistribution):
         return source.labels
     return itertools.product(source.base.labels, repeat=source.n)
-
-
-def _level_starts(view: ProductSourceView) -> list[int]:
-    """Index of each level's first class in the view's columns, then the class count."""
-    keys = view._level_keys
-    return [*_run_firsts(keys), len(keys)]
 
 
 def _rounded_product(masses: Sequence[float], composition: Sequence[int]) -> float:
@@ -477,7 +479,7 @@ def _construction_levels(source: Union[FiniteDistribution, ProductSourceView]) -
         return levels
     support = [m for m in source.base.masses if m > 0]
     comps = source.compositions
-    probs = tuple(_rounded_product(support, comps[i]) for i in _level_starts(source)[:-1])
+    probs = tuple(_rounded_product(support, comps[i]) for i in _run_bounds(source._level_keys)[:-1])
     return dataclasses.replace(levels, probs=probs)
 
 
@@ -503,12 +505,9 @@ def _atom_levels(source: Union[FiniteDistribution, ProductSourceView]) -> list[i
     for m in source.base.masses:
         steps.append(radix ** s if m > 0 else zero_step)
         s += m > 0
-    starts = _level_starts(source)
-    comps = source.compositions
     code_level = {
-        sum(k * radix ** i for i, k in enumerate(comps[c])): j
-        for j, (first, stop) in enumerate(zip(starts, starts[1:]))
-        for c in range(first, stop)
+        sum(k * radix ** i for i, k in enumerate(comp)): j
+        for comp, j in zip(source.compositions, _group_of(_run_bounds(source._level_keys)))
     }
     codes = [0]
     for _ in range(source.n):
@@ -559,12 +558,7 @@ def _lazily(cls, makers: dict, **fields):
     return obj
 
 
-def iid_power(
-    base: FiniteDistribution,
-    n: int,
-    max_classes: int = 5_000_000,
-    max_bits: int = 1 << 20,
-) -> ProductSourceView:
+def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     """Build the type-class view of base^n.
 
     One walk visits the compositions of n over the s support symbols in
@@ -573,23 +567,23 @@ def iid_power(
     their least common denominator) a class of composition k has
     per-sequence numerator prod w_i^k_i over d^n, carried the same way.
     Classes are then sorted most probable first, ties in walk order.
-    Guards: the sequence-count width n*log2(|base|) must stay below
-    ``max_bits`` bits and the composition count below ``max_classes``.
+    Guards: the sequence-count width n*log2(|base|) must stay within
+    2^20 bits and the composition count within 5 000 000.
     """
     if not isinstance(n, int) or n < 1:
         raise BadParamError(f"n must be a positive integer, got {n!r}")
     if base.size < 2:
         raise BadParamError("base alphabet needs at least two symbols")
-    if n * math.log2(base.size) > max_bits:
+    if n * math.log2(base.size) > _MAX_BITS:
         raise OverflowGuardError(
-            f"|base|^n needs more than {max_bits} bits at n={n}"
+            f"|base|^n needs more than {_MAX_BITS} bits at n={n}"
         )
     support = [(lab, m) for lab, m in base.atoms if m > 0]
     s = len(support)
     n_classes = math.comb(n + s - 1, s - 1)
-    if n_classes > max_classes:
+    if n_classes > _MAX_CLASSES:
         raise OverflowGuardError(
-            f"{n_classes} type classes exceed the cap of {max_classes}"
+            f"{n_classes} type classes exceed the cap of {_MAX_CLASSES}"
         )
     support_labels = tuple(lab for lab, _ in support)
     support_masses = [m for _, m in support]
@@ -676,48 +670,18 @@ def iid_power(
     )
 
 
-def expand(view: ProductSourceView, max_atoms: int = 1 << 20) -> FiniteDistribution:
+def expand(view: ProductSourceView) -> FiniteDistribution:
     """Materialize a view atom-by-atom, zero-mass base atoms included.
 
     Labels are n-tuples of base labels in ``itertools.product`` order.
+    Views of more than 2^20 atoms are refused with TooLargeError.
     """
-    _block_length(view, max_atoms)
+    _check_cap(view.full_alphabet_size)
     labels = tuple(_labels(view))
     masses: list[Number] = [Fraction(1) if view.exact else 1.0]
     for _ in range(view.n):
         masses = [m * b for m in masses for b in view.base.masses]
     return FiniteDistribution(labels=labels, masses=tuple(masses))
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    """One self-information level: value = (1/n) log(1/P(x)), in nats."""
-
-    value: float
-    mass: float
-
-
-def spectrum_of(view: ProductSourceView) -> list[SpectrumSample]:
-    """Distinct probability levels with aggregated masses, value-ascending.
-
-    Exact views group mathematically equal levels; float-backed views
-    group by the stored log-probability, which may split equal levels
-    that round differently.
-    """
-    levels = view.levels
-    if levels.exact:
-        den = levels.denominator
-        masses = [prob * count / den for prob, count in zip(levels.probs, levels.counts)]
-    else:
-        masses = _float_masses(levels.probs, levels.counts, levels.logs)[0]
-    samples = [SpectrumSample(value=levels.value(j), mass=mass) for j, mass in enumerate(masses)]
-    total = math.fsum(s.mass for s in samples)
-    if abs(total - 1) > 1e-10:
-        raise BadParamError(f"spectrum masses sum to {total}, not 1")
-    for a, b in zip(samples, samples[1:]):
-        if b.value < a.value:
-            raise BadParamError("spectrum samples not ascending in value")
-    return samples
 
 
 def from_json_obj(obj: dict) -> FiniteDistribution:

@@ -18,12 +18,13 @@ mass at least beta0, share one modified mass and are placed in label
 order across their levels; they are kept in that order with prefix
 sums of their original masses, so a bin's induced mass is a difference
 of two sums.  Labels are enumerated only when ``bins`` or
-``modified.dist`` is read; ``max_atoms`` bounds that enumeration and is
-checked at build time.  A float view's level probabilities are the
-exact products of its base masses, rounded once.  Its bins can differ
-from those of the same source expanded atom by atom, whose float
-products can round the atoms of one type class apart: in which atoms
-of a level go where, and in the last bits of the achieved divergence.
+``modified.dist`` is read; a view of more than 2^20 atoms, too many to
+enumerate, is refused at build time.  A float view's level
+probabilities are the exact products of its base masses, rounded once.
+Its bins can differ from those of the same source expanded atom by
+atom, whose float products can round the atoms of one type class
+apart: in which atoms of a level go where, and in the last bits of the
+achieved divergence.
 """
 
 from __future__ import annotations
@@ -33,20 +34,20 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .distributions import (
     FiniteDistribution,
     ProductSourceView,
     _atom_levels,
-    _block_length,
+    _check_cap,
     _construction_levels,
+    _group_of,
     _labels,
     _LazyFields,
     _lazily,
     _runs,
     _sequence_weights,
-    uniform_distribution,
 )
 from .errors import (
     BadParamError,
@@ -54,7 +55,7 @@ from .errors import (
     MTooSmallError,
     OverflowGuardError,
 )
-from .fdiv import DivergenceValue, FFunction, _divergence_sum, _inverse_level, f_divergence, offset
+from .fdiv import DivergenceValue, FFunction, _divergence_sum, _inverse_level, offset
 from .resolvability import RateEvaluation, _check_m_override, _construction_start, _rate_sweep
 from .smooth_entropy import smooth_min_entropy
 
@@ -68,7 +69,6 @@ __all__ = [
     "build_extractor",
     "achieved_uniformity",
     "intrinsic_converse_check",
-    "min_achievable_uniformity",
     "ir_rate_formula",
 ]
 
@@ -188,7 +188,7 @@ def _clip_normalizer(source: Source, levels, beta0: Number) -> Number:
 class _Binning:
     """First-fit bins over groups of atoms of equal modified mass.
 
-    Group g joins the levels ``starts[g]:ends[g]``, most massive first:
+    Group g joins the levels ``bounds[g]:bounds[g+1]``, most massive first:
     the clipped levels form one group, every other level is a group of
     its own (on floats, rounding can also join levels).  A group of
     several levels orders its atoms by label; ``order[g]`` lists the
@@ -200,11 +200,10 @@ class _Binning:
     def __init__(self, source: Source, levels, modified: list, M: int, cap: Number) -> None:
         self.source = source
         self.levels = levels
-        self.mass, self.sizes, self.starts = _runs(modified, levels.counts)
-        self.ends = self.starts[1:] + [len(modified)]
-        self.group_of = [g for g, (a, b) in enumerate(zip(self.starts, self.ends)) for _ in range(a, b)]
+        self.mass, self.sizes, self.bounds = _runs(modified, levels.counts)
+        self.group_of = _group_of(self.bounds)
         self.order: dict[int, list[int]] = {
-            g: [] for g, (a, b) in enumerate(zip(self.starts, self.ends)) if b - a > 1
+            g: [] for g, (a, b) in enumerate(zip(self.bounds, self.bounds[1:])) if b - a > 1
         }
         if self.order:
             for j in _atom_levels(source):
@@ -283,13 +282,13 @@ class _Binning:
                     if g in prefix:
                         total += prefix[g][b] - prefix[g][a]
                     else:
-                        total += (b - a) * probs[self.starts[g]]
+                        total += (b - a) * probs[self.bounds[g]]
                 out.append(Fraction(total, levels.denominator))
             return out
         for ranges in self.bins:
             total: Number = 0
             for g, a, b in ranges:
-                seq = self.order[g][a:b] if g in self.order else [self.starts[g]] * (b - a)
+                seq = self.order[g][a:b] if g in self.order else [self.bounds[g]] * (b - a)
                 for j in seq:
                     total += probs[j]
             out.append(total)
@@ -329,17 +328,16 @@ def build_extractor(
     Delta: Number,
     gamma: float,
     M: Optional[int] = None,
-    max_atoms: int = 1 << 20,
 ) -> ExtractorMap:
     """Construct the bin extractor for output-divergence target Delta.
 
     M defaults to floor((A_n / beta0) * e^{-n*gamma/2}); pass M to pin
     another size (exact-uniform demonstrations need M above the formula
     value, which backs off by e^{-n*gamma/2} for every positive gamma).
-    Views of more than ``max_atoms`` atoms are refused with TooLargeError.
+    Views of more than 2^20 atoms are refused with TooLargeError.
     """
-    f0, gamma_f, n, levels = _construction_start(source, f, Delta, gamma, max_atoms)
-    exact = levels.exact
+    f0, gamma_f, levels = _construction_start(source, f, Delta, gamma)
+    n, exact = levels.n, levels.exact
 
     t = _inverse_level(f0, Delta, exact)
     result = smooth_min_entropy(source, 1 - t)
@@ -577,62 +575,9 @@ def intrinsic_converse_check(
     hinf = smooth_min_entropy(source, 1 - t)
     if math.log(map_.M) <= hinf.value + 1e-9:
         return True
-    _block_length(source, 1 << 20)
+    if isinstance(source, ProductSourceView):
+        _check_cap(source.full_alphabet_size)
     return _divergence_floor(map_.M, source, f0) <= slack_target + 1e-12
-
-
-def _partitions(items: Sequence[object], k: int) -> Iterator[tuple[tuple[object, ...], ...]]:
-    """All set partitions of items into exactly k nonempty blocks."""
-    n = len(items)
-    if k < 1 or k > n:
-        return
-    codes = [0] * n
-
-    def rec(i: int, used: int) -> Iterator[tuple[tuple[object, ...], ...]]:
-        if i == n:
-            if used == k:
-                blocks: list[list[object]] = [[] for _ in range(k)]
-                for j, c in enumerate(codes):
-                    blocks[c].append(items[j])
-                yield tuple(tuple(b) for b in blocks)
-            return
-        # Prune when the remaining items cannot open enough new blocks.
-        if used + (n - i) < k:
-            return
-        for c in range(min(used + 1, k)):
-            codes[i] = c
-            yield from rec(i + 1, max(used, c + 1))
-
-    yield from rec(0, 0)
-
-
-def min_achievable_uniformity(
-    dist: FiniteDistribution,
-    f: FFunction,
-    M: int,
-) -> tuple[DivergenceValue, tuple[tuple[object, ...], ...]]:
-    """Exhaustive search for the best M-bin map on a small alphabet.
-
-    Enumerates every partition of the alphabet into M nonempty bins and
-    minimizes the output divergence; ties keep the first partition in
-    enumeration order.  Sizes beyond 12 atoms are refused upstream by
-    sheer partition count, so guard callers accordingly.
-    """
-    if M < 1 or M > dist.size:
-        raise BadParamError(f"M must lie in 1..{dist.size}, got {M}")
-    uniform = uniform_distribution(M)
-    source_mass = dict(zip(dist.labels, dist.masses))
-    best_val: Optional[DivergenceValue] = None
-    best_part: Optional[tuple[tuple[object, ...], ...]] = None
-    for part in _partitions(list(dist.labels), M):
-        masses = tuple(sum(source_mass[lab] for lab in b) for b in part)
-        induced = FiniteDistribution(labels=tuple(range(1, M + 1)), masses=masses)
-        val = f_divergence(f, induced, uniform)
-        if best_val is None or float(val) < float(best_val):
-            best_val, best_part = val, part
-    if best_val is None:
-        raise DegenerateSupportError("no partition found")
-    return best_val, best_part
 
 
 def ir_rate_formula(

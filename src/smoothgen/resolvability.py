@@ -15,12 +15,13 @@ the set is whole levels plus the first atoms, in label order, of the
 level where it reaches its mass, and each level gets one quantized
 count floor(M * p / Pr(B)).  Exact sources stay in integers over the
 table's denominator.  Labels are enumerated only when ``image`` or
-``induced`` is read; ``max_atoms`` bounds that enumeration and is
-checked at build time.  A float view's level probabilities are the
-exact products of its base masses, rounded once.  Its maps can differ
-from those of the same source expanded atom by atom, whose float
-products can round the atoms of one type class apart: in which atoms
-of a level go where, and in the last bits of the achieved divergence.
+``induced`` is read; a view of more than 2^20 atoms, too many to
+enumerate, is refused at build time.  A float view's level
+probabilities are the exact products of its base masses, rounded once.
+Its maps can differ from those of the same source expanded atom by
+atom, whose float products can round the atoms of one type class
+apart: in which atoms of a level go where, and in the last bits of the
+achieved divergence.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from .distributions import (
     FiniteDistribution,
     ProductSourceView,
     _atom_levels,
-    _block_length,
+    _check_cap,
     _construction_levels,
+    _group_of,
     _labels,
     _LazyFields,
     _lazily,
@@ -213,27 +215,27 @@ class _Quantization:
 
     The image holds the first ``taken[j]`` atoms, in label order, of each
     selected level j.  Group g runs over the selected levels
-    ``ends[g-1]:ends[g]``; a group joins neighbouring levels of equal
+    ``bounds[g]:bounds[g+1]``; a group joins neighbouring levels of equal
     conditional mass (only float rounding makes one span two levels)
     and orders its atoms by label.  Every image atom of group g gets
     ``seeds[g]`` seed values except the absorbing atom, the last one of
     group 0, which gets ``absorbing``.
     """
 
-    def __init__(self, source: Source, levels, M: int, taken, ends, seeds, absorbing: int) -> None:
+    def __init__(self, source: Source, levels, M: int, taken, bounds, seeds, absorbing: int) -> None:
         self.source = source
         self.levels = levels
         self.M = M
         self.taken = taken
-        self.ends = ends
+        self.bounds = bounds
         self.seeds = seeds
         self.absorbing = absorbing
-        self.group_of = [g for g, end in enumerate(ends) for _ in range(end - (ends[g - 1] if g else 0))]
+        self.group_of = _group_of(bounds)
 
     def _members(self) -> list[list[tuple[object, int]]]:
         """(label, level) of each group's image atoms, in label order."""
         left = list(self.taken)
-        members: list[list[tuple[object, int]]] = [[] for _ in self.ends]
+        members: list[list[tuple[object, int]]] = [[] for _ in self.seeds]
         for lab, j in zip(_labels(self.source), _atom_levels(self.source)):
             if 0 <= j < len(left) and left[j]:
                 left[j] -= 1
@@ -262,7 +264,7 @@ class _Quantization:
         levels = self.levels
         # The absorbing atom lies in level 0 unless float rounding joined
         # level 0 to the next ones; then its label decides.
-        top = 0 if self.ends[0] == 1 else self._members()[0][-1][1]
+        top = 0 if self.bounds[1] == 1 else self._members()[0][-1][1]
         terms = [
             (taken - (j == top), j, Fraction(self.seeds[g], self.M))
             for j, (taken, g) in enumerate(zip(self.taken, self.group_of))
@@ -272,12 +274,13 @@ class _Quantization:
         return _level_divergence(f, levels, terms, in_image)
 
 
-def _construction_start(source: Source, f: FFunction, target: Number, gamma: float, max_atoms: int):
+def _construction_start(source: Source, f: FFunction, target: Number, gamma: float):
     """The checks both builders open with, and what they read next.
 
     Refuses a negative or infeasible divergence target, a nonpositive
-    gamma and a view of more than ``max_atoms`` atoms, in that order.
-    Returns the offset form of f, gamma as a float, the block length and
+    gamma and a view of more than 2^20 atoms, in that order; the cap
+    comes before the level table, whose float products cost big-integer
+    work at large n.  Returns the offset form of f, gamma as a float and
     the source's construction level table.
     """
     f0 = offset(f)
@@ -288,7 +291,9 @@ def _construction_start(source: Source, f: FFunction, target: Number, gamma: flo
     gamma_f = float(gamma)
     if not gamma_f > 0:
         raise BadParamError(f"gamma must be positive, got {gamma}")
-    return f0, gamma_f, _block_length(source, max_atoms), _construction_levels(source)
+    if isinstance(source, ProductSourceView):
+        _check_cap(source.full_alphabet_size)
+    return f0, gamma_f, _construction_levels(source)
 
 
 def _check_m_override(M) -> None:
@@ -302,7 +307,6 @@ def build_resolvability_map(
     D: Number,
     gamma: float,
     M: Optional[int] = None,
-    max_atoms: int = 1 << 20,
 ) -> ResolvabilityMap:
     """Synthesize the quantization mapping for divergence target D.
 
@@ -311,10 +315,10 @@ def build_resolvability_map(
     (the smallest spec-compliant sizes are unreachable by the formula
     because gamma must stay positive).  The absorbing atom is the
     largest selected conditional mass; ties go to label order.  Views
-    of more than ``max_atoms`` atoms are refused with TooLargeError.
+    of more than 2^20 atoms are refused with TooLargeError.
     """
-    f0, gamma_f, n, levels = _construction_start(source, f, D, gamma, max_atoms)
-    exact = levels.exact
+    f0, gamma_f, levels = _construction_start(source, f, D, gamma)
+    n, exact = levels.n, levels.exact
 
     taken, cum = _greedy_set(levels, _inverse_level(f0, D, exact))
     pr_b = Fraction(cum, levels.denominator) if exact else cum
@@ -339,11 +343,10 @@ def build_resolvability_map(
         raise DegenerateSupportError(
             f"no conditional mass reaches 1/M = 1/{M}; M is too small for this set"
         )
-    group_pbars, group_atoms, starts = _runs(pbars[:sel], taken[:sel])
-    ends = starts[1:] + [sel]
+    group_pbars, group_atoms, bounds = _runs(pbars[:sel], taken[:sel])
     seeds = [math.floor(M * pbar) for pbar in group_pbars]
     assigned = 0
-    for g in reversed(range(len(ends))):
+    for g in reversed(range(len(seeds))):
         atoms = group_atoms[g] - (g == 0)
         if atoms and seeds[g] < 1:
             raise DegenerateSupportError(
@@ -359,7 +362,7 @@ def build_resolvability_map(
         raise DegenerateSupportError(
             "absorbing atom received less than its conditional share"
         )
-    plan = _Quantization(source, levels, M, tuple(taken[:sel]), ends, seeds, absorbing)
+    plan = _Quantization(source, levels, M, tuple(taken[:sel]), bounds, seeds, absorbing)
     if isinstance(source, FiniteDistribution):
         # The atoms are at hand: a float sum in label order, as before.
         achieved = f_divergence(f, source, plan.induced)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from oracle_entropy import oracle_max_entropy, oracle_min_entropy
+from oracle_partitions import min_achievable_uniformity
 from smoothgen import (
     DegenerateSupportError,
     MTooSmallError,
@@ -39,7 +40,6 @@ from smoothgen import (
     inverse,
     ir_rate_formula,
     make_distribution,
-    min_achievable_uniformity,
     offset,
     rate_formula,
     registry,

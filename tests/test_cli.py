@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,17 @@ def test_block_length_below_one_exits_two(capsys, argv, n):
     assert code == 2
     assert out == ""
     assert err == f"error: n must be a positive integer, got {n}\n"
+
+
+def test_uniform_above_the_atom_cap_exits_two_at_once(capsys, tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text('{"uniform": 10000000000}')
+    for source in ("uniform:1048577", str(big)):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "entropy", "--order", "max", "--delta", "0.1", "--source", source)
+        assert time.perf_counter() - started < 1.0, source
+        assert (code, out) == (2, ""), source
+        assert "atoms exceed the expansion cap of 1048576" in err, source
 
 
 def test_import_loads_no_numpy():

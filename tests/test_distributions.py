@@ -33,7 +33,6 @@ from smoothgen import (
     make_distribution,
     parse_source,
     rate_formula,
-    spectrum_of,
     spectrum_rate,
     uniform_distribution,
 )
@@ -104,6 +103,13 @@ def test_uniform_distribution_labels_run_from_one():
 @pytest.mark.parametrize("size", [0, -3, 2.5])
 def test_uniform_distribution_rejects_bad_sizes(size):
     with pytest.raises(BadParamError):
+        uniform_distribution(size)
+
+
+@pytest.mark.parametrize("size", [(1 << 20) + 1, 10 ** 10])
+def test_uniform_distribution_refuses_sizes_above_the_atom_cap(size):
+    # Refused before its two size-long tuples are built.
+    with pytest.raises(TooLargeError, match=f"^{size} atoms exceed the expansion cap of 1048576$"):
         uniform_distribution(size)
 
 
@@ -272,16 +278,37 @@ def test_view_rejects_two_swapped_classes(base):
         dataclasses.replace(view, **{name: swapped(getattr(view, name)) for name in names})
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 1 << 70)), min_size=1, max_size=30))
+def test_runs_are_maximal_and_partition_the_positions(rows):
+    keys = [key for key, _ in rows]
+    counts = [count for _, count in rows]
+    run_keys, summed, bounds = distributions._runs(keys, counts)
+    assert bounds == distributions._run_bounds(keys)
+    assert bounds[0] == 0 and bounds[-1] == len(keys)
+    assert all(a < b for a, b in zip(bounds, bounds[1:]))
+    group_of = distributions._group_of(bounds)
+    assert len(group_of) == len(keys)
+    for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        assert keys[a:b] == [run_keys[g]] * (b - a)
+        assert group_of[a:b] == [g] * (b - a)
+        assert summed[g] == sum(counts[a:b])
+        if b - a == 1:
+            assert summed[g] is counts[a]
+    # Maximal: neighbouring runs never share a key.
+    assert all(x != y for x, y in zip(run_keys, run_keys[1:]))
+
+
 def test_expand_respects_atom_cap():
     with pytest.raises(TooLargeError):
         expand(iid_power(bernoulli(0.3), 30))
 
 
 def test_spectrum_groups_equal_levels():
-    samples = spectrum_of(iid_power(uniform_distribution(3), 4))
-    assert len(samples) == 1
-    assert samples[0].mass == pytest.approx(1.0)
-    assert samples[0].value == pytest.approx(math.log(3))
+    levels = iid_power(uniform_distribution(3), 4).levels
+    assert len(levels) == 1
+    assert levels.probs[0] * levels.counts[0] == levels.denominator
+    assert levels.value(0) == pytest.approx(math.log(3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,9 +317,10 @@ def test_spectrum_groups_equal_levels():
     st.integers(min_value=2, max_value=8),
 )
 def test_spectrum_masses_sum_to_one_ascending(p_pct, n):
-    samples = spectrum_of(iid_power(bernoulli(Fraction(p_pct, 100)), n))
-    assert abs(math.fsum(s.mass for s in samples) - 1) <= 1e-10
-    values = [s.value for s in samples]
+    levels = iid_power(bernoulli(Fraction(p_pct, 100)), n).levels
+    masses = [prob * count / levels.denominator for prob, count in zip(levels.probs, levels.counts)]
+    assert abs(math.fsum(masses) - 1) <= 1e-10
+    values = [levels.value(j) for j in range(len(levels))]
     assert values == sorted(values)
 
 

@@ -78,9 +78,9 @@ def test_rates_with_gamma_never_expands(monkeypatch, capsys):
 
 @pytest.mark.parametrize("build", [build_resolvability_map, build_extractor])
 def test_label_cap_is_checked_at_build_time(build):
-    view = iid_power(bernoulli(Fraction(3, 10)), 10)
-    with pytest.raises(TooLargeError, match="^1024 atoms exceed the expansion cap of 1000$"):
-        build(view, half_variational(), 0.2, 0.3, max_atoms=1000)
+    view = iid_power(bernoulli(Fraction(3, 10)), 21)
+    with pytest.raises(TooLargeError, match="^2097152 atoms exceed the expansion cap of 1048576$"):
+        build(view, half_variational(), 0.2, 0.3)
 
 
 @pytest.mark.parametrize("base,n", VIEWS)
