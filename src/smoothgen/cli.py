@@ -29,8 +29,10 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
 from .distributions import FiniteDistribution, expand, iid_power, parse_source
@@ -70,33 +72,58 @@ class _Text(str):
     """JSON text already rendered at depth 0, written as is."""
 
 
+def _float_text(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+# The text json.dumps writes for a scalar of exactly these types.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def _render(obj, pad: str = "\n") -> str:
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``.
 
     A value's text at depth L is its depth-0 text with every newline
     followed by L indents, since a JSON string never holds a raw newline;
     ``pad`` is a newline and the indents of ``obj``'s depth.  Containers
-    join their items' texts, scalars go through ``json.dumps``.  A
+    join their items' texts, so a list of :class:`_Text` alone is joined
+    first and indented once, and add their brackets in one step, so a
+    long body is copied once.  Scalars of the plain types are written by
+    the encoder's own functions, any other through ``json.dumps``.  A
     ``Fraction`` is written as its string, a tuple as a list and a
     :class:`_Text` as it stands.
     """
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, _Text):
+        return obj.replace("\n", pad)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = sorted(obj.items())
-        if not all(isinstance(key, str) for key, _ in items):
+        if not all(map(isinstance, obj, itertools.repeat(str))):
             raise TypeError("JSON object keys must be str")
         inner = pad + "  "
-        return "{" + inner + ("," + inner).join(
-            [json.dumps(key) + ": " + _render(value, inner) for key, value in items]
-        ) + pad + "}"
+        items = sorted(obj.items())
+        body = ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _render(value, inner) for key, value in items]
+        )
+        return f"{{{inner}{body}{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = pad + "  "
-        return "[" + inner + ("," + inner).join([_render(x, inner) for x in obj]) + pad + "]"
-    if isinstance(obj, _Text):
-        return obj.replace("\n", pad)
+        if set(map(type, obj)) == {_Text}:
+            body = ",\n".join(obj).replace("\n", inner)
+        else:
+            body = ("," + inner).join([_render(x, inner) for x in obj])
+        return f"[{inner}{body}{pad}]"
     return json.dumps(str(obj) if isinstance(obj, Fraction) else obj)
 
 

@@ -40,6 +40,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     AllZeroError,
+    AlphabetMismatchError,
     BadParamError,
     NegativeMassError,
     OverflowGuardError,
@@ -512,24 +513,61 @@ def _atom_levels(source: Union[FiniteDistribution, ProductSourceView]) -> list[i
     codes = [0]
     for _ in range(source.n):
         codes = [c + st for c in codes for st in steps]
-    return [code_level.get(c, -1) for c in codes]
+    return list(map(code_level.get, codes, itertools.repeat(-1)))
 
 
-def _sequence_weights(view: ProductSourceView):
-    """Map a label of the view to its probability, read off its composition.
+def _bin_weights(view: ProductSourceView):
+    """Map a bin, a sequence of the view's labels, to its summed probability.
 
-    Exact views give the integer numerator over ``view.denominator``,
-    float views the class probability rounded once from the exact
-    product; labels through a zero-mass symbol give 0.
+    Each label is read off its length and composition.  Exact views give
+    integer numerators over ``view.denominator``, float views the class
+    probability rounded once from the exact product; labels through a
+    zero-mass symbol give 0.  A label that is not a length-n sequence
+    over the base alphabet raises AlphabetMismatchError; a list reads as
+    its tuple.
     """
     support = [m for m in view.base.masses if m > 0]
     comps = view.compositions
     if view.exact:
-        by_comp = dict(zip(comps, view.numerators))
+        weights = view.numerators
     else:
-        by_comp = {comp: _rounded_product(support, comp) for comp in comps}
-    labels = view.support_labels
-    return lambda label: by_comp.get(tuple(map(label.count, labels)), 0)
+        weights = [_rounded_product(support, comp) for comp in comps]
+    n, labels, alphabet = view.n, view.support_labels, set(view.base.labels)
+    # A label found here is a length-n sequence of support symbols.
+    by_key = {(n, *comp): w for comp, w in zip(comps, weights)}
+
+    def refuse(label) -> AlphabetMismatchError:
+        return AlphabetMismatchError(
+            f"label {label!r} is not a length-{n} sequence over the base alphabet"
+        )
+
+    def zero_or_refuse(label) -> int:
+        # Not found (a zero-mass symbol, a foreign symbol or another
+        # length), or found with a float weight that underflowed to 0.
+        if len(label) != n or not alphabet.issuperset(label):
+            raise refuse(label)
+        return 0
+
+    weight = lambda label: (  # noqa: E731
+        by_key.get((len(label), *map(label.count, labels))) or zero_or_refuse(label)
+    )
+
+    def bin_weight(bin_labels):
+        # The labels are read in one pass: a separate type check would be
+        # a second walk over labels scattered in memory.
+        try:
+            return sum(map(weight, bin_labels))
+        except (TypeError, AttributeError):
+            # A label with no length or count, or an unhashable symbol:
+            # refuse the first label that is wrong in any way.
+            for label in bin_labels:
+                try:
+                    weight(label)
+                except (TypeError, AttributeError):
+                    raise refuse(label) from None
+            raise
+
+    return bin_weight
 
 
 class _LazyFields:

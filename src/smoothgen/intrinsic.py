@@ -40,6 +40,7 @@ from .distributions import (
     FiniteDistribution,
     ProductSourceView,
     _atom_levels,
+    _bin_weights,
     _check_cap,
     _construction_levels,
     _group_of,
@@ -47,9 +48,9 @@ from .distributions import (
     _LazyFields,
     _lazily,
     _runs,
-    _sequence_weights,
 )
 from .errors import (
+    AlphabetMismatchError,
     BadParamError,
     DegenerateSupportError,
     MTooSmallError,
@@ -447,15 +448,20 @@ def achieved_uniformity(map_: ExtractorMap, source: Source, f: FFunction) -> Div
     over its own masses with the counted sum of :mod:`smoothgen.fdiv`.
     The sum stays its own on purpose: in floats (1/M) * f(M * P) differs
     in its last bits from Q * f(P / Q).  A view weighs each label by the
-    type class of its composition.
+    type class of its composition.  A bin label outside the source's
+    alphabet, on a view one that is not a length-n sequence over the
+    base alphabet, raises AlphabetMismatchError.
     """
     if isinstance(source, ProductSourceView):
-        weight = _sequence_weights(source)
-        sums = [sum(map(weight, b)) for b in map_.bins]
+        sums = list(map(_bin_weights(source), map_.bins))
         masses = [Fraction(s, source.denominator) for s in sums] if source.exact else sums
     elif isinstance(source, FiniteDistribution):
         source_mass = dict(zip(source.labels, source.masses))
-        masses = [sum(source_mass[lab] for lab in b) for b in map_.bins]
+        try:
+            masses = [sum(source_mass[lab] for lab in b) for b in map_.bins]
+        except KeyError:
+            bad = next(lab for b in map_.bins for lab in b if lab not in source_mass)
+            raise AlphabetMismatchError(f"label {bad!r} is not a label of the source") from None
     else:
         raise BadParamError(f"unsupported source type {type(source).__name__}")
     M = map_.M

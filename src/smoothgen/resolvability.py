@@ -27,6 +27,8 @@ achieved divergence.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -400,21 +402,30 @@ def build_resolvability_map(
 
 
 def _label_divergence(f: FFunction, view: ProductSourceView, induced) -> DivergenceValue:
-    """D_f(view || induced) for a map given by labels, grouped by level."""
+    """D_f(view || induced) for a map given by labels, grouped by level.
+
+    One pass counts the atoms of each (level, mass).  Exact masses key
+    on their integer (numerator, denominator), since a ``Fraction``'s
+    hash takes a modular inverse; any other map keys on the mass itself.
+    The groups keep the order of their first atoms, so float sums add
+    in label order.
+    """
     labels = induced.labels
-    if len(labels) != view.full_alphabet_size or any(
-        a != b for a, b in zip(labels, _labels(view))
-    ):
+    if len(labels) != view.full_alphabet_size or any(map(operator.ne, labels, _labels(view))):
         raise AlphabetMismatchError("mapping was built over a different alphabet")
     levels = _construction_levels(view)
-    groups: dict[tuple[int, Number], int] = {}
+    masses = induced.masses
+    exact = set(map(type, masses)) <= {int, Fraction}
+    keys = map(operator.attrgetter("numerator", "denominator"), masses) if exact else masses
+    terms = []
     in_image = [0] * len(levels)
-    for j, q in zip(_atom_levels(view), induced.masses):
+    for (j, q), count in Counter(zip(_atom_levels(view), keys)).items():
+        if exact:
+            q = Fraction(*q)
         if q > 0:
-            groups[j, q] = groups.get((j, q), 0) + 1
+            terms.append((count, j, q))
             if j >= 0:
-                in_image[j] += 1
-    terms = [(count, j, q) for (j, q), count in groups.items()]
+                in_image[j] += count
     return _level_divergence(f, levels, terms, in_image)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import types
 from fractions import Fraction
 
@@ -130,3 +131,51 @@ def test_maps_given_by_labels_are_checked_over_views():
     assert achieved_uniformity(one_bin, view, f) == f_divergence(
         f, make_distribution([1, 0], labels=(1, 2)), uniform_distribution(2)
     )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(0, 1, "x"), (0, "x"), (1,), (0, 1, 1), [0, 9], "01", 5, None, (0, [1])],
+    ids=[
+        "extra symbol", "foreign symbol", "short", "long", "foreign list", "str", "int", "None",
+        "unhashable",
+    ],
+)
+def test_bin_labels_outside_the_alphabet_are_refused_on_a_view(bad):
+    # (0, 1, "x") counts as (0, 1), whose weight is 21/100.
+    view = iid_power(bernoulli(Fraction(3, 10)), 2)
+    f = half_variational()
+    map_ = types.SimpleNamespace(M=2, bins=(((0, 0), (1, 1)), ((1, 0), bad, (0, 1, "y"))))
+    with pytest.raises(smoothgen.AlphabetMismatchError, match=f"label {re.escape(repr(bad))} is not"):
+        achieved_uniformity(map_, view, f)
+
+
+def test_list_labels_read_as_their_tuples():
+    # A JSON-loaded bin holds lists.
+    view = iid_power(bernoulli(Fraction(3, 10)), 2)
+    f = half_variational()
+    as_tuples = types.SimpleNamespace(M=2, bins=(((0, 0), (1, 1)), ((1, 0), (0, 1))))
+    as_lists = types.SimpleNamespace(M=2, bins=tuple(tuple(map(list, b)) for b in as_tuples.bins))
+    assert achieved_uniformity(as_lists, view, f) == achieved_uniformity(as_tuples, view, f)
+
+
+def test_bin_labels_outside_the_alphabet_are_refused_on_a_distribution():
+    source = bernoulli(Fraction(3, 10))
+    map_ = types.SimpleNamespace(M=2, bins=((0,), (1, "x", "y")))
+    with pytest.raises(smoothgen.AlphabetMismatchError, match="label 'x' is not"):
+        achieved_uniformity(map_, source, half_variational())
+
+
+def test_zero_mass_symbols_in_bins_still_read_zero():
+    base = make_distribution([Fraction(1, 2), 0, Fraction(1, 2)])
+    view = iid_power(base, 3)
+    f = half_variational()
+    labels = list(itertools.product(base.labels, repeat=3))
+    through_zero = [lab for lab in labels if 1 in lab]
+    map_ = types.SimpleNamespace(M=2, bins=(tuple(lab for lab in labels if 1 not in lab), tuple(through_zero)))
+    assert achieved_uniformity(map_, view, f) == f_divergence(
+        f, make_distribution([1, 0], labels=(1, 2)), uniform_distribution(2)
+    )
+    outside = types.SimpleNamespace(M=2, bins=(map_.bins[0], (*through_zero, (1, 1, 3))))
+    with pytest.raises(smoothgen.AlphabetMismatchError, match=r"label \(1, 1, 3\) is not"):
+        achieved_uniformity(outside, view, f)

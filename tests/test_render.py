@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import itertools
 import json
 import math
@@ -110,3 +111,56 @@ def test_label_blocks_match_the_stdlib_encoder(base_labels, n, exact):
             "image": [{"count": k, "sequence": as_lists(lab)} for k, lab in enumerate(view_labels)],
         }
         assert_same_text(_render(payload), dumps(expected))
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Mass(float):
+    pass
+
+
+class Name(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        Level.HIGH,
+        [Level.LOW, 3, {"level": Level.HIGH}],
+        Mass(0.25),
+        [Mass(1e300), Mass(-0.0), 0.5],
+        Name("x\n\"y\""),
+        {Name("b"): 1, "a": Name("é"), Name("c\n"): [Name("")]},
+        [True, 1, False, 0, None],
+        {"flag": True, "count": 1, "off": [False, 0]},
+    ],
+    ids=[
+        "IntEnum", "IntEnum among ints", "float subclass", "float subclasses among floats",
+        "str subclass", "str subclass keys and values", "bools next to ints", "bools in an object",
+    ],
+)
+def test_render_passes_subclasses_and_bools_to_the_encoder(obj):
+    assert_same_text(_render(obj), dumps(obj))
+
+
+def test_render_joins_text_only_lists_and_renders_mixed_ones_item_by_item():
+    base = make_distribution([1, 1, 1], labels=["a\nb", (1, None), 2.5])
+    text = _label_text(iid_power(base, 2))
+    labels = list(itertools.product(base.labels, repeat=2))
+    texts = [text(lab) for lab in labels]
+    cases = [
+        (texts, as_lists(tuple(labels))),
+        (texts[:3] + [7, None, "s"], as_lists(tuple(labels[:3])) + [7, None, "s"]),
+        (
+            [[texts[0]], texts[1], {"k": texts[2:4]}],
+            [[as_lists(labels[0])], as_lists(labels[1]), {"k": as_lists(tuple(labels[2:4]))}],
+        ),
+        ([Fraction(1, 3), texts[4]], ["1/3", as_lists(labels[4])]),
+    ]
+    for obj, plain in cases:
+        assert_same_text(_render(obj), dumps(plain))
+        assert_same_text(_render({"deep": [obj]}), dumps({"deep": [plain]}))
