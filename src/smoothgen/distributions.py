@@ -11,18 +11,22 @@ Two source representations are used everywhere in this package:
   |base|^n atoms.
 
 A view's type classes (the method of types) come from one iterative
-walk over the compositions of n, which updates each class's multinomial
-coefficient from its predecessor's.  The view keeps them as parallel
-columns (compositions, log-probabilities, multiplicities and, on exact
-bases, numerators) rather than one object per class; ``type_classes``
-builds :class:`TypeClass` objects from the columns on first read.
+walk over the compositions of n, a row of classes at a time: each row
+fixes all but the last two coordinates, and its compositions,
+log-probabilities and multinomial coefficients are each filled by one
+C-level ``map``/``zip`` pass.  The view keeps them as parallel columns
+(compositions, log-probabilities, multiplicities and, on exact bases,
+numerators) rather than one object per class; ``type_classes`` builds
+:class:`TypeClass` objects from the columns on first read.
 Sequence probabilities inside a view of an exact base are integer
 numerators over one common denominator d^n, where d is the least common
 denominator of the base's support masses; a natural-log float is kept
 alongside every class so that large-n computations can stay in log
 space.  Each source builds its :class:`Levels` table of distinct
-probability levels once and caches it; the smooth entropies, the
-spectrum and the constructions read only that table and the columns.
+probability levels once and caches it; when no two classes share a
+level the table holds the view's own columns.  The smooth entropies,
+the spectrum and the constructions read only that table and the
+columns.
 """
 
 from __future__ import annotations
@@ -70,7 +74,11 @@ __all__ = [
 
 
 def _is_exact(x: Number) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    return _is_exact_type(type(x))
+
+
+def _is_exact_type(t: type) -> bool:
+    return issubclass(t, (int, Fraction)) and not issubclass(t, bool)
 
 
 def _log_exact(x: Number) -> float:
@@ -100,16 +108,21 @@ class FiniteDistribution:
             raise BadParamError("a distribution needs at least one atom")
         if len(set(self.labels)) != len(self.labels):
             raise BadParamError("labels must be unique")
+        if self.exact:
+            # A mass has the sign of its numerator.  Both checks are C-level
+            # passes that hold no list the size of the masses.
+            if min(map(operator.attrgetter("numerator"), self.masses)) < 0:
+                m = next(m for m in self.masses if m.numerator < 0)
+                raise NegativeMassError(f"mass {m!r} is negative")
+            # Integer numerators over the lcm of the denominators: one exact
+            # sum, where adding Fractions one by one reduces by a gcd each time.
+            nums, den = self._numerators()
+            if sum(nums) != den:
+                raise BadParamError(f"exact masses must sum to 1, got {sum(self.masses)!r}")
+            return
         for m in self.masses:
             if m < 0:
                 raise NegativeMassError(f"mass {m!r} is negative")
-        if self.exact:
-            # Integer numerators over the lcm of the denominators: one exact
-            # sum, where adding Fractions one by one reduces by a gcd each time.
-            den = math.lcm(*{m.denominator for m in self.masses})
-            if sum(m.numerator * (den // m.denominator) for m in self.masses) != den:
-                raise BadParamError(f"exact masses must sum to 1, got {sum(self.masses)!r}")
-            return
         # A plain running sum of 2^17 float product masses drifts past 1e-12.
         total = math.fsum(self.masses)
         if abs(total - 1) > 1e-12:
@@ -117,7 +130,8 @@ class FiniteDistribution:
 
     @cached_property
     def exact(self) -> bool:
-        return all(_is_exact(m) for m in self.masses)
+        # Exactness is a property of each mass's type: check each type once.
+        return all(_is_exact_type(t) for t in set(map(type, self.masses)))
 
     @property
     def atoms(self) -> tuple[tuple[object, Number], ...]:
@@ -135,27 +149,43 @@ class FiniteDistribution:
     def has_zero_mass(self) -> bool:
         return self.support_size < self.size
 
+    def _numerators(self) -> tuple[Iterable[int], int]:
+        """Exact masses as integer numerators over the lcm of their denominators, lazily."""
+        denominator = operator.attrgetter("denominator")
+        den = math.lcm(*set(map(denominator, self.masses)))
+        scales = map(operator.floordiv, itertools.repeat(den), map(denominator, self.masses))
+        return map(operator.mul, map(operator.attrgetter("numerator"), self.masses), scales), den
+
     def descending(self) -> tuple[int, ...]:
         """Atom indices sorted by mass descending, ties in label order."""
+        if self.exact:
+            # Integer numerators compare at C speed; Fractions would not.
+            key = list(self._numerators()[0]).__getitem__
+            return tuple(sorted(range(self.size), key=key, reverse=True))
         return tuple(sorted(range(self.size), key=lambda i: -self.masses[i]))
 
     @cached_property
     def levels(self) -> Levels:
         """Distinct positive masses, descending, with their atom counts."""
-        ordered = [self.masses[i] for i in self.descending() if self.masses[i] > 0]
-        probs, counts, _ = _runs(ordered, [1] * len(ordered))
-        logs = [_log_exact(m) for m in probs]
-        denominator = None
+        den = None
         if self.exact:
-            denominator = math.lcm(*(m.denominator for m in probs))
-            probs = [m.numerator * (denominator // m.denominator) for m in probs]
+            # Runs of equal integer numerators over the lcm; zeros sort last.
+            nums, den = self._numerators()
+            nums = list(nums)
+            order = sorted(range(self.size), key=nums.__getitem__, reverse=True)
+            keys = list(map(nums.__getitem__, order))
+            del keys[len(keys) - keys.count(0) :]
         else:
-            probs = [float(m) for m in probs]
+            order = [i for i in self.descending() if self.masses[i] > 0]
+            keys = list(map(self.masses.__getitem__, order))
+        bounds = _run_bounds(keys)
+        firsts = bounds[:-1]
+        masses = [self.masses[order[i]] for i in firsts]
         return Levels(
-            probs=tuple(probs),
-            counts=tuple(counts),
-            logs=tuple(logs),
-            denominator=denominator,
+            probs=tuple(map(keys.__getitem__, firsts)) if self.exact else tuple(map(float, masses)),
+            counts=tuple(map(operator.sub, bounds[1:], firsts)),
+            logs=tuple(map(_log_exact, masses)),
+            denominator=den,
             alphabet_size=self.size,
             n=1,
         )
@@ -362,13 +392,17 @@ class ProductSourceView:
             if any(b > a for a, b in zip(nums, nums[1:])):
                 raise BadParamError("type classes not sorted by probability")
             return
+        # Log-sum-exp of the class masses, then the order check, each in
+        # C-level passes over the columns.
         logs = self.log_probs
-        log_masses = [lp + lc for lp, lc in zip(logs, map(math.log, mults))]
+        log_masses = list(map(operator.add, logs, map(math.log, mults)))
         top = max(log_masses)
-        log_total = top + math.log(math.fsum(math.exp(lm - top) for lm in log_masses))
+        shifted = map(operator.sub, log_masses, itertools.repeat(top))
+        log_total = top + math.log(math.fsum(map(math.exp, shifted)))
         if abs(log_total) > 1e-10:
             raise BadParamError(f"class masses sum to exp({log_total}), not 1")
-        if any(b > a + 1e-15 for a, b in zip(logs, logs[1:])):
+        raised = map(operator.add, logs, itertools.repeat(1e-15))
+        if any(map(operator.gt, logs[1:], raised)):
             raise BadParamError("type classes not sorted by probability")
 
     @property
@@ -398,8 +432,8 @@ class ProductSourceView:
     def levels(self) -> Levels:
         """Runs of classes sharing one probability level, built once."""
         keys, counts, bounds = _runs(self._level_keys, self.multiplicities)
-        logs = [self.log_probs[i] for i in bounds[:-1]]
-        probs = keys if self.exact else list(map(math.exp, logs))
+        logs = _firsts(self.log_probs, bounds)
+        probs = keys if self.exact else map(math.exp, logs)
         return Levels(
             probs=tuple(probs),
             counts=tuple(counts),
@@ -419,17 +453,27 @@ def _run_bounds(keys: Sequence) -> list[int]:
     return [0, *changes, len(keys)]
 
 
-def _runs(keys: Sequence, counts: Sequence[int]) -> tuple[list, list[int], list[int]]:
+def _firsts(column: Sequence, bounds: Sequence[int]) -> Sequence:
+    """The column's value at the start of every run; the column itself if no run merges."""
+    if len(bounds) > len(column):
+        return column
+    return [column[i] for i in bounds[:-1]]
+
+
+def _runs(keys: Sequence, counts: Sequence[int]) -> tuple[Sequence, Sequence[int], list[int]]:
     """Merge consecutive positions of equal key.
 
     Returns each run's key and summed count, and the run bounds of
     :func:`_run_bounds`.  A run of one position keeps that position's
-    count object rather than a copy.
+    count object rather than a copy, and when every run is one position
+    the given ``keys`` and ``counts`` are returned as they are.
     """
     bounds = _run_bounds(keys)
+    if len(bounds) > len(keys):
+        return keys, counts, bounds
     spans = zip(bounds, bounds[1:])
     summed = [counts[a] if b - a == 1 else sum(counts[a:b]) for a, b in spans]
-    return [keys[i] for i in bounds[:-1]], summed, bounds
+    return _firsts(keys, bounds), summed, bounds
 
 
 def _group_of(bounds: Sequence[int]) -> list[int]:
@@ -516,15 +560,15 @@ def _atom_levels(source: Union[FiniteDistribution, ProductSourceView]) -> list[i
     return list(map(code_level.get, codes, itertools.repeat(-1)))
 
 
-def _bin_weights(view: ProductSourceView):
-    """Map a bin, a sequence of the view's labels, to its summed probability.
+def _bin_weights(view: ProductSourceView, bins: Sequence[Sequence]) -> list:
+    """The summed probability of each bin, a sequence of the view's labels.
 
     Each label is read off its length and composition.  Exact views give
     integer numerators over ``view.denominator``, float views the class
     probability rounded once from the exact product; labels through a
     zero-mass symbol give 0.  A label that is not a length-n sequence
-    over the base alphabet raises AlphabetMismatchError; a list reads as
-    its tuple.
+    over the base alphabet raises AlphabetMismatchError naming the first
+    such label in bin order; a list reads as its tuple.
     """
     support = [m for m in view.base.masses if m > 0]
     comps = view.compositions
@@ -548,26 +592,28 @@ def _bin_weights(view: ProductSourceView):
             raise refuse(label)
         return 0
 
-    weight = lambda label: (  # noqa: E731
-        by_key.get((len(label), *map(label.count, labels))) or zero_or_refuse(label)
-    )
-
-    def bin_weight(bin_labels):
-        # The labels are read in one pass: a separate type check would be
-        # a second walk over labels scattered in memory.
-        try:
-            return sum(map(weight, bin_labels))
-        except (TypeError, AttributeError):
-            # A label with no length or count, or an unhashable symbol:
-            # refuse the first label that is wrong in any way.
-            for label in bin_labels:
-                try:
-                    weight(label)
-                except (TypeError, AttributeError):
-                    raise refuse(label) from None
-            raise
-
-    return bin_weight
+    # Every label of every bin is read in C-level passes: its length and
+    # its count of each support symbol, zipped into one lookup key.  A
+    # label not found, or found with a float weight that underflowed, is
+    # checked on its own.
+    flat = list(itertools.chain.from_iterable(bins))
+    counters = [operator.methodcaller("count", symbol) for symbol in labels]
+    try:
+        keys = zip(map(len, flat), *(map(count, flat) for count in counters))
+        found = list(map(by_key.get, keys))
+        for i in itertools.compress(range(len(found)), map(operator.not_, found)):
+            found[i] = zero_or_refuse(flat[i])
+    except (TypeError, AttributeError):
+        # A label with no length or count, or an unhashable symbol:
+        # refuse the first label that is wrong in any way.
+        for label in flat:
+            try:
+                by_key.get((len(label), *map(label.count, labels))) or zero_or_refuse(label)
+            except (TypeError, AttributeError):
+                raise refuse(label) from None
+        raise
+    bounds = list(itertools.accumulate(map(len, bins), initial=0))
+    return [sum(found[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 class _LazyFields:
@@ -600,10 +646,14 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     """Build the type-class view of base^n.
 
     One walk visits the compositions of n over the s support symbols in
-    lexicographic order and carries each class's multinomial coefficient
-    from step to step.  On an exact base with support masses w_i / d (d
-    their least common denominator) a class of composition k has
-    per-sequence numerator prod w_i^k_i over d^n, carried the same way.
+    lexicographic order, one row of classes per pass.  A row's
+    multinomials come from the previous row's by one exact
+    multiply-and-divide pass where that row is one longer (every row
+    after the first on three symbols), and are otherwise carried from
+    class to class, as on the binary view's one row.  On an exact base
+    with support masses w_i / d (d their least common denominator) a
+    class of composition k has per-sequence numerator prod w_i^k_i over
+    d^n, carried from class to class along a row.
     Classes are then sorted most probable first, ties in walk order.
     Guards: the sequence-count width n*log2(|base|) must stay within
     2^20 bits and the composition count within 5 000 000.
@@ -638,7 +688,7 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
 
     # k * log(m_i) for every count k, so that each class's log-probability
     # is the left fold sum(k_i * log(m_i)) with no multiplication left.
-    log_terms = [[k * lm for k in range(n + 1)] for lm in log_masses]
+    log_terms = [list(map(operator.mul, range(n + 1), itertools.repeat(lm))) for lm in log_masses]
     comps: list[tuple[int, ...]] = []
     logs: list[float] = []
     mults: list[int] = []
@@ -648,24 +698,39 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
         logs.append(sum(map(list.__getitem__, log_terms, (n,))))
         mults.append(1)
         nums.append(num)
+    else:
+        # The last two coordinates' log terms, the last one read from k = n down.
+        left, last_down = log_terms[-2], log_terms[-1][::-1]
     comp = [0] * (s - 1) + [n]
     mult = 1
+    half, half_m = [], -1
     while s > 1:
         # One row: the classes that share all but the last two coordinates,
-        # from (..., 0, m) to (..., m, 0).  Its log-probabilities fold the
-        # shared coordinates once; numerators trade one unit at a time,
-        # (..., k, r) -> (..., k+1, r-1).  Its multinomials are the row's
-        # first one times C(m, k), symmetric in k and m - k, so half of
-        # them are computed and the other half mirrored.
+        # from (..., 0, m) to (..., m, 0), each column filled by one pass.
+        # Its log-probabilities fold the shared coordinates once;
+        # numerators trade one unit at a time, (..., k, r) -> (..., k+1, r-1).
+        # Its multinomials are the row's first one times C(m, k), symmetric
+        # in k and m - k, so half of them are computed and the other half
+        # mirrored.
         head = tuple(comp[:-2])
         m = comp[-1]
         lead = sum(map(list.__getitem__, log_terms, head))
-        left, last = log_terms[-2], log_terms[-1]
-        comps += [head + (k, m - k) for k in range(m + 1)]
-        logs += [lead + left[k] + last[m - k] for k in range(m + 1)]
-        half = [mult]
-        for k in range(m // 2):
-            half.append(half[-1] * (m - k) // (k + 1))
+        comps += map(head.__add__, zip(range(m + 1), range(m, -1, -1)))
+        led = map(operator.add, itertools.repeat(lead), left[: m + 1])
+        logs += map(operator.add, led, last_down[n - m :])
+        if half_m == m + 1:
+            # The carry moved one unit from the last coordinate to the
+            # coordinate before the row's two, which is now h: each class's
+            # multinomial is the previous row's at the same k times
+            # (m + 1 - k) / h, exactly.
+            factors = range(m + 1, m - m // 2, -1)
+            scaled = map(operator.mul, half, factors)
+            half = list(map(operator.floordiv, scaled, itertools.repeat(comp[-3])))
+        else:  # the binary row, or the first row of a run of shrinking rows
+            half = [mult]
+            for k in range(m // 2):
+                half.append(half[-1] * (m - k) // (k + 1))
+        half_m = m
         mults += half
         mults += reversed(half[: m - m // 2])
         if exact:

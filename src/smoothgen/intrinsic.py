@@ -303,7 +303,7 @@ class _Binning:
         for ranges in self.bins:
             for g, a, b in ranges:
                 placed[g] += b - a
-        if len(self.bins) != M or placed != self.sizes:
+        if len(self.bins) != M or placed != list(self.sizes):
             raise BadParamError("bins must partition the alphabet")
         for i, ranges in enumerate(self.bins):
             counts = [(b - a, self.mass[g]) for g, a, b in ranges]
@@ -453,7 +453,7 @@ def achieved_uniformity(map_: ExtractorMap, source: Source, f: FFunction) -> Div
     base alphabet, raises AlphabetMismatchError.
     """
     if isinstance(source, ProductSourceView):
-        sums = list(map(_bin_weights(source), map_.bins))
+        sums = _bin_weights(source, map_.bins)
         masses = [Fraction(s, source.denominator) for s in sums] if source.exact else sums
     elif isinstance(source, FiniteDistribution):
         source_mass = dict(zip(source.labels, source.masses))

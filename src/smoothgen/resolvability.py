@@ -63,7 +63,7 @@ from .fdiv import (
     inverse,
     offset,
 )
-from .smooth_entropy import _smooth_entropies, smooth_max_entropy
+from .smooth_entropy import _smooth_values, smooth_max_entropy
 
 Number = Union[int, float, Fraction]
 Source = Union[FiniteDistribution, ProductSourceView]
@@ -555,9 +555,9 @@ def _rate_sweep(
         view = iid_power(base, int(n))
         if on_view is not None:
             on_view(view)
-        hs = _smooth_entropies(view, order, deltas)
-        values = [h.value for h in hs[: len(nus)]]
-        alt_values = iter(h.value for h in hs[len(nus):])
+        hs = _smooth_values(view, order, deltas)
+        values = hs[: len(nus)]
+        alt_values = iter(hs[len(nus):])
         firsts = [v / n for v in values]
         alts = [next(alt_values) / n if d < 1 else math.nan for d in alts_d]
         for a, b in zip(firsts, firsts[1:]):

@@ -18,7 +18,10 @@ water-filling stop both move monotonically with delta, so a list of
 deltas costs one pass.  Exact tables count in integers over the table's
 common denominator, and only the returned cap becomes a ``Fraction``;
 float tables add in a level-by-level scan's order and go to log space
-where per-sequence probabilities underflow.
+where per-sequence probabilities underflow.  The rate sweeps and the
+equivalence report read values only (``_smooth_values``), which on
+float tables skips the H_min witness's residual excess mass; the
+values are bitwise those of the public smoothers.
 """
 
 from __future__ import annotations
@@ -248,13 +251,17 @@ class _Profile:
         log_extra = max(math.log(need) - log_prob, 0.0)
         return _logaddexp(self.log_whole[j], log_extra), MaxEntropyWitness(None, target)
 
-    def min_entropies(self, deltas: Sequence[Number]) -> list[tuple[float, MinEntropyWitness]]:
+    def min_entropies(
+        self, deltas: Sequence[Number], witness: bool = True
+    ) -> list[tuple[float, Optional[MinEntropyWitness]]]:
         """Value and witness of H_min at each delta of an ascending list.
 
         The water-filling stops at the first level j whose cap
         (prefix mass through j - delta) / (atoms through j) reaches the
         next level's probability.  That level only moves down the table
-        as delta grows, so one walk serves the whole list.
+        as delta grows, so one walk serves the whole list.  With
+        ``witness`` false a float table leaves the witness out (None),
+        and with it the residual's pass over the levels above the cap.
         """
         if self.exact:
             return [self._min_exact(d) for d in deltas]
@@ -273,10 +280,12 @@ class _Profile:
                         break
                 j += 1
             log_beta0 = max(log_beta_star, log_clamp)
-            witness = MinEntropyWitness(
-                beta=math.exp(log_beta0), log_beta=log_beta0, residual=self._residual(log_beta0)
-            )
-            out.append((-log_beta0, witness))
+            found = None
+            if witness:
+                found = MinEntropyWitness(
+                    beta=math.exp(log_beta0), log_beta=log_beta0, residual=self._residual(log_beta0)
+                )
+            out.append((-log_beta0, found))
         return out
 
     def _min_exact(self, d: Fraction) -> tuple[float, MinEntropyWitness]:
@@ -311,10 +320,10 @@ class _Profile:
         return max(math.fsum(map(sub, self.exp_masses[:k], caps)), 0.0)
 
 
-def _smooth_entropies(
-    source: Source, order: str, deltas: Sequence[Number]
-) -> list[SmoothEntropyResult]:
-    """H_max (order "max") or H_min ("min") at each delta, in list order.
+def _answers(
+    source: Source, order: str, deltas: Sequence[Number], witness: bool = True
+) -> tuple[list[float], list[tuple]]:
+    """The checked deltas as floats, and (value, witness) at each, in list order.
 
     Equal deltas are answered once, all of them from the source's one
     profile in one pass.
@@ -327,9 +336,30 @@ def _smooth_entropies(
     if order == "max":
         answers = [profile.max_entropy(k) for k in ascending]
     else:
-        answers = profile.min_entropies(ascending)
+        answers = profile.min_entropies(ascending, witness)
     by_key = dict(zip(ascending, answers))
-    return [SmoothEntropyResult(order, d, *by_key[k]) for d, k in zip(deltas_f, keys)]
+    return deltas_f, [by_key[k] for k in keys]
+
+
+def _smooth_entropies(
+    source: Source, order: str, deltas: Sequence[Number]
+) -> list[SmoothEntropyResult]:
+    """H_max (order "max") or H_min ("min") at each delta, in list order."""
+    deltas_f, answers = _answers(source, order, deltas)
+    return [SmoothEntropyResult(order, d, *answer) for d, answer in zip(deltas_f, answers)]
+
+
+def _smooth_values(source: Source, order: str, deltas: Sequence[Number]) -> list[float]:
+    """The values of :func:`_smooth_entropies`, bitwise, for sweeps that read nothing else.
+
+    Float H_min skips its witness's residual; every value keeps the
+    result's nonnegativity bound.
+    """
+    values = [value for value, _ in _answers(source, order, deltas, witness=False)[1]]
+    for value in values:
+        if not value >= -1e-12:
+            raise BadParamError(f"entropy {value} is negative")
+    return values
 
 
 def smooth_max_entropy(source: Source, delta: Number) -> SmoothEntropyResult:

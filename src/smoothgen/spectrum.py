@@ -36,7 +36,7 @@ from .distributions import (
 )
 from .errors import BadParamError, OutOfRangeError, TooFewPointsError
 from .fdiv import FFunction, _inverse_level, offset
-from .smooth_entropy import _profile, smooth_max_entropy, smooth_min_entropy
+from .smooth_entropy import _profile, _smooth_values
 
 Number = Union[int, float, Fraction]
 Source = Union[FiniteDistribution, ProductSourceView]
@@ -196,8 +196,8 @@ def equivalence_report(
     rows: list[EquivalenceRow] = []
     for n in n_list:
         view = iid_power(base, int(n))
-        h0 = smooth_max_entropy(view, delta).value / n
-        hinf = smooth_min_entropy(view, delta).value / n
+        h0 = _smooth_values(view, "max", [delta])[0] / n
+        hinf = _smooth_values(view, "min", [delta])[0] / n
         sr = spectrum_rate(view, f, lvl)
         rows.append(
             EquivalenceRow(

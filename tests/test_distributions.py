@@ -118,6 +118,36 @@ def test_descending_breaks_ties_by_label_order():
     assert d.descending() == (1, 0, 2)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=12).filter(any), st.booleans())
+def test_exact_order_and_level_table_equal_a_fraction_reference(weights, ints):
+    # Small weights give ties and zeros; int masses ride along with Fractions.
+    total = sum(weights)
+    masses = [Fraction(w, total) for w in weights]
+    if ints:
+        masses = [int(m) if m.denominator == 1 else m for m in masses]
+    d = FiniteDistribution(labels=tuple(range(len(masses))), masses=tuple(masses))
+    order = tuple(sorted(range(len(masses)), key=lambda i: -masses[i]))
+    assert d.descending() == order
+    firsts = [i for k, i in enumerate(order) if masses[i] > 0 and (k == 0 or masses[order[k - 1]] != masses[i])]
+    den = math.lcm(*(masses[i].denominator for i in firsts))
+    levels = d.levels
+    assert levels.denominator == den
+    assert levels.probs == tuple(masses[i].numerator * (den // masses[i].denominator) for i in firsts)
+    assert levels.counts == tuple(masses.count(masses[i]) for i in firsts)
+    assert repr(levels.logs) == repr(tuple(math.log(masses[i]) if isinstance(masses[i], int)
+                                           else math.log(masses[i].numerator) - math.log(masses[i].denominator)
+                                           for i in firsts))
+
+
+def test_exact_masses_name_their_first_negative_mass():
+    masses = (Fraction(1, 2), Fraction(-1, 4), Fraction(1), Fraction(-1, 4))
+    with pytest.raises(NegativeMassError, match=r"^mass Fraction\(-1, 4\) is negative$"):
+        FiniteDistribution(labels=(0, 1, 2, 3), masses=masses)
+    with pytest.raises(NegativeMassError, match=r"^mass -1 is negative$"):
+        FiniteDistribution(labels=(0, 1, 2), masses=(Fraction(1, 2), -1, Fraction(3, 2)))
+
+
 def test_iid_power_type_classes_cover_everything():
     view = iid_power(bernoulli(0.3), 5)
     assert view.full_alphabet_size == 32
@@ -295,6 +325,9 @@ def test_runs_are_maximal_and_partition_the_positions(rows):
         assert summed[g] == sum(counts[a:b])
         if b - a == 1:
             assert summed[g] is counts[a]
+    if len(bounds) == len(keys) + 1:
+        # No run merges: the given sequences come back as they are.
+        assert run_keys is keys and summed is counts
     # Maximal: neighbouring runs never share a key.
     assert all(x != y for x, y in zip(run_keys, run_keys[1:]))
 

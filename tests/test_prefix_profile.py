@@ -32,7 +32,7 @@ from smoothgen import (
     smooth_min_entropy,
     spectrum_rate,
 )
-from smoothgen.smooth_entropy import _smooth_entropies
+from smoothgen.smooth_entropy import _smooth_entropies, _smooth_values
 
 BINARY = make_distribution([0.89, 0.11])
 TERNARY = make_distribution([w / 101 for w in (48, 34, 19)])
@@ -170,3 +170,16 @@ def test_delta_list_order_and_duplicates_change_nothing(pair, ds, data):
         want = {d: _smooth_entropies(source, order, [d])[0] for d in ds}
         assert first == [want[d] for d in ds]
         assert _smooth_entropies(source, order, shuffled) == [want[d] for d in shuffled]
+
+
+@settings(max_examples=80, deadline=None)
+@given(permuted_sources(), st.lists(deltas, min_size=1, max_size=6), st.data())
+def test_value_only_path_equals_the_smoothers_values(pair, ds, data):
+    # Delta lists with 0 and a duplicate, read first on an empty profile;
+    # repr tells -0.0 from 0.0.
+    source, _ = pair
+    ds = ds + [0, data.draw(st.sampled_from(ds))]
+    smoothers = {"max": smooth_max_entropy, "min": smooth_min_entropy}
+    for order, smoother in smoothers.items():
+        got = _smooth_values(source, order, ds)
+        assert repr(got) == repr([smoother(source, d).value for d in ds])

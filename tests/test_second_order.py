@@ -15,6 +15,16 @@ the √n terms cancel.  The bound comes from the theory and is not to be
 widened to make a test pass; a miss is a finding.  These are oracles
 built from the base's H, V and ``statistics.NormalDist`` alone, with
 no code shared with the smoothers.
+
+The spectrum quantiles have a band of their own.  With c the mass
+threshold, n·kbar is the c-quantile of the self-information sum and
+n·kunder its (1 − c)-quantile, so they sit near nH ± √(nV)·Φ⁻¹(c).  The
+Berry–Esseen theorem bounds the sum's distribution function within
+ε_n = C·ρ/(V^{3/2}·√n) of the normal one, where ρ = E|−log P(X) − H|³
+and C = 0.4748 (Shevtsova 2011, arXiv:1111.6554); it holds for the
+left limits too, so a quantile lies between the normal quantiles at
+c − ε_n and c + ε_n.  Where c ± ε_n leaves (0, 1) that side of the band
+is open.
 """
 
 from __future__ import annotations
@@ -34,9 +44,12 @@ from smoothgen import (
     rate_formula,
     smooth_max_entropy,
     smooth_min_entropy,
+    spectrum_rate,
 )
 
 DELTAS = (0.05, 0.2)
+# Shevtsova's constant in sup |F_n − Φ| ≤ C·ρ/(V^{3/2}·√n), i.i.d. summands.
+BERRY_ESSEEN_C = 0.4748
 BINARY = [0.89, 0.11]
 TERNARY = [0.5, 0.3, 0.2]
 # (weights, block lengths): both lanes, the exact lane at smaller n.
@@ -82,3 +95,24 @@ def test_second_order_column_at_the_entropy_rate(weights, ns):
         for row in rate_formula(base, ns, f, delta / 2, (delta / 2,), R=h):
             (got,) = row.second_order
             assert abs(got - expected) <= math.log(row.n) / math.sqrt(row.n), (row.n, delta, got)
+
+
+@pytest.mark.parametrize("weights,ns", CASES[:2], ids=["float2", "float3"])
+def test_spectrum_quantiles_lie_in_the_berry_esseen_band(weights, ns):
+    # Half-variational inverts to 1 − ε, so the threshold at ε = δ is c = 1 − δ.
+    f = half_variational()
+    h, v = _entropy_and_varentropy(weights)
+    rho = math.fsum(float(w) * abs(-math.log(w) - h) ** 3 for w in weights)
+    z = NormalDist().inv_cdf
+    base = make_distribution(weights)
+    for n in ns:
+        view = iid_power(base, n)
+        eps_n = BERRY_ESSEEN_C * rho / (v ** 1.5 * math.sqrt(n))
+        for delta in DELTAS:
+            c = float(inverse(offset(f), delta))
+            below = z(c - eps_n) if c - eps_n > 0 else -math.inf
+            above = z(c + eps_n) if c + eps_n < 1 else math.inf
+            sr = spectrum_rate(view, f, delta)
+            scale = math.sqrt(n * v)
+            assert n * h + scale * below <= n * sr.kbar <= n * h + scale * above, (n, delta, sr.kbar)
+            assert n * h - scale * above <= n * sr.kunder <= n * h - scale * below, (n, delta, sr.kunder)
