@@ -18,15 +18,21 @@ C-level ``map``/``zip`` pass.  The view keeps them as parallel columns
 (compositions, log-probabilities, multiplicities and, on exact bases,
 numerators) rather than one object per class; ``type_classes`` builds
 :class:`TypeClass` objects from the columns on first read.
-Sequence probabilities inside a view of an exact base are integer
-numerators over one common denominator d^n, where d is the least common
-denominator of the base's support masses; a natural-log float is kept
-alongside every class so that large-n computations can stay in log
-space.  Each source builds its :class:`Levels` table of distinct
-probability levels once and caches it; when no two classes share a
-level the table holds the view's own columns.  The smooth entropies,
-the spectrum and the constructions read only that table and the
-columns.
+Exact masses are read as integers in one place, :func:`_numerators`:
+numerators over the least common denominator of the masses.  The
+normalisation of exact weights, a distribution's sum check and level
+keys, and a view's support weights all use it.  Sequence probabilities
+inside a view of an exact base are integer numerators over one common
+denominator d^n, where d is that denominator of the base's support
+masses; a natural-log float is kept alongside every class so that
+large-n computations can stay in log space.  A float view's class
+probabilities, as the constructions read them, come from the same
+reading of its support masses' exact values: integers over a power of
+two, multiplied exactly and divided once.  Each source builds its
+:class:`Levels` table of distinct probability levels once and caches
+it; when no two classes share a level the table holds the view's own
+columns.  The smooth entropies, the spectrum and the constructions read
+only that table and the columns.
 """
 
 from __future__ import annotations
@@ -88,6 +94,18 @@ def _log_exact(x: Number) -> float:
     return math.log(x)
 
 
+def _numerators(masses: Sequence[Number]) -> tuple[Iterable[int], int]:
+    """Exact masses as integer numerators over the lcm of their denominators, lazily.
+
+    The one place where exact masses become integers: adding or comparing
+    the numerators replaces a gcd per ``Fraction`` operation.
+    """
+    denominator = operator.attrgetter("denominator")
+    den = math.lcm(*set(map(denominator, masses)))
+    scales = map(operator.floordiv, itertools.repeat(den), map(denominator, masses))
+    return map(operator.mul, map(operator.attrgetter("numerator"), masses), scales), den
+
+
 @dataclass(frozen=True)
 class FiniteDistribution:
     """An ordered probability vector over an opaque finite alphabet.
@@ -114,9 +132,7 @@ class FiniteDistribution:
             if min(map(operator.attrgetter("numerator"), self.masses)) < 0:
                 m = next(m for m in self.masses if m.numerator < 0)
                 raise NegativeMassError(f"mass {m!r} is negative")
-            # Integer numerators over the lcm of the denominators: one exact
-            # sum, where adding Fractions one by one reduces by a gcd each time.
-            nums, den = self._numerators()
+            nums, den = _numerators(self.masses)
             if sum(nums) != den:
                 raise BadParamError(f"exact masses must sum to 1, got {sum(self.masses)!r}")
             return
@@ -149,18 +165,11 @@ class FiniteDistribution:
     def has_zero_mass(self) -> bool:
         return self.support_size < self.size
 
-    def _numerators(self) -> tuple[Iterable[int], int]:
-        """Exact masses as integer numerators over the lcm of their denominators, lazily."""
-        denominator = operator.attrgetter("denominator")
-        den = math.lcm(*set(map(denominator, self.masses)))
-        scales = map(operator.floordiv, itertools.repeat(den), map(denominator, self.masses))
-        return map(operator.mul, map(operator.attrgetter("numerator"), self.masses), scales), den
-
     def descending(self) -> tuple[int, ...]:
         """Atom indices sorted by mass descending, ties in label order."""
         if self.exact:
             # Integer numerators compare at C speed; Fractions would not.
-            key = list(self._numerators()[0]).__getitem__
+            key = list(_numerators(self.masses)[0]).__getitem__
             return tuple(sorted(range(self.size), key=key, reverse=True))
         return tuple(sorted(range(self.size), key=lambda i: -self.masses[i]))
 
@@ -170,7 +179,7 @@ class FiniteDistribution:
         den = None
         if self.exact:
             # Runs of equal integer numerators over the lcm; zeros sort last.
-            nums, den = self._numerators()
+            nums, den = _numerators(self.masses)
             nums = list(nums)
             order = sorted(range(self.size), key=nums.__getitem__, reverse=True)
             keys = list(map(nums.__getitem__, order))
@@ -205,21 +214,18 @@ def make_distribution(
     for i, w in enumerate(weights):
         if w < 0:
             raise NegativeMassError(f"weight {w!r} at index {i} is negative")
-    total = sum(weights)
+    exact = all(_is_exact(w) for w in weights)
+    # Exact weights are summed as integers over their common denominator.
+    nums = list(_numerators(weights)[0]) if exact else weights
+    total = sum(nums)
     if total == 0:
         raise AllZeroError("all weights are zero")
     if labels is None:
         labels = tuple(range(len(weights)))
     else:
         labels = tuple(labels)
-    exact = all(_is_exact(w) for w in weights)
     if exact:
-        total_f = Fraction(total)
-        masses: tuple = (
-            tuple(Fraction(w) for w in weights)
-            if total_f == 1
-            else tuple(Fraction(w) / total_f for w in weights)
-        )
+        masses: tuple = tuple(map(Fraction, nums, itertools.repeat(total)))
     elif abs(total - 1) <= 1e-12:
         masses = tuple(float(w) for w in weights)
     else:
@@ -501,31 +507,34 @@ def _labels(source: Union[FiniteDistribution, ProductSourceView]) -> Iterable:
     return itertools.product(source.base.labels, repeat=source.n)
 
 
-def _rounded_product(masses: Sequence[float], composition: Sequence[int]) -> float:
-    """prod m_i^k_i of float masses, computed exactly and rounded once."""
-    num = den = 1
-    for m, k in zip(masses, composition):
-        a, b = m.as_integer_ratio()
-        num *= a ** k
-        den *= b ** k
-    return num / den
+def _class_probs(view: ProductSourceView) -> Sequence:
+    """Each class's per-sequence probability, as the constructions read it.
+
+    An exact view gives its numerators over ``view.denominator``.  A float
+    view gives prod w_i^k_i / d^n, with its support masses read exactly as
+    integers w_i over their common denominator d, a power of two: the
+    exact product, rounded once by an integer true division.  The view's
+    ``exp(log_prob)`` can be some ulps away, enough to move a floor(M * p)
+    across an integer.
+    """
+    if view.exact:
+        return view.numerators
+    weights, d = _numerators([Fraction(m) for m in view.base.masses if m > 0])
+    weights, den = list(weights), d**view.n
+    return [math.prod(map(pow, weights, comp)) / den for comp in view.compositions]
 
 
 def _construction_levels(source: Union[FiniteDistribution, ProductSourceView]) -> Levels:
     """The level table the constructions read.
 
     It is the source's own table, except that a float view's level
-    probabilities are exact products of the base masses rounded once,
-    as close as a float gets; the table's ``exp(log_prob)`` can be some
-    ulps away, enough to move a floor(M * p) across an integer.
+    probabilities are its :func:`_class_probs` at the run starts.
     """
     levels = _levels_of(source)
     if levels.exact or isinstance(source, FiniteDistribution):
         return levels
-    support = [m for m in source.base.masses if m > 0]
-    comps = source.compositions
-    probs = tuple(_rounded_product(support, comps[i]) for i in _run_bounds(source._level_keys)[:-1])
-    return dataclasses.replace(levels, probs=probs)
+    probs = _firsts(_class_probs(source), _run_bounds(source._level_keys))
+    return dataclasses.replace(levels, probs=tuple(probs))
 
 
 def _atom_levels(source: Union[FiniteDistribution, ProductSourceView]) -> list[int]:
@@ -537,13 +546,9 @@ def _atom_levels(source: Union[FiniteDistribution, ProductSourceView]) -> list[i
     """
     if isinstance(source, FiniteDistribution):
         levels = source.levels
-        if levels.exact:
-            den = levels.denominator
-            key = lambda m: m.numerator * (den // m.denominator)  # noqa: E731
-        else:
-            key = float
+        keys = _numerators(source.masses)[0] if levels.exact else map(float, source.masses)
         index = {p: j for j, p in enumerate(levels.probs)}
-        return [index[key(m)] if m > 0 else -1 for m in source.masses]
+        return [index[k] if k > 0 else -1 for k in keys]
     radix = source.n + 1
     zero_step = radix ** len(source.support_labels)
     steps, s = [], 0
@@ -560,58 +565,49 @@ def _atom_levels(source: Union[FiniteDistribution, ProductSourceView]) -> list[i
     return list(map(code_level.get, codes, itertools.repeat(-1)))
 
 
-def _bin_weights(view: ProductSourceView, bins: Sequence[Sequence]) -> list:
-    """The summed probability of each bin, a sequence of the view's labels.
+def _bin_weights(source: Union[FiniteDistribution, ProductSourceView], bins: Sequence[Sequence]) -> list:
+    """The summed weight of each bin, a sequence of the source's labels.
 
-    Each label is read off its length and composition.  Exact views give
-    integer numerators over ``view.denominator``, float views the class
-    probability rounded once from the exact product; labels through a
-    zero-mass symbol give 0.  A label that is not a length-n sequence
-    over the base alphabet raises AlphabetMismatchError naming the first
-    such label in bin order; a list reads as its tuple.
+    A distribution gives its masses.  A view reads each label off its
+    length and composition and gives its :func:`_class_probs`; labels
+    through a zero-mass symbol give 0.  All labels are looked up at once
+    in C-level passes; a label missed there is read again on its own as
+    :func:`_canon_label` reads a JSON label, lists becoming tuples at
+    every depth.  A label that still misses, one that is not a label of
+    the distribution or not a length-n sequence over the base alphabet,
+    raises AlphabetMismatchError naming the first such label in bin order.
     """
-    support = [m for m in view.base.masses if m > 0]
-    comps = view.compositions
-    if view.exact:
-        weights = view.numerators
-    else:
-        weights = [_rounded_product(support, comp) for comp in comps]
-    n, labels, alphabet = view.n, view.support_labels, set(view.base.labels)
-    # A label found here is a length-n sequence of support symbols.
-    by_key = {(n, *comp): w for comp, w in zip(comps, weights)}
-
-    def refuse(label) -> AlphabetMismatchError:
-        return AlphabetMismatchError(
-            f"label {label!r} is not a length-{n} sequence over the base alphabet"
-        )
-
-    def zero_or_refuse(label) -> int:
-        # Not found (a zero-mass symbol, a foreign symbol or another
-        # length), or found with a float weight that underflowed to 0.
-        if len(label) != n or not alphabet.issuperset(label):
-            raise refuse(label)
-        return 0
-
-    # Every label of every bin is read in C-level passes: its length and
-    # its count of each support symbol, zipped into one lookup key.  A
-    # label not found, or found with a float weight that underflowed, is
-    # checked on its own.
     flat = list(itertools.chain.from_iterable(bins))
-    counters = [operator.methodcaller("count", symbol) for symbol in labels]
-    try:
+    if isinstance(source, FiniteDistribution):
+        table = dict(zip(source.labels, source.masses))
+        keys: Iterable = flat
+        weight = table.get
+        what = "a label of the source"
+    else:
+        n, symbols, alphabet = source.n, source.support_labels, set(source.base.labels)
+        # A key found here is a length-n sequence of support symbols.
+        table = {(n, *comp): w for comp, w in zip(source.compositions, _class_probs(source))}
+        counters = [operator.methodcaller("count", symbol) for symbol in symbols]
         keys = zip(map(len, flat), *(map(count, flat) for count in counters))
-        found = list(map(by_key.get, keys))
-        for i in itertools.compress(range(len(found)), map(operator.not_, found)):
-            found[i] = zero_or_refuse(flat[i])
+
+        def weight(label):
+            if len(label) == n and alphabet.issuperset(label):
+                return table.get((n, *map(label.count, symbols)), 0)
+            return None
+
+        what = f"a length-{n} sequence over the base alphabet"
+    try:
+        found = list(map(table.get, keys))
     except (TypeError, AttributeError):
-        # A label with no length or count, or an unhashable symbol:
-        # refuse the first label that is wrong in any way.
-        for label in flat:
-            try:
-                by_key.get((len(label), *map(label.count, labels))) or zero_or_refuse(label)
-            except (TypeError, AttributeError):
-                raise refuse(label) from None
-        raise
+        # A label with no length or count, or an unhashable one.
+        found = [None] * len(flat)
+    for i in itertools.compress(range(len(found)), map(operator.is_, found, itertools.repeat(None))):
+        try:
+            found[i] = weight(_canon_label(flat[i]))
+        except (BadParamError, TypeError, AttributeError):
+            found[i] = None
+        if found[i] is None:
+            raise AlphabetMismatchError(f"label {flat[i]!r} is not {what}")
     bounds = list(itertools.accumulate(map(len, bins), initial=0))
     return [sum(found[a:b]) for a, b in zip(bounds, bounds[1:])]
 
@@ -681,8 +677,8 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     denominator = None
     num = None
     if exact:
-        d = math.lcm(*(m.denominator for m in support_masses))
-        weights = [m.numerator * (d // m.denominator) for m in support_masses]
+        weights, d = _numerators(support_masses)
+        weights = list(weights)
         denominator = d ** n
         num = weights[-1] ** n
 

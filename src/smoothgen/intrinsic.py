@@ -50,7 +50,6 @@ from .distributions import (
     _runs,
 )
 from .errors import (
-    AlphabetMismatchError,
     BadParamError,
     DegenerateSupportError,
     MTooSmallError,
@@ -448,22 +447,16 @@ def achieved_uniformity(map_: ExtractorMap, source: Source, f: FFunction) -> Div
     over its own masses with the counted sum of :mod:`smoothgen.fdiv`.
     The sum stays its own on purpose: in floats (1/M) * f(M * P) differs
     in its last bits from Q * f(P / Q).  A view weighs each label by the
-    type class of its composition.  A bin label outside the source's
-    alphabet, on a view one that is not a length-n sequence over the
-    base alphabet, raises AlphabetMismatchError.
+    type class of its composition.  Labels loaded from JSON read on both
+    kinds of source; a bin label outside the source's alphabet, on a view
+    one that is not a length-n sequence over the base alphabet, raises
+    AlphabetMismatchError.
     """
-    if isinstance(source, ProductSourceView):
-        sums = _bin_weights(source, map_.bins)
-        masses = [Fraction(s, source.denominator) for s in sums] if source.exact else sums
-    elif isinstance(source, FiniteDistribution):
-        source_mass = dict(zip(source.labels, source.masses))
-        try:
-            masses = [sum(source_mass[lab] for lab in b) for b in map_.bins]
-        except KeyError:
-            bad = next(lab for b in map_.bins for lab in b if lab not in source_mass)
-            raise AlphabetMismatchError(f"label {bad!r} is not a label of the source") from None
-    else:
+    if not isinstance(source, (FiniteDistribution, ProductSourceView)):
         raise BadParamError(f"unsupported source type {type(source).__name__}")
+    masses = _bin_weights(source, map_.bins)
+    if isinstance(source, ProductSourceView) and source.exact:
+        masses = [Fraction(s, source.denominator) for s in masses]
     M = map_.M
     one = Fraction(1, M) if source.exact else 1.0 / M
     total: Number = 0

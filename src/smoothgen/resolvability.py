@@ -13,8 +13,10 @@ The construction is level-wise.  Atoms of equal probability are
 interchangeable, so it reads only the source's :class:`Levels` table:
 the set is whole levels plus the first atoms, in label order, of the
 level where it reaches its mass, and each level gets one quantized
-count floor(M * p / Pr(B)).  Exact sources stay in integers over the
-table's denominator.  Labels are enumerated only when ``image`` or
+count floor(M * p / Pr(B)).  On exact sources B is the covering set of
+the smooth max entropy H_max at 1 - f0^{-1}(D), read from the table's
+prefix-mass profile, and the map stays in integers over the table's
+denominator.  Labels are enumerated only when ``image`` or
 ``induced`` is read; a view of more than 2^20 atoms, too many to
 enumerate, is refused at build time.  A float view's level
 probabilities are the exact products of its base masses, rounded once.
@@ -26,6 +28,7 @@ achieved divergence.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from collections import Counter
@@ -63,7 +66,7 @@ from .fdiv import (
     inverse,
     offset,
 )
-from .smooth_entropy import _smooth_values, smooth_max_entropy
+from .smooth_entropy import _profile, _smooth_values, smooth_max_entropy
 
 Number = Union[int, float, Fraction]
 Source = Union[FiniteDistribution, ProductSourceView]
@@ -180,24 +183,22 @@ def _greedy_set(levels, target: Number) -> tuple[list[int], Number]:
 
     Most probable levels first: whole levels, then the first atoms of
     the level where the mass reaches ``target``; every level if it never
-    does.  Exact levels count in integers and return the mass as a
-    numerator over the table's denominator; float levels add one atom at
-    a time, as an atom-by-atom scan would.
+    does.  On exact levels B is the witness of H_max at 1 - target,
+    split at the profile's level bounds, and its mass is a numerator over
+    the table's denominator; float levels add one atom at a time, as an
+    atom-by-atom scan would.
     """
-    taken: list[int] = []
     if levels.exact:
-        t = Fraction(target)
-        goal = t.numerator * levels.denominator
-        cum = 0
-        for num, count in zip(levels.probs, levels.counts):
-            # The fewest atoms, at least one, with (cum + j*num) * t_den >= goal.
-            need = -((cum * t.denominator - goal) // (num * t.denominator))
-            j = min(max(need, 1), count)
-            taken.append(j)
-            cum += j * num
-            if cum * t.denominator >= goal:
-                break
+        profile = _profile(levels)
+        size = profile.max_entropy(1 - Fraction(target))[1].set_size
+        j = bisect.bisect_right(profile.whole, size) - 1
+        taken, cum = list(levels.counts[:j]), profile.cum[j]
+        extra = size - profile.whole[j]
+        if extra:
+            taken.append(extra)
+            cum += extra * levels.probs[j]
         return taken, cum
+    taken = []
     cum_f: Number = 0
     for p, count in zip(levels.probs, levels.counts):
         j = 0

@@ -240,8 +240,6 @@ class _Profile:
             size = self.whole[j] + extra
             return math.log(size), MaxEntropyWitness(size, (cum + extra * prob) / den)
         need = target - cum
-        if prob == 0.0:
-            prob = math.exp(log_prob)
         if prob > 0.0 and need / prob < 9e15:
             # Rounding in ``need`` must not take more atoms than the level holds.
             extra = min(max(math.ceil(need / prob), 1), count)

@@ -159,6 +159,30 @@ def test_list_labels_read_as_their_tuples():
     assert achieved_uniformity(as_lists, view, f) == achieved_uniformity(as_tuples, view, f)
 
 
+def test_json_loaded_bins_read_on_a_distribution_with_tuple_labels():
+    view = iid_power(bernoulli(Fraction(3, 10)), 4)
+    f = half_variational()
+    built = build_extractor(view, f, 0.2, 0.3)
+    loaded = types.SimpleNamespace(M=built.M, bins=json.loads(json.dumps(built.bins)))
+    assert achieved_uniformity(loaded, expand(view), f) == built.achieved_divergence
+
+
+def test_json_loaded_bins_with_nested_labels_read_on_a_view():
+    # The labels a JSON source gives: a list label reads as its tuple.
+    base = smoothgen.from_json_obj({"weights": ["1/2", "1/3", "1/6"], "labels": ["a", None, [True, 1.5]]})
+    view = iid_power(base, 3)
+    f = half_variational()
+    built = build_extractor(view, f, 0.25, 0.1)
+    bins = json.loads(json.dumps(built.bins))
+    assert ["a", [True, 1.5], None] in itertools.chain.from_iterable(bins)
+    loaded = types.SimpleNamespace(M=built.M, bins=bins)
+    assert achieved_uniformity(loaded, view, f) == built.achieved_divergence
+    bad = ["a", [True, 2.5], None]
+    outside = types.SimpleNamespace(M=built.M, bins=(*bins[:-1], [*bins[-1], bad]))
+    with pytest.raises(smoothgen.AlphabetMismatchError, match=re.escape(f"label {bad!r} is not")):
+        achieved_uniformity(outside, view, f)
+
+
 def test_bin_labels_outside_the_alphabet_are_refused_on_a_distribution():
     source = bernoulli(Fraction(3, 10))
     map_ = types.SimpleNamespace(M=2, bins=((0,), (1, "x", "y")))
