@@ -12,12 +12,22 @@ Two source representations are used everywhere in this package:
 
 A view's type classes (the method of types) come from one iterative
 walk over the compositions of n, a row of classes at a time: each row
-fixes all but the last two coordinates, and its compositions,
-log-probabilities and multinomial coefficients are each filled by one
-C-level ``map``/``zip`` pass.  The view keeps them as parallel columns
-(compositions, log-probabilities, multiplicities and, on exact bases,
-numerators) rather than one object per class; ``type_classes`` builds
-:class:`TypeClass` objects from the columns on first read.
+fixes all but the last two coordinates, and its compositions and
+log-probabilities are each filled by one C-level ``map``/``zip`` pass.
+The view keeps them as parallel columns (compositions,
+log-probabilities, multiplicities and, on exact bases, numerators)
+rather than one object per class; ``type_classes`` builds
+:class:`TypeClass` objects from the columns on first read.  The
+multiplicities are filled on demand: a read-only sequence over the
+sorted compositions computes the exact multinomials only as far as a
+read reaches.  An exact view's mass check reads it whole; on a float
+view the level table shares it and the prefix-mass profile fills it
+chunk by chunk, so a sweep computes the counts of the levels it reads.
+A float view certifies its columns when it is built, with no
+tolerance: the compositions are every composition of n once, the
+log-probabilities are bitwise the walk's fold and the classes are
+sorted; by the multinomial theorem the counts then sum to
+|support|^n.
 Exact masses are read as integers in one place, :func:`_numerators`:
 numerators over the least common denominator of the masses.  The
 normalisation of exact weights, a distribution's sum check and level
@@ -37,11 +47,13 @@ only that table and the columns.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import itertools
 import json
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -304,7 +316,7 @@ class Levels:
     """
 
     probs: tuple
-    counts: tuple[int, ...]
+    counts: Sequence[int]
     logs: tuple[float, ...]
     denominator: Optional[int]
     alphabet_size: int
@@ -342,6 +354,163 @@ def _float_masses(probs, counts, logs) -> tuple[list[float], list[float], list[f
     return masses, log_counts, exps
 
 
+def _coordinates(comps: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """The coordinates of equal-length tuples, one list per position, read in one pass."""
+    s = len(comps[0])
+    flat = list(itertools.chain.from_iterable(comps))
+    return [flat[i::s] for i in range(s)]
+
+
+def _composition_columns(comps: Sequence[tuple[int, ...]], n: int, s: int) -> Optional[list[list[int]]]:
+    """The s coordinate columns of ``comps``, or None unless they are exactly the compositions of n.
+
+    C(n + s - 1, s - 1) distinct tuples of s nonnegative counts summing to
+    n are every composition once.  Two compositions of n that agree on all
+    but the last coordinate are equal, so distinctness is read off the
+    first s - 1 coordinates as one integer code each.
+    """
+    count = math.comb(n + s - 1, s - 1)
+    if len(comps) != count or set(map(len, comps)) != {s}:
+        return None
+    cols = _coordinates(comps)
+    totals, codes = cols[0], cols[0]
+    for col in cols[1:]:
+        totals = list(map(operator.add, totals, col))
+    for col in cols[1:-1]:
+        codes = map(operator.add, map(operator.mul, codes, itertools.repeat(n + 1)), col)
+    if min(map(min, cols)) < 0 or totals.count(n) != count or len(set(codes)) != count:
+        return None
+    return cols
+
+
+def _log_terms(log_masses: Sequence[float], n: int) -> list[list[float]]:
+    """k * log(m_i) for every count k <= n, one list per support symbol."""
+    return [list(map(lm.__mul__, range(n + 1))) for lm in log_masses]
+
+
+def _folded_logs(log_terms: list[list[float]], cols: list[list[int]]) -> Iterable[float]:
+    """Each class's sum of k_i log(m_i), added as the walk of :func:`iid_power` adds it.
+
+    ``cols`` holds the classes' coordinates, one list per support symbol.
+    The walk sums the terms of all but the last two coordinates (the
+    head) with ``sum``, from 0, then adds the second-to-last and the last
+    term in turn.
+    """
+    s = len(cols)
+    if s <= 3:  # a head of at most one term: the fold starts from 0 + the first term
+        first = list(map(operator.add, itertools.repeat(0), log_terms[0]))
+        folded: Iterable = map(first.__getitem__, cols[0])
+        rest = range(1, s)
+    else:
+        heads = list(zip(*cols[:-2]))
+        lead_of = {head: sum(map(list.__getitem__, log_terms, head)) for head in set(heads)}
+        folded = map(lead_of.__getitem__, heads)
+        rest = range(s - 2, s)
+    for i in rest:
+        folded = map(operator.add, folded, map(log_terms[i].__getitem__, cols[i]))
+    return folded
+
+
+class _Multinomials(collections.abc.Sequence):
+    """The multinomial coefficient of every composition in a column, filled on demand.
+
+    A read-only sequence aligned with ``compositions``.  A read computes
+    every position before the furthest one it reaches, and nothing after
+    it.  The classes that share a head (all but the last two coordinates)
+    form a row, indexed by the last coordinate j: the coefficient of
+    (head, m - j, j) is the head's multinomial n! / (prod(head!) m!) times
+    C(m, j).  A row starts from the head's multinomial at both ends and
+    is extended towards its middle by the exact recurrence
+    c_{j+1} = c_j (m - j) / (j + 1), only as deep as the classes filled so
+    far need; each class's coefficient is then read off its row in one
+    C-level pass.  ``columns`` holds the compositions' coordinates, one
+    list per symbol; they are read from the tuples on the first fill
+    unless a caller that has them already sets them.
+    """
+
+    __slots__ = ("compositions", "columns", "_values", "_rows", "_depths")
+
+    def __init__(self, compositions: Sequence[tuple[int, ...]]) -> None:
+        self.compositions = compositions
+        self.columns: Optional[list[list[int]]] = None
+        self._values: list[int] = []
+        self._rows: dict = {}  # head -> its row, None where not yet needed
+        self._depths: dict = {}  # head -> how many entries of each end are filled
+
+    def __len__(self) -> int:
+        return len(self.compositions)
+
+    def __getitem__(self, key):
+        span = range(len(self))[key]
+        if isinstance(key, slice):
+            if span:
+                self._fill(max(span[0], span[-1]) + 1)
+            return list(map(self._values.__getitem__, span))
+        self._fill(span + 1)
+        return self._values[span]
+
+    def __iter__(self):
+        self._fill(len(self))
+        return iter(self._values)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (_Multinomials, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def _fill(self, stop: int) -> None:
+        values = self._values
+        start = len(values)
+        if stop <= start:
+            return
+        if self.columns is None:
+            self.columns = _coordinates(self.compositions)
+        cols = self.columns
+        s, n = len(cols), sum(col[0] for col in cols)
+        if s == 1:  # the one class (n,)
+            values += itertools.repeat(1, stop - start)
+            return
+        lasts = cols[-1][start:stop]
+        if s == 2:
+            heads: Iterable = [()]
+        elif s == 3:  # a head is an int on three symbols, a tuple on more
+            heads = cols[0][start:stop]
+        else:
+            heads = list(zip(*(col[start:stop] for col in cols[:-2])))
+        # A class reads its row at j = last, or by symmetry at m - last; the
+        # nearer end is less than min(max(lasts), n - min(lasts)) + 1 away.
+        depth = min(max(lasts), n - min(lasts)) + 1
+        rows, depths = self._rows, self._depths
+        for head in set(heads):
+            row = rows.get(head)
+            if row is None:
+                parts = (head, n - head) if s == 3 else (*head, n - sum(head))
+                row = rows[head] = [None] * (parts[-1] + 1)
+                row[0] = row[-1] = math.prod(map(math.comb, itertools.accumulate(parts), parts))
+                depths[head] = 1
+            done, m = depths[head], len(row) - 1
+            reach = min(depth, m // 2 + 1)
+            if done >= reach:
+                continue
+            c, new = row[done - 1], []
+            for j in range(done - 1, reach - 1):
+                c = c * (m - j) // (j + 1)
+                new.append(c)
+            row[done:reach] = new
+            row[m + 1 - reach : m + 1 - done] = new[::-1]
+            depths[head] = reach
+        if s == 2:
+            values += map(rows[()].__getitem__, lasts)
+        else:
+            values += map(operator.getitem, map(rows.__getitem__, heads), lasts)
+
+
 @dataclass(frozen=True)
 class ProductSourceView:
     """The i.i.d. n-fold power of a base distribution, by type classes.
@@ -359,6 +528,24 @@ class ProductSourceView:
     times the common ``denominator`` d^n.  Both are None on float views.
     ``type_classes`` builds one :class:`TypeClass` per class from the
     columns on first read; nothing in the library reads it.
+
+    The view's own ``multiplicities`` is a read-only sequence over its
+    compositions that computes the multinomials only as far as a read
+    reaches.  An exact view reads it whole when it is built, since its
+    mass check multiplies every class's count; a float view's level
+    table shares it, and the prefix-mass profile fills it chunk by chunk,
+    so a sweep computes the multinomials of the levels it reads and no
+    more.  Iteration, ``type_classes``, a float view's upper-tail
+    spectrum quantile and the constructions read it whole.
+
+    The columns are checked when the view is built.  A ``multiplicities``
+    column other than the view's own sequence is compared with it in
+    full.  An exact view's counts must sum to s^n, its class masses to 1
+    exactly, and its numerators must descend.  A float view's compositions
+    must be exactly the C(n + s - 1, s - 1) compositions of n into the s
+    support symbols, each ``log_probs`` entry bitwise the walk's left
+    fold of k_i log(m_i), and the classes sorted most probable first; by
+    the multinomial theorem its counts then sum to s^n with no count read.
     """
 
     base: FiniteDistribution
@@ -366,28 +553,51 @@ class ProductSourceView:
     support_labels: tuple
     compositions: tuple[tuple[int, ...], ...]
     log_probs: tuple[float, ...]
-    multiplicities: tuple[int, ...]
+    multiplicities: Sequence[int]
     full_alphabet_size: int
     zero_mass_count: int
     numerators: Optional[tuple[int, ...]] = None
     denominator: Optional[int] = None
 
     def __post_init__(self) -> None:
-        mults = self.multiplicities
-        if not len(self.compositions) == len(self.log_probs) == len(mults):
+        comps, logs, mults = self.compositions, self.log_probs, self.multiplicities
+        if not len(comps) == len(logs) == len(mults):
             raise BadParamError("type-class columns differ in length")
-        support_total = sum(mults)
-        expected = len(self.support_labels) ** self.n
-        if support_total != expected:
-            raise BadParamError(
-                f"multiplicities sum to {support_total}, expected {expected}"
-            )
-        if self.zero_mass_count != self.full_alphabet_size - expected:
+        support = [(lab, m) for lab, m in self.base.atoms if m > 0]
+        if self.support_labels != tuple(lab for lab, _ in support):
+            raise BadParamError("support labels are not the base's positive-mass labels")
+        n, s = self.n, len(support)
+        if self.zero_mass_count != self.full_alphabet_size - s**n:
             raise BadParamError("zero-mass sequence count is inconsistent")
+        cols = None
+        if not self.exact:
+            cols = _composition_columns(comps, n, s)
+            if cols is None:
+                count = math.comb(n + s - 1, s - 1)
+                raise BadParamError(f"compositions are not the {count} compositions of {n} into {s} parts")
+            log_terms = _log_terms([_log_exact(m) for _, m in support], n)
+            folded = array("d", _folded_logs(log_terms, cols))
+            if folded.tobytes() != array("d", logs).tobytes():
+                j = next(j for j, (a, b) in enumerate(zip(folded, logs)) if repr(a) != repr(b))
+                raise BadParamError(
+                    f"class masses sum to other than 1: log_probs[{j}] is {logs[j]!r}, "
+                    f"not the fold {folded[j]!r} of k_i log(m_i)"
+                )
+        if isinstance(mults, _Multinomials) and mults.compositions is comps:
+            # The view's own sequence: its fills read the certified columns.
+            mults.columns = mults.columns or cols
+        else:
+            own = _Multinomials(comps)
+            own.columns = cols
+            if tuple(mults) != tuple(own):
+                raise BadParamError("multiplicities are not the multinomials of the compositions")
         if self.exact:
             nums = self.numerators
             if self.denominator is None or nums is None or len(nums) != len(mults):
                 raise BadParamError("an exact view needs its numerators and common denominator")
+            support_total = sum(mults)
+            if support_total != s**n:
+                raise BadParamError(f"multiplicities sum to {support_total}, expected {s**n}")
             # Sum count * numerator with classes of equal multiplicity
             # folded first: halves the big products of a binary view.
             by_count: dict[int, int] = {}
@@ -398,15 +608,6 @@ class ProductSourceView:
             if any(b > a for a, b in zip(nums, nums[1:])):
                 raise BadParamError("type classes not sorted by probability")
             return
-        # Log-sum-exp of the class masses, then the order check, each in
-        # C-level passes over the columns.
-        logs = self.log_probs
-        log_masses = list(map(operator.add, logs, map(math.log, mults)))
-        top = max(log_masses)
-        shifted = map(operator.sub, log_masses, itertools.repeat(top))
-        log_total = top + math.log(math.fsum(map(math.exp, shifted)))
-        if abs(log_total) > 1e-10:
-            raise BadParamError(f"class masses sum to exp({log_total}), not 1")
         raised = map(operator.add, logs, itertools.repeat(1e-15))
         if any(map(operator.gt, logs[1:], raised)):
             raise BadParamError("type classes not sorted by probability")
@@ -442,7 +643,7 @@ class ProductSourceView:
         probs = keys if self.exact else map(math.exp, logs)
         return Levels(
             probs=tuple(probs),
-            counts=tuple(counts),
+            counts=counts if counts is self.multiplicities else tuple(counts),
             logs=tuple(logs),
             denominator=self.denominator,
             alphabet_size=self.full_alphabet_size,
@@ -642,15 +843,14 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     """Build the type-class view of base^n.
 
     One walk visits the compositions of n over the s support symbols in
-    lexicographic order, one row of classes per pass.  A row's
-    multinomials come from the previous row's by one exact
-    multiply-and-divide pass where that row is one longer (every row
-    after the first on three symbols), and are otherwise carried from
-    class to class, as on the binary view's one row.  On an exact base
+    lexicographic order, one row of classes per pass.  On an exact base
     with support masses w_i / d (d their least common denominator) a
     class of composition k has per-sequence numerator prod w_i^k_i over
     d^n, carried from class to class along a row.
-    Classes are then sorted most probable first, ties in walk order.
+    Classes are then sorted most probable first, ties in walk order.  The
+    multinomials are not computed here: the view's ``multiplicities`` is
+    a sequence over the sorted compositions that computes them as far as
+    a read reaches.
     Guards: the sequence-count width n*log2(|base|) must stay within
     2^20 bits and the composition count within 5 000 000.
     """
@@ -684,51 +884,29 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
 
     # k * log(m_i) for every count k, so that each class's log-probability
     # is the left fold sum(k_i * log(m_i)) with no multiplication left.
-    log_terms = [list(map(operator.mul, range(n + 1), itertools.repeat(lm))) for lm in log_masses]
+    log_terms = _log_terms(log_masses, n)
     comps: list[tuple[int, ...]] = []
     logs: list[float] = []
-    mults: list[int] = []
     nums: list[int] = []
     if s == 1:  # a one-symbol support has the one class (n,)
         comps.append((n,))
         logs.append(sum(map(list.__getitem__, log_terms, (n,))))
-        mults.append(1)
         nums.append(num)
     else:
         # The last two coordinates' log terms, the last one read from k = n down.
         left, last_down = log_terms[-2], log_terms[-1][::-1]
     comp = [0] * (s - 1) + [n]
-    mult = 1
-    half, half_m = [], -1
     while s > 1:
         # One row: the classes that share all but the last two coordinates,
         # from (..., 0, m) to (..., m, 0), each column filled by one pass.
         # Its log-probabilities fold the shared coordinates once;
         # numerators trade one unit at a time, (..., k, r) -> (..., k+1, r-1).
-        # Its multinomials are the row's first one times C(m, k), symmetric
-        # in k and m - k, so half of them are computed and the other half
-        # mirrored.
         head = tuple(comp[:-2])
         m = comp[-1]
         lead = sum(map(list.__getitem__, log_terms, head))
         comps += map(head.__add__, zip(range(m + 1), range(m, -1, -1)))
         led = map(operator.add, itertools.repeat(lead), left[: m + 1])
         logs += map(operator.add, led, last_down[n - m :])
-        if half_m == m + 1:
-            # The carry moved one unit from the last coordinate to the
-            # coordinate before the row's two, which is now h: each class's
-            # multinomial is the previous row's at the same k times
-            # (m + 1 - k) / h, exactly.
-            factors = range(m + 1, m - m // 2, -1)
-            scaled = map(operator.mul, half, factors)
-            half = list(map(operator.floordiv, scaled, itertools.repeat(comp[-3])))
-        else:  # the binary row, or the first row of a run of shrinking rows
-            half = [mult]
-            for k in range(m // 2):
-                half.append(half[-1] * (m - k) // (k + 1))
-        half_m = m
-        mults += half
-        mults += reversed(half[: m - m // 2])
         if exact:
             nums.append(num)
             for _ in range(m):
@@ -746,7 +924,6 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
         comp[i - 1] += 1
         comp[i] = 0
         comp[-1] = v - 1
-        mult = mult * v // comp[i - 1]
         if exact:
             num = math.prod(w ** k for w, k in zip(weights, comp))
 
@@ -754,14 +931,15 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     # walk order; every column is then read through it.
     order = sorted(range(len(comps)), key=(nums if exact else logs).__getitem__, reverse=True)
     column = lambda values: tuple(map(values.__getitem__, order))  # noqa: E731
+    compositions = column(comps)
     full = base.size ** n
     return ProductSourceView(
         base=base,
         n=n,
         support_labels=support_labels,
-        compositions=column(comps),
+        compositions=compositions,
         log_probs=column(logs),
-        multiplicities=column(mults),
+        multiplicities=_Multinomials(compositions),
         full_alphabet_size=full,
         zero_mass_count=full - s ** n,
         numerators=column(nums) if exact else None,

@@ -153,10 +153,14 @@ class _Profile:
     ``cum_exp`` of the latter, each added in the order a level-by-level
     scan adds them.
 
-    Levels are added in chunks, only when a query needs them.  The
-    profile keeps the table's columns, never the table: the table keeps
-    the profile, and a reference back would make a cycle that leaves a
-    view and its big multiplicities to the cyclic garbage collector.
+    Levels are added in chunks, only when a query needs them.  On a float
+    view whose levels are its classes, ``counts`` is the view's own
+    multiplicity sequence, and slicing a chunk of it computes that
+    chunk's exact multinomials: the profile's depth bounds what a sweep
+    fills.  The profile keeps the table's columns, never the table: the
+    table keeps the profile, and a reference back would make a cycle
+    that leaves a view and its multiplicities to the cyclic garbage
+    collector.
     """
 
     def __init__(self, levels: Levels) -> None:

@@ -284,6 +284,36 @@ def test_float_view_rejects_class_masses_off_one(n):
         dataclasses.replace(view, log_probs=tuple(logs))
 
 
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_float_view_accepts_a_base_within_its_sum_tolerance(n):
+    # The base sums to 1 + 5e-13, inside the distribution's 1e-12; a check
+    # of the class masses' float sum compounded that slack by n.
+    base = FiniteDistribution(labels=(0, 1), masses=(0.7 + 5e-13, 0.3))
+    view = iid_power(base, n)
+    assert sum(view.multiplicities) == 2**n
+    assert view.multiplicities[n // 2] == math.comb(n, view.compositions[n // 2][1])
+
+
+@pytest.mark.parametrize(
+    "weights,n", [([0.7, 0.3], 8), ([0.7, 0.3], 2048), ([0.5, 0.3, 0.2], 12)], ids=["2-8", "2-2048", "3-12"]
+)
+def test_float_view_rejects_multiplicities_that_are_not_its_multinomials(weights, n):
+    view = iid_power(make_distribution(weights), n)
+    mults = list(view.multiplicities)
+    assert dataclasses.replace(view, multiplicities=tuple(mults)) == view
+    logs = view.log_probs
+    j = max(range(len(logs)), key=lambda i: logs[i] + math.log(mults[i]))
+    raised = list(mults)
+    raised[j] += 1
+    # The heaviest class's count and the first class's, which differ: the sum stays.
+    swapped = list(mults)
+    swapped[0], swapped[j] = swapped[j], swapped[0]
+    assert swapped[0] != mults[0] and sum(swapped) == sum(mults)
+    for column in (raised, swapped):
+        with pytest.raises(BadParamError, match="multiplicities|class masses sum"):
+            dataclasses.replace(view, multiplicities=tuple(column))
+
+
 def test_exact_view_rejects_a_changed_numerator():
     view = iid_power(bernoulli(0.3), 8)
     nums = list(view.numerators)

@@ -12,6 +12,7 @@ composition.
 from __future__ import annotations
 
 import gc
+import math
 import weakref
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from smoothgen import (
     smooth_min_entropy,
     spectrum_rate,
 )
-from smoothgen.smooth_entropy import _smooth_entropies, _smooth_values
+from smoothgen.smooth_entropy import _profile, _smooth_entropies, _smooth_values
 
 BINARY = make_distribution([0.89, 0.11])
 TERNARY = make_distribution([w / 101 for w in (48, 34, 19)])
@@ -112,6 +113,22 @@ def test_a_read_view_is_freed_without_the_cycle_collector(base):
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_a_sweep_fills_only_the_multiplicities_it_reads():
+    # The profile reads the view's own multiplicity sequence chunk by
+    # chunk; the sweep must leave every class past its depth uncomputed.
+    n = 65536
+    view = iid_power(BINARY, n)
+    deltas = [0.25 + nu for nu in (0.125, 0.0625, 0.03125)]
+    _smooth_values(view, "max", deltas)
+    _smooth_values(view, "min", deltas)
+    depth = len(_profile(view.levels).cum) - 1
+    filled = view.multiplicities._values
+    assert view.levels.counts is view.multiplicities
+    assert 0 < len(filled) <= depth < len(view.compositions) // 2
+    for i in (0, len(filled) - 1):
+        assert filled[i] == math.comb(n, view.compositions[i][1])
 
 
 # Metamorphic checks on both lanes.  Float three-symbol views are left
