@@ -20,25 +20,24 @@ rather than one object per class; ``type_classes`` builds
 :class:`TypeClass` objects from the columns on first read.  The
 multiplicities are filled on demand: a read-only sequence over the
 sorted compositions computes the exact multinomials only as far as a
-read reaches.  An exact view's mass check reads it whole; on a float
-view the level table shares it and the prefix-mass profile fills it
-chunk by chunk, so a sweep computes the counts of the levels it reads.
-A float view certifies its columns when it is built, with no
-tolerance: the compositions are every composition of n once, the
-log-probabilities are bitwise the walk's fold and the classes are
-sorted; by the multinomial theorem the counts then sum to
-|support|^n.
+read reaches, and the level table shares it, so a sweep computes the
+counts of the levels it reads.  Both lanes certify their columns when
+built, with no tolerance and no count read: the compositions are
+every composition of n once, the key column (the walk's log fold, or
+the numerators of :func:`_class_numerators`) is exactly recomputed from
+them and it is sorted; by the multinomial theorem the masses sum to 1.
 Exact masses are read as integers in one place, :func:`_numerators`:
 numerators over the least common denominator of the masses.  The
 normalisation of exact weights, a distribution's sum check and level
 keys, and a view's support weights all use it.  Sequence probabilities
 inside a view of an exact base are integer numerators over one common
 denominator d^n, where d is that denominator of the base's support
-masses; a natural-log float is kept alongside every class so that
-large-n computations can stay in log space.  A float view's class
-probabilities, as the constructions read them, come from the same
-reading of its support masses' exact values: integers over a power of
-two, multiplied exactly and divided once.  Each source builds its
+masses, all carried by one routine, :func:`_class_numerators`; a
+natural-log float is kept alongside every class so that large-n
+computations can stay in log space.  A float view's class
+probabilities, as the constructions read them, are the same carry over
+its support masses' exact values (integers over a power of two),
+each divided once.  Each source builds its
 :class:`Levels` table of distinct probability levels once and caches
 it; when no two classes share a level the table holds the view's own
 columns.  The smooth entropies, the spectrum and the constructions read
@@ -361,26 +360,57 @@ def _coordinates(comps: Sequence[tuple[int, ...]]) -> list[list[int]]:
     return [flat[i::s] for i in range(s)]
 
 
+def _composition_codes(cols: list[list[int]], n: int) -> Iterable[int]:
+    """Each composition's code, lazily: its first s - 1 coordinates as base n + 1 digits.
+
+    The first coordinate is the most significant digit.  The last is n less
+    the others, so distinct compositions of n have distinct codes, all below
+    (n + 1)^(s - 1).
+    """
+    codes = cols[0] if len(cols) > 1 else itertools.repeat(0, len(cols[0]))
+    for col in cols[1:-1]:
+        codes = map(operator.add, map(operator.mul, codes, itertools.repeat(n + 1)), col)
+    return codes
+
+
 def _composition_columns(comps: Sequence[tuple[int, ...]], n: int, s: int) -> Optional[list[list[int]]]:
     """The s coordinate columns of ``comps``, or None unless they are exactly the compositions of n.
 
-    C(n + s - 1, s - 1) distinct tuples of s nonnegative counts summing to
-    n are every composition once.  Two compositions of n that agree on all
-    but the last coordinate are equal, so distinctness is read off the
-    first s - 1 coordinates as one integer code each.
+    C(n + s - 1, s - 1) tuples of s nonnegative counts summing to n with
+    distinct :func:`_composition_codes` are every composition once.
     """
     count = math.comb(n + s - 1, s - 1)
     if len(comps) != count or set(map(len, comps)) != {s}:
         return None
     cols = _coordinates(comps)
-    totals, codes = cols[0], cols[0]
+    totals = cols[0]
     for col in cols[1:]:
         totals = list(map(operator.add, totals, col))
-    for col in cols[1:-1]:
-        codes = map(operator.add, map(operator.mul, codes, itertools.repeat(n + 1)), col)
-    if min(map(min, cols)) < 0 or totals.count(n) != count or len(set(codes)) != count:
+    if min(map(min, cols)) < 0 or totals.count(n) != count or len(set(_composition_codes(cols, n))) != count:
         return None
     return cols
+
+
+def _class_numerators(weights: Sequence[int], cols: list[list[int]], n: int) -> list[int]:
+    """prod_i w_i^k_i for every composition k of n in the coordinate columns ``cols``, in their order.
+
+    One exact unit-move carry: the start class (n, 0, ..., 0) has w_0^n, and
+    every other class k has its parent k + e_0 - e_j's numerator // w_0 * w_j,
+    j being k's first nonzero coordinate after the first.  Coordinates fill
+    from the last to the second: at coordinate j each class with k_1 = ... =
+    k_j = 0 roots a chain that moves its k_0 units to k_j one at a time.
+    """
+    s, radix, w0 = len(cols), n + 1, weights[0]
+    top = radix ** (s - 2) if s > 1 else 0  # a code's first digit is k_0
+    num_of = {n * top: w0**n}  # by composition code
+    move = lambda num, w: num // w0 * w  # noqa: E731
+    for j in range(s - 1, 0, -1):
+        # What moving one unit from the first coordinate to coordinate j takes off a code.
+        lift = top - (radix ** (s - 2 - j) if j < s - 1 else 0)
+        for code, num in list(num_of.items()):
+            chain = itertools.accumulate(itertools.repeat(weights[j], code // top), move, initial=num)
+            num_of.update(zip(range(code, -1, -lift), chain))
+    return list(map(num_of.__getitem__, _composition_codes(cols, n)))
 
 
 def _log_terms(log_masses: Sequence[float], n: int) -> list[list[float]]:
@@ -424,8 +454,7 @@ class _Multinomials(collections.abc.Sequence):
     c_{j+1} = c_j (m - j) / (j + 1), only as deep as the classes filled so
     far need; each class's coefficient is then read off its row in one
     C-level pass.  ``columns`` holds the compositions' coordinates, one
-    list per symbol; they are read from the tuples on the first fill
-    unless a caller that has them already sets them.
+    list per symbol, as the view's certificate reads them.
     """
 
     __slots__ = ("compositions", "columns", "_values", "_rows", "_depths")
@@ -469,8 +498,6 @@ class _Multinomials(collections.abc.Sequence):
         start = len(values)
         if stop <= start:
             return
-        if self.columns is None:
-            self.columns = _coordinates(self.compositions)
         cols = self.columns
         s, n = len(cols), sum(col[0] for col in cols)
         if s == 1:  # the one class (n,)
@@ -531,21 +558,20 @@ class ProductSourceView:
 
     The view's own ``multiplicities`` is a read-only sequence over its
     compositions that computes the multinomials only as far as a read
-    reaches.  An exact view reads it whole when it is built, since its
-    mass check multiplies every class's count; a float view's level
-    table shares it, and the prefix-mass profile fills it chunk by chunk,
-    so a sweep computes the multinomials of the levels it reads and no
-    more.  Iteration, ``type_classes``, a float view's upper-tail
+    reaches; the level table shares it and the prefix-mass profile fills
+    it chunk by chunk, so a sweep computes the multinomials of the levels
+    it reads.  Iteration, ``type_classes``, a float view's upper-tail
     spectrum quantile and the constructions read it whole.
 
-    The columns are checked when the view is built.  A ``multiplicities``
-    column other than the view's own sequence is compared with it in
-    full.  An exact view's counts must sum to s^n, its class masses to 1
-    exactly, and its numerators must descend.  A float view's compositions
-    must be exactly the C(n + s - 1, s - 1) compositions of n into the s
-    support symbols, each ``log_probs`` entry bitwise the walk's left
-    fold of k_i log(m_i), and the classes sorted most probable first; by
-    the multinomial theorem its counts then sum to s^n with no count read.
+    Both lanes run one certificate when the view is built, and neither
+    reads a count: the compositions must be exactly the C(n + s - 1, s - 1)
+    compositions of n into the s support symbols; the key column must be
+    exactly what they give, each ``log_probs`` entry bitwise the walk's
+    left fold of k_i log(m_i) on float views, each numerator
+    prod w_i^k_i over ``denominator`` = d^n on exact ones; and the keys
+    must descend.  By the multinomial theorem the class masses then sum
+    to 1.  A ``multiplicities`` column other than the view's own sequence
+    is compared with it in full.
     """
 
     base: FiniteDistribution
@@ -569,12 +595,17 @@ class ProductSourceView:
         n, s = self.n, len(support)
         if self.zero_mass_count != self.full_alphabet_size - s**n:
             raise BadParamError("zero-mass sequence count is inconsistent")
-        cols = None
-        if not self.exact:
-            cols = _composition_columns(comps, n, s)
-            if cols is None:
-                count = math.comb(n + s - 1, s - 1)
-                raise BadParamError(f"compositions are not the {count} compositions of {n} into {s} parts")
+        cols = _composition_columns(comps, n, s)
+        if cols is None:
+            count = math.comb(n + s - 1, s - 1)
+            raise BadParamError(f"compositions are not the {count} compositions of {n} into {s} parts")
+        if self.exact:
+            nums, (weights, d) = self.numerators, _numerators([m for _, m in support])
+            if nums is None or len(nums) != len(comps) or self.denominator != d**n:
+                raise BadParamError(f"an exact view needs its numerators over the common denominator {d}^{n}")
+            if list(nums) != _class_numerators(list(weights), cols, n):
+                raise BadParamError("class masses do not sum to 1: numerators are not prod w_i^k_i")
+        else:
             log_terms = _log_terms([_log_exact(m) for _, m in support], n)
             folded = array("d", _folded_logs(log_terms, cols))
             if folded.tobytes() != array("d", logs).tobytes():
@@ -583,34 +614,18 @@ class ProductSourceView:
                     f"class masses sum to other than 1: log_probs[{j}] is {logs[j]!r}, "
                     f"not the fold {folded[j]!r} of k_i log(m_i)"
                 )
+        keys = self._level_keys
+        bound = keys if self.exact else map(operator.add, logs, itertools.repeat(1e-15))
+        if any(map(operator.gt, keys[1:], bound)):
+            raise BadParamError("type classes not sorted by probability")
         if isinstance(mults, _Multinomials) and mults.compositions is comps:
             # The view's own sequence: its fills read the certified columns.
-            mults.columns = mults.columns or cols
+            mults.columns = cols
         else:
             own = _Multinomials(comps)
             own.columns = cols
             if tuple(mults) != tuple(own):
                 raise BadParamError("multiplicities are not the multinomials of the compositions")
-        if self.exact:
-            nums = self.numerators
-            if self.denominator is None or nums is None or len(nums) != len(mults):
-                raise BadParamError("an exact view needs its numerators and common denominator")
-            support_total = sum(mults)
-            if support_total != s**n:
-                raise BadParamError(f"multiplicities sum to {support_total}, expected {s**n}")
-            # Sum count * numerator with classes of equal multiplicity
-            # folded first: halves the big products of a binary view.
-            by_count: dict[int, int] = {}
-            for count, num in zip(mults, nums):
-                by_count[count] = by_count.get(count, 0) + num
-            if sum(count * num for count, num in by_count.items()) != self.denominator:
-                raise BadParamError("class masses do not sum to 1")
-            if any(b > a for a, b in zip(nums, nums[1:])):
-                raise BadParamError("type classes not sorted by probability")
-            return
-        raised = map(operator.add, logs, itertools.repeat(1e-15))
-        if any(map(operator.gt, logs[1:], raised)):
-            raise BadParamError("type classes not sorted by probability")
 
     @property
     def exact(self) -> bool:
@@ -721,8 +736,8 @@ def _class_probs(view: ProductSourceView) -> Sequence:
     if view.exact:
         return view.numerators
     weights, d = _numerators([Fraction(m) for m in view.base.masses if m > 0])
-    weights, den = list(weights), d**view.n
-    return [math.prod(map(pow, weights, comp)) / den for comp in view.compositions]
+    nums = _class_numerators(list(weights), _coordinates(view.compositions), view.n)
+    return list(map(operator.truediv, nums, itertools.repeat(d**view.n)))
 
 
 def _construction_levels(source: Union[FiniteDistribution, ProductSourceView]) -> Levels:
@@ -741,27 +756,23 @@ def _construction_levels(source: Union[FiniteDistribution, ProductSourceView]) -
 def _atom_levels(source: Union[FiniteDistribution, ProductSourceView]) -> list[int]:
     """Level index of every atom in label order; -1 marks a zero-mass atom.
 
-    A view's atoms are walked as composition codes, sum_i k_i (n+1)^i
-    over its support symbols, built by the same product loop that orders
-    the labels; a zero-mass symbol adds (n+1)^s, past every class code.
+    A view's atoms are walked as :func:`_composition_codes`, built by the
+    same product loop that orders the labels: each support symbol adds
+    its digit and the last adds 0; a zero-mass symbol adds (n+1)^(s-1),
+    past every class code.
     """
     if isinstance(source, FiniteDistribution):
         levels = source.levels
         keys = _numerators(source.masses)[0] if levels.exact else map(float, source.masses)
         index = {p: j for j, p in enumerate(levels.probs)}
         return [index[k] if k > 0 else -1 for k in keys]
-    radix = source.n + 1
-    zero_step = radix ** len(source.support_labels)
-    steps, s = [], 0
-    for m in source.base.masses:
-        steps.append(radix ** s if m > 0 else zero_step)
-        s += m > 0
-    code_level = {
-        sum(k * radix ** i for i, k in enumerate(comp)): j
-        for comp, j in zip(source.compositions, _group_of(_run_bounds(source._level_keys)))
-    }
+    n, s = source.n, len(source.support_labels)
+    digits = iter([(n + 1) ** (s - 2 - i) for i in range(s - 1)] + [0])
+    steps = [next(digits) if m > 0 else (n + 1) ** (s - 1) for m in source.base.masses]
+    classes = _composition_codes(_coordinates(source.compositions), n)
+    code_level = dict(zip(classes, _group_of(_run_bounds(source._level_keys))))
     codes = [0]
-    for _ in range(source.n):
+    for _ in range(n):
         codes = [c + st for c in codes for st in steps]
     return list(map(code_level.get, codes, itertools.repeat(-1)))
 
@@ -846,7 +857,7 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     lexicographic order, one row of classes per pass.  On an exact base
     with support masses w_i / d (d their least common denominator) a
     class of composition k has per-sequence numerator prod w_i^k_i over
-    d^n, carried from class to class along a row.
+    d^n, taken from :func:`_class_numerators` on the walk's columns.
     Classes are then sorted most probable first, ties in walk order.  The
     multinomials are not computed here: the view's ``multiplicities`` is
     a sequence over the sorted compositions that computes them as far as
@@ -874,24 +885,14 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     log_masses = [_log_exact(m) for m in support_masses]
     exact = base.exact
 
-    denominator = None
-    num = None
-    if exact:
-        weights, d = _numerators(support_masses)
-        weights = list(weights)
-        denominator = d ** n
-        num = weights[-1] ** n
-
     # k * log(m_i) for every count k, so that each class's log-probability
     # is the left fold sum(k_i * log(m_i)) with no multiplication left.
     log_terms = _log_terms(log_masses, n)
     comps: list[tuple[int, ...]] = []
     logs: list[float] = []
-    nums: list[int] = []
     if s == 1:  # a one-symbol support has the one class (n,)
         comps.append((n,))
         logs.append(sum(map(list.__getitem__, log_terms, (n,))))
-        nums.append(num)
     else:
         # The last two coordinates' log terms, the last one read from k = n down.
         left, last_down = log_terms[-2], log_terms[-1][::-1]
@@ -899,19 +900,13 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     while s > 1:
         # One row: the classes that share all but the last two coordinates,
         # from (..., 0, m) to (..., m, 0), each column filled by one pass.
-        # Its log-probabilities fold the shared coordinates once;
-        # numerators trade one unit at a time, (..., k, r) -> (..., k+1, r-1).
+        # Its log-probabilities fold the shared coordinates once.
         head = tuple(comp[:-2])
         m = comp[-1]
         lead = sum(map(list.__getitem__, log_terms, head))
         comps += map(head.__add__, zip(range(m + 1), range(m, -1, -1)))
         led = map(operator.add, itertools.repeat(lead), left[: m + 1])
         logs += map(operator.add, led, last_down[n - m :])
-        if exact:
-            nums.append(num)
-            for _ in range(m):
-                num = num // weights[-1] * weights[-2]
-                nums.append(num)
         comp[-2], comp[-1] = m, 0
         if comp[0] == n:  # (n, 0, ..., 0) is the last composition
             break
@@ -924,9 +919,12 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
         comp[i - 1] += 1
         comp[i] = 0
         comp[-1] = v - 1
-        if exact:
-            num = math.prod(w ** k for w, k in zip(weights, comp))
 
+    denominator = nums = None
+    if exact:
+        weights, d = _numerators(support_masses)
+        denominator = d**n
+        nums = _class_numerators(list(weights), _coordinates(comps), n)
     # One stable sort of the class indices, most probable first, ties in
     # walk order; every column is then read through it.
     order = sorted(range(len(comps)), key=(nums if exact else logs).__getitem__, reverse=True)

@@ -153,8 +153,8 @@ class _Profile:
     ``cum_exp`` of the latter, each added in the order a level-by-level
     scan adds them.
 
-    Levels are added in chunks, only when a query needs them.  On a float
-    view whose levels are its classes, ``counts`` is the view's own
+    Levels are added in chunks, only when a query needs them.  On a view
+    of either lane whose levels are its classes, ``counts`` is the view's own
     multiplicity sequence, and slicing a chunk of it computes that
     chunk's exact multinomials: the profile's depth bounds what a sweep
     fills.  The profile keeps the table's columns, never the table: the

@@ -80,6 +80,11 @@ def test_float_class_probs_on_joined_and_subnormal_bases(masses, n):
     _check_view(view)
 
 
+def test_float_binary_class_probs_at_n_256():
+    # Past MAX_N: every class numerator is 256 unit moves or fewer from w_0^256.
+    _check_view(iid_power(make_distribution([0.89, 0.11]), 256))
+
+
 exact_weight = st.one_of(
     st.integers(min_value=0, max_value=50),
     st.fractions(min_value=0, max_value=5, max_denominator=60),

@@ -324,6 +324,28 @@ def test_exact_view_rejects_a_changed_numerator():
         dataclasses.replace(view, numerators=tuple(nums))
 
 
+def test_exact_view_rejects_a_numerator_trade_between_classes_of_equal_count():
+    view = iid_power(bernoulli(0.3), 8)
+    nums = list(view.numerators)
+    first, last = view.compositions.index((8, 0)), view.compositions.index((0, 8))
+    assert view.multiplicities[first] == view.multiplicities[last] == 1
+    # One unit from (0, 8) to (8, 0): the total mass and the order stay.
+    nums[first] += 1
+    nums[last] -= 1
+    assert nums == sorted(nums, reverse=True) and sum(nums) == sum(view.numerators)
+    with pytest.raises(BadParamError, match="class masses do not sum to 1"):
+        dataclasses.replace(view, numerators=tuple(nums))
+
+
+def test_exact_view_rejects_a_denominator_other_than_d_to_the_n():
+    view = iid_power(bernoulli(0.3), 8)
+    assert view.denominator == 10**8
+    # Twice the numerators over twice the denominator are the same masses.
+    doubled = tuple(2 * num for num in view.numerators)
+    with pytest.raises(BadParamError, match="denominator"):
+        dataclasses.replace(view, numerators=doubled, denominator=2 * view.denominator)
+
+
 @pytest.mark.parametrize("base", [bernoulli(0.3), make_distribution([0.7, 0.3])], ids=["exact", "float"])
 def test_view_rejects_two_swapped_classes(base):
     view = iid_power(base, 8)

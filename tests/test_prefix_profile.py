@@ -131,6 +131,23 @@ def test_a_sweep_fills_only_the_multiplicities_it_reads():
         assert filled[i] == math.comb(n, view.compositions[i][1])
 
 
+def test_an_exact_sweep_fills_only_the_multiplicities_it_reads():
+    # The exact view's certificate reads no count, so the build fills
+    # none; the sweep then fills only as deep as its profile reads.
+    n = 8192
+    view = iid_power(bernoulli(Fraction(11, 100)), n)
+    assert view.multiplicities._values == []
+    deltas = [Fraction(1, 4) + Fraction(1, 2**k) for k in (3, 4, 5)]
+    _smooth_values(view, "max", deltas)
+    _smooth_values(view, "min", deltas)
+    depth = len(_profile(view.levels).cum) - 1
+    filled = view.multiplicities._values
+    assert view.levels.counts is view.multiplicities
+    assert 0 < len(filled) <= depth < len(view.compositions) // 2
+    for i in (0, len(filled) - 1):
+        assert filled[i] == math.comb(n, view.compositions[i][1])
+
+
 # Metamorphic checks on both lanes.  Float three-symbol views are left
 # out of the label permutation: a view sums its per-symbol log terms in
 # label order, so a permuted base may round a level differently.  Two

@@ -83,6 +83,14 @@ def test_smooth_entropies_lie_in_the_second_order_band(weights, ns):
             assert abs((h_max + h_min) / 2 - n * h) <= bound, (n, delta, h_max, h_min)
 
 
+@pytest.mark.parametrize("n", [4096, 8192])
+def test_the_exact_binary_band_holds_past_2048(n):
+    # An exact view is checked by one numerator carry, with no product per
+    # class, so the exact binary ladder reaches n = 8192.
+    weights, _ = CASES[2]
+    test_smooth_entropies_lie_in_the_second_order_band(weights, [n])
+
+
 @pytest.mark.parametrize("weights,ns", CASES[:2], ids=["float2", "float3"])
 def test_second_order_column_at_the_entropy_rate(weights, ns):
     # Half-variational inverts to 1 − D, so the rung D + ν = δ smooths at δ.
