@@ -12,20 +12,24 @@ Two source representations are used everywhere in this package:
 
 A view's type classes (the method of types) come from one iterative
 walk over the compositions of n, a row of classes at a time: each row
-fixes all but the last two coordinates, and its compositions and
-log-probabilities are each filled by one C-level ``map``/``zip`` pass.
-The view keeps them as parallel columns (compositions,
-log-probabilities, multiplicities and, on exact bases, numerators)
-rather than one object per class; ``type_classes`` builds
-:class:`TypeClass` objects from the columns on first read.  The
-multiplicities are filled on demand: a read-only sequence over the
-sorted compositions computes the exact multinomials only as far as a
-read reaches, and the level table shares it, so a sweep computes the
-counts of the levels it reads.  Both lanes certify their columns when
-built, with no tolerance and no count read: the compositions are
-every composition of n once, the key column (the walk's log fold, or
-the numerators of :func:`_class_numerators`) is exactly recomputed from
-them and it is sorted; by the multinomial theorem the masses sum to 1.
+fixes all but the last two coordinates, and its coordinates and
+log-probabilities are each appended by one C-level pass.  The view
+keeps its classes as parallel columns (compositions, log-probabilities,
+multiplicities and, on exact bases, numerators) rather than one object
+per class.  Its compositions are held as s coordinate columns, one per
+support symbol (:class:`_Compositions`): the walk writes them, and the
+certificate, the multiplicities and the class readers read them where
+they are; the composition tuples are built only when a reader asks for
+an entry, and ``type_classes`` builds :class:`TypeClass` objects from
+the columns on first read.  The multiplicities are filled on demand: a
+read-only sequence over the same coordinate columns computes the exact
+multinomials only as far as a read reaches, and the level table shares
+it, so a sweep computes the counts of the levels it reads.  Both lanes
+certify their columns when built, with no tolerance and no count read:
+the coordinate columns hold every composition of n once, the key column
+(the walk's log fold, or the numerators of :func:`_class_numerators`)
+is exactly recomputed from them and it is sorted; by the multinomial
+theorem the masses sum to 1.
 Exact masses are read as integers in one place, :func:`_numerators`:
 numerators over the least common denominator of the masses.  The
 normalisation of exact weights, a distribution's sum check and level
@@ -74,6 +78,8 @@ Number = Union[int, float, Fraction]
 _MAX_ATOMS = 1 << 20
 _MAX_BITS = 1 << 20
 _MAX_CLASSES = 5_000_000
+# Every integer below 2^53 converts to a float exactly.
+_EXACT_FLOAT_INTS = 1 << 53
 
 __all__ = [
     "FiniteDistribution",
@@ -349,18 +355,24 @@ def _float_masses(probs, counts, logs) -> tuple[list[float], list[float], list[f
     """
     log_counts = list(map(math.log, counts))
     exps = list(map(math.exp, map(operator.add, logs, log_counts)))
-    masses = [p * c if p > 0.0 and c < (1 << 53) else e for p, c, e in zip(probs, counts, exps)]
+    masses = [p * c if p > 0.0 and c < _EXACT_FLOAT_INTS else e for p, c, e in zip(probs, counts, exps)]
     return masses, log_counts, exps
 
 
 def _coordinates(comps: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """The coordinates of equal-length tuples, one list per position, read in one pass."""
-    s = len(comps[0])
+    """The coordinates of equal-length tuples, one list per position, read in one pass.
+
+    Tuples of unequal length have no coordinate columns: the result is empty.
+    """
+    lengths = set(map(len, comps))
+    if len(lengths) != 1:
+        return []
+    s = lengths.pop()
     flat = list(itertools.chain.from_iterable(comps))
     return [flat[i::s] for i in range(s)]
 
 
-def _composition_codes(cols: list[list[int]], n: int) -> Iterable[int]:
+def _composition_codes(cols: Sequence[Sequence[int]], n: int) -> Iterable[int]:
     """Each composition's code, lazily: its first s - 1 coordinates as base n + 1 digits.
 
     The first coordinate is the most significant digit.  The last is n less
@@ -373,25 +385,26 @@ def _composition_codes(cols: list[list[int]], n: int) -> Iterable[int]:
     return codes
 
 
-def _composition_columns(comps: Sequence[tuple[int, ...]], n: int, s: int) -> Optional[list[list[int]]]:
-    """The s coordinate columns of ``comps``, or None unless they are exactly the compositions of n.
+def _are_compositions(cols: Sequence[Sequence[int]], n: int, s: int) -> bool:
+    """Whether the coordinate columns ``cols`` hold exactly the compositions of n into s parts.
 
-    C(n + s - 1, s - 1) tuples of s nonnegative counts summing to n with
-    distinct :func:`_composition_codes` are every composition once.
+    s columns of C(n + s - 1, s - 1) nonnegative counts, each class summing
+    to n, with distinct :func:`_composition_codes` are every composition once.
     """
     count = math.comb(n + s - 1, s - 1)
-    if len(comps) != count or set(map(len, comps)) != {s}:
-        return None
-    cols = _coordinates(comps)
+    if len(cols) != s or any(len(col) != count for col in cols):
+        return False
     totals = cols[0]
     for col in cols[1:]:
         totals = list(map(operator.add, totals, col))
-    if min(map(min, cols)) < 0 or totals.count(n) != count or len(set(_composition_codes(cols, n))) != count:
-        return None
-    return cols
+    return (
+        min(map(min, cols)) >= 0
+        and totals.count(n) == count
+        and len(set(_composition_codes(cols, n))) == count
+    )
 
 
-def _class_numerators(weights: Sequence[int], cols: list[list[int]], n: int) -> list[int]:
+def _class_numerators(weights: Sequence[int], cols: Sequence[Sequence[int]], n: int) -> list[int]:
     """prod_i w_i^k_i for every composition k of n in the coordinate columns ``cols``, in their order.
 
     One exact unit-move carry: the start class (n, 0, ..., 0) has w_0^n, and
@@ -418,7 +431,7 @@ def _log_terms(log_masses: Sequence[float], n: int) -> list[list[float]]:
     return [list(map(lm.__mul__, range(n + 1))) for lm in log_masses]
 
 
-def _folded_logs(log_terms: list[list[float]], cols: list[list[int]]) -> Iterable[float]:
+def _folded_logs(log_terms: list[list[float]], cols: Sequence[Sequence[int]]) -> Iterable[float]:
     """Each class's sum of k_i log(m_i), added as the walk of :func:`iid_power` adds it.
 
     ``cols`` holds the classes' coordinates, one list per support symbol.
@@ -441,33 +454,79 @@ def _folded_logs(log_terms: list[list[float]], cols: list[list[int]]) -> Iterabl
     return folded
 
 
-class _Multinomials(collections.abc.Sequence):
-    """The multinomial coefficient of every composition in a column, filled on demand.
+class _TupleColumn(collections.abc.Sequence):
+    """A read-only column that compares, hashes and prints as the tuple of its entries."""
 
-    A read-only sequence aligned with ``compositions``.  A read computes
-    every position before the furthest one it reaches, and nothing after
-    it.  The classes that share a head (all but the last two coordinates)
-    form a row, indexed by the last coordinate j: the coefficient of
-    (head, m - j, j) is the head's multinomial n! / (prod(head!) m!) times
-    C(m, j).  A row starts from the head's multinomial at both ends and
-    is extended towards its middle by the exact recurrence
-    c_{j+1} = c_j (m - j) / (j + 1), only as deep as the classes filled so
-    far need; each class's coefficient is then read off its row in one
-    C-level pass.  ``columns`` holds the compositions' coordinates, one
-    list per symbol, as the view's certificate reads them.
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (_TupleColumn, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class _Compositions(_TupleColumn):
+    """Every class's composition, held as its s coordinate columns.
+
+    ``columns`` holds one column of counts per support symbol, the storage
+    the walk of :func:`iid_power` writes and the view's certificate, the
+    multiplicities and the class readers read.  The composition tuples
+    themselves are built once, on the first read of an entry.
     """
 
-    __slots__ = ("compositions", "columns", "_values", "_rows", "_depths")
+    __slots__ = ("columns", "_tuples")
 
-    def __init__(self, compositions: Sequence[tuple[int, ...]]) -> None:
-        self.compositions = compositions
-        self.columns: Optional[list[list[int]]] = None
+    def __init__(self, columns: Sequence[Sequence[int]]) -> None:
+        self.columns = columns
+        self._tuples: Optional[tuple[tuple[int, ...], ...]] = None
+
+    def _built(self) -> tuple[tuple[int, ...], ...]:
+        if self._tuples is None:
+            self._tuples = tuple(zip(*self.columns))
+        return self._tuples
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, key):
+        return self._built()[key]
+
+    def __iter__(self):
+        return iter(self._built())
+
+
+class _Multinomials(_TupleColumn):
+    """The multinomial coefficient of every composition in a column, filled on demand.
+
+    A read-only sequence over the coordinate ``columns`` of a view's
+    :class:`_Compositions`, one per symbol, aligned with them.  A
+    read computes every position before the furthest one it reaches, and
+    nothing after it.  The classes that share a head (all but the last
+    two coordinates) form a row, indexed by the last coordinate j: the
+    coefficient of (head, m - j, j) is the head's multinomial
+    n! / (prod(head!) m!) times C(m, j).  A row starts from the head's
+    multinomial at both ends and is extended towards its middle by the
+    exact recurrence c_{j+1} = c_j (m - j) / (j + 1), only as deep as the
+    classes filled so far need; each class's coefficient is then read
+    off its row in one C-level pass.
+    """
+
+    __slots__ = ("columns", "_values", "_rows", "_depths")
+
+    def __init__(self, columns: Sequence[Sequence[int]]) -> None:
+        self.columns = columns
         self._values: list[int] = []
         self._rows: dict = {}  # head -> its row, None where not yet needed
         self._depths: dict = {}  # head -> how many entries of each end are filled
 
     def __len__(self) -> int:
-        return len(self.compositions)
+        return len(self.columns[0])
 
     def __getitem__(self, key):
         span = range(len(self))[key]
@@ -481,17 +540,6 @@ class _Multinomials(collections.abc.Sequence):
     def __iter__(self):
         self._fill(len(self))
         return iter(self._values)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (_Multinomials, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
     def _fill(self, stop: int) -> None:
         values = self._values
@@ -553,31 +601,39 @@ class ProductSourceView:
     probability), ``multiplicities`` (exact multinomial coefficients)
     and, on exact views, ``numerators``, each sequence's probability
     times the common ``denominator`` d^n.  Both are None on float views.
-    ``type_classes`` builds one :class:`TypeClass` per class from the
-    columns on first read; nothing in the library reads it.
+    ``compositions`` is a read-only sequence over s coordinate columns,
+    one per support symbol (its ``columns``): the walk writes them, and
+    the certificate, the multiplicities and the class readers read them
+    where they are.  It builds the composition tuples on the first read
+    of an entry; no library path reads one.  ``type_classes`` builds one
+    :class:`TypeClass` per class from the columns on first read; nothing
+    in the library reads it.
 
-    The view's own ``multiplicities`` is a read-only sequence over its
-    compositions that computes the multinomials only as far as a read
-    reaches; the level table shares it and the prefix-mass profile fills
-    it chunk by chunk, so a sweep computes the multinomials of the levels
-    it reads.  Iteration, ``type_classes``, a float view's upper-tail
-    spectrum quantile and the constructions read it whole.
+    The view's own ``multiplicities`` is a read-only sequence over the
+    same coordinate columns that computes the multinomials only as far as
+    a read reaches; the level table shares it and the prefix-mass profile
+    fills it chunk by chunk, so a sweep computes the multinomials of the
+    levels it reads.  Iteration, ``type_classes``, a float view's
+    upper-tail spectrum quantile and the constructions read it whole.
 
     Both lanes run one certificate when the view is built, and neither
-    reads a count: the compositions must be exactly the C(n + s - 1, s - 1)
-    compositions of n into the s support symbols; the key column must be
-    exactly what they give, each ``log_probs`` entry bitwise the walk's
-    left fold of k_i log(m_i) on float views, each numerator
-    prod w_i^k_i over ``denominator`` = d^n on exact ones; and the keys
-    must descend.  By the multinomial theorem the class masses then sum
-    to 1.  A ``multiplicities`` column other than the view's own sequence
-    is compared with it in full.
+    reads a count: the coordinate columns must hold exactly the
+    C(n + s - 1, s - 1) compositions of n into the s support symbols; the
+    key column must be exactly what they give, each ``log_probs`` entry
+    bitwise the walk's left fold of k_i log(m_i) on float views, each
+    numerator prod w_i^k_i over ``denominator`` = d^n on exact ones; and
+    the keys must descend.  By the multinomial theorem the class masses
+    then sum to 1.  Compositions given as a plain tuple column, as
+    :func:`dataclasses.replace` passes them, are read into coordinate
+    columns once and certified the same way.  A ``multiplicities`` column
+    other than the view's own sequence over these columns is compared
+    with it in full.
     """
 
     base: FiniteDistribution
     n: int
     support_labels: tuple
-    compositions: tuple[tuple[int, ...], ...]
+    compositions: Sequence[tuple[int, ...]]
     log_probs: tuple[float, ...]
     multiplicities: Sequence[int]
     full_alphabet_size: int
@@ -587,18 +643,21 @@ class ProductSourceView:
 
     def __post_init__(self) -> None:
         comps, logs, mults = self.compositions, self.log_probs, self.multiplicities
-        if not len(comps) == len(logs) == len(mults):
-            raise BadParamError("type-class columns differ in length")
         support = [(lab, m) for lab, m in self.base.atoms if m > 0]
         if self.support_labels != tuple(lab for lab, _ in support):
             raise BadParamError("support labels are not the base's positive-mass labels")
         n, s = self.n, len(support)
         if self.zero_mass_count != self.full_alphabet_size - s**n:
             raise BadParamError("zero-mass sequence count is inconsistent")
-        cols = _composition_columns(comps, n, s)
-        if cols is None:
+        if not isinstance(comps, _Compositions):
+            comps = _Compositions(_coordinates(comps))
+            object.__setattr__(self, "compositions", comps)
+        cols = comps.columns
+        if not _are_compositions(cols, n, s):
             count = math.comb(n + s - 1, s - 1)
             raise BadParamError(f"compositions are not the {count} compositions of {n} into {s} parts")
+        if not len(comps) == len(logs) == len(mults):
+            raise BadParamError("type-class columns differ in length")
         if self.exact:
             nums, (weights, d) = self.numerators, _numerators([m for _, m in support])
             if nums is None or len(nums) != len(comps) or self.denominator != d**n:
@@ -618,14 +677,10 @@ class ProductSourceView:
         bound = keys if self.exact else map(operator.add, logs, itertools.repeat(1e-15))
         if any(map(operator.gt, keys[1:], bound)):
             raise BadParamError("type classes not sorted by probability")
-        if isinstance(mults, _Multinomials) and mults.compositions is comps:
-            # The view's own sequence: its fills read the certified columns.
-            mults.columns = cols
-        else:
-            own = _Multinomials(comps)
-            own.columns = cols
-            if tuple(mults) != tuple(own):
-                raise BadParamError("multiplicities are not the multinomials of the compositions")
+        # The view's own sequence fills from the columns just certified.
+        own = isinstance(mults, _Multinomials) and mults.columns is cols
+        if not own and tuple(mults) != tuple(_Multinomials(cols)):
+            raise BadParamError("multiplicities are not the multinomials of the compositions")
 
     @property
     def exact(self) -> bool:
@@ -736,7 +791,7 @@ def _class_probs(view: ProductSourceView) -> Sequence:
     if view.exact:
         return view.numerators
     weights, d = _numerators([Fraction(m) for m in view.base.masses if m > 0])
-    nums = _class_numerators(list(weights), _coordinates(view.compositions), view.n)
+    nums = _class_numerators(list(weights), view.compositions.columns, view.n)
     return list(map(operator.truediv, nums, itertools.repeat(d**view.n)))
 
 
@@ -769,7 +824,7 @@ def _atom_levels(source: Union[FiniteDistribution, ProductSourceView]) -> list[i
     n, s = source.n, len(source.support_labels)
     digits = iter([(n + 1) ** (s - 2 - i) for i in range(s - 1)] + [0])
     steps = [next(digits) if m > 0 else (n + 1) ** (s - 1) for m in source.base.masses]
-    classes = _composition_codes(_coordinates(source.compositions), n)
+    classes = _composition_codes(source.compositions.columns, n)
     code_level = dict(zip(classes, _group_of(_run_bounds(source._level_keys))))
     codes = [0]
     for _ in range(n):
@@ -798,7 +853,7 @@ def _bin_weights(source: Union[FiniteDistribution, ProductSourceView], bins: Seq
     else:
         n, symbols, alphabet = source.n, source.support_labels, set(source.base.labels)
         # A key found here is a length-n sequence of support symbols.
-        table = {(n, *comp): w for comp, w in zip(source.compositions, _class_probs(source))}
+        table = dict(zip(zip(itertools.repeat(n), *source.compositions.columns), _class_probs(source)))
         counters = [operator.methodcaller("count", symbol) for symbol in symbols]
         keys = zip(map(len, flat), *(map(count, flat) for count in counters))
 
@@ -854,14 +909,15 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     """Build the type-class view of base^n.
 
     One walk visits the compositions of n over the s support symbols in
-    lexicographic order, one row of classes per pass.  On an exact base
-    with support masses w_i / d (d their least common denominator) a
-    class of composition k has per-sequence numerator prod w_i^k_i over
-    d^n, taken from :func:`_class_numerators` on the walk's columns.
-    Classes are then sorted most probable first, ties in walk order.  The
-    multinomials are not computed here: the view's ``multiplicities`` is
-    a sequence over the sorted compositions that computes them as far as
-    a read reaches.
+    lexicographic order, one row of classes per pass, and appends their
+    coordinates to s columns, one per symbol.  On an exact base with
+    support masses w_i / d (d their least common denominator) a class of
+    composition k has per-sequence numerator prod w_i^k_i over d^n, taken
+    from :func:`_class_numerators` on the walk's columns.  Classes are
+    then sorted most probable first, ties in walk order, and every column
+    is gathered through that order.  The multinomials are not computed
+    here: the view's ``multiplicities`` is a sequence over the sorted
+    coordinate columns that computes them as far as a read reaches.
     Guards: the sequence-count width n*log2(|base|) must stay within
     2^20 bits and the composition count within 5 000 000.
     """
@@ -888,10 +944,10 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     # k * log(m_i) for every count k, so that each class's log-probability
     # is the left fold sum(k_i * log(m_i)) with no multiplication left.
     log_terms = _log_terms(log_masses, n)
-    comps: list[tuple[int, ...]] = []
+    cols: list[list[int]] = [[] for _ in range(s)]  # one coordinate column per symbol
     logs: list[float] = []
     if s == 1:  # a one-symbol support has the one class (n,)
-        comps.append((n,))
+        cols[0].append(n)
         logs.append(sum(map(list.__getitem__, log_terms, (n,))))
     else:
         # The last two coordinates' log terms, the last one read from k = n down.
@@ -901,10 +957,13 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
         # One row: the classes that share all but the last two coordinates,
         # from (..., 0, m) to (..., m, 0), each column filled by one pass.
         # Its log-probabilities fold the shared coordinates once.
-        head = tuple(comp[:-2])
+        head = comp[:-2]
         m = comp[-1]
         lead = sum(map(list.__getitem__, log_terms, head))
-        comps += map(head.__add__, zip(range(m + 1), range(m, -1, -1)))
+        for col, k in zip(cols, head):
+            col += itertools.repeat(k, m + 1)
+        cols[-2] += range(m + 1)
+        cols[-1] += range(m, -1, -1)
         led = map(operator.add, itertools.repeat(lead), left[: m + 1])
         logs += map(operator.add, led, last_down[n - m :])
         comp[-2], comp[-1] = m, 0
@@ -924,20 +983,21 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     if exact:
         weights, d = _numerators(support_masses)
         denominator = d**n
-        nums = _class_numerators(list(weights), _coordinates(comps), n)
+        nums = _class_numerators(list(weights), cols, n)
     # One stable sort of the class indices, most probable first, ties in
     # walk order; every column is then read through it.
-    order = sorted(range(len(comps)), key=(nums if exact else logs).__getitem__, reverse=True)
-    column = lambda values: tuple(map(values.__getitem__, order))  # noqa: E731
-    compositions = column(comps)
+    order = sorted(range(len(logs)), key=(nums if exact else logs).__getitem__, reverse=True)
+    # An itemgetter of one index returns the entry, not a 1-tuple; one class needs no gather.
+    column = operator.itemgetter(*order) if len(order) > 1 else tuple
+    cols = list(map(column, cols))
     full = base.size ** n
     return ProductSourceView(
         base=base,
         n=n,
         support_labels=support_labels,
-        compositions=compositions,
+        compositions=_Compositions(cols),
         log_probs=column(logs),
-        multiplicities=_Multinomials(compositions),
+        multiplicities=_Multinomials(cols),
         full_alphabet_size=full,
         zero_mass_count=full - s ** n,
         numerators=column(nums) if exact else None,

@@ -10,6 +10,7 @@ the masses, of the same type, that the frozen normalisation gives.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from oracle_class_probs import class_weights, construction_probs, normalise
 from smoothgen import FiniteDistribution, iid_power, make_distribution
-from smoothgen.distributions import _bin_weights, _construction_levels
+from smoothgen.distributions import _atom_levels, _bin_weights, _class_probs, _construction_levels
 
 # The largest n per support size: binary to 40, ternary to 14, four symbols to 8.
 MAX_N = {2: 40, 3: 14, 4: 8}
@@ -103,3 +104,14 @@ def test_make_distribution_matches_the_frozen_normalisation(weights):
     expected = normalise(weights)
     assert masses == expected
     assert list(map(type, masses)) == list(map(type, expected))
+
+
+def test_class_readers_leave_the_composition_tuples_unbuilt():
+    # They read the view's coordinate columns, a zero-mass symbol included.
+    view = iid_power(make_distribution([0.5, 0.0, 0.3, 0.2]), 5)
+    labels = list(itertools.product(view.base.labels, repeat=view.n))
+    weights = _bin_weights(view, [labels[::2], labels[1::2]])
+    assert len(_class_probs(view)) == len(_construction_levels(view).probs) == 21
+    assert len(_atom_levels(view)) == len(labels) == 4**5
+    assert 0 < weights[0] < 1 and 0 < weights[1] < 1
+    assert view.compositions._tuples is None

@@ -360,6 +360,66 @@ def test_view_rejects_two_swapped_classes(base):
         dataclasses.replace(view, **{name: swapped(getattr(view, name)) for name in names})
 
 
+COLUMN_BASES = [
+    bernoulli(0.3),
+    make_distribution([0.7, 0.3]),
+    make_distribution([Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)]),
+    make_distribution([0.5, 0.3, 0.2]),
+]
+COLUMN_IDS = ["exact2", "float2", "exact3", "float3"]
+
+
+def _duplicated(cols):
+    # The second class takes the first one's coordinates, which sum to n.
+    for col in cols:
+        col[1] = col[0]
+    return cols
+
+
+def _unbalanced(cols):
+    # The first class gains a unit in its first coordinate and loses one in
+    # its last, which goes to -1 where it was 0: the sum stays n.
+    j = next(j for j in range(len(cols[0])) if cols[-1][j] == 0)
+    cols[0][j] += 1
+    cols[-1][j] -= 1
+    return cols
+
+
+@pytest.mark.parametrize("base", COLUMN_BASES, ids=COLUMN_IDS)
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _duplicated,
+        _unbalanced,
+        lambda cols: cols[:-1] + [cols[-1][:-1]],  # the last column one entry short
+        lambda cols: cols[:-1],
+    ],
+    ids=["duplicated", "unbalanced", "unequal-lengths", "s-1-columns"],
+)
+def test_view_rejects_coordinate_columns_that_are_not_the_compositions(base, tamper):
+    view = iid_power(base, 8)
+    cols = tamper([list(col) for col in view.compositions.columns])
+    s = len(view.support_labels)
+    message = f"compositions are not the {math.comb(8 + s - 1, s - 1)} compositions of 8 into {s} parts"
+    with pytest.raises(BadParamError, match=message):
+        dataclasses.replace(view, compositions=distributions._Compositions(cols))
+
+
+@pytest.mark.parametrize("base", COLUMN_BASES, ids=COLUMN_IDS)
+def test_compositions_read_as_a_tuple_column(base):
+    view = iid_power(base, 8)
+    comps = view.compositions
+    plain = tuple(zip(*comps.columns))
+    assert comps == plain and plain == comps and hash(comps) == hash(plain)
+    assert len(comps) == len(plain) and list(comps) == list(plain)
+    assert comps[3] == plain[3] and comps[-2:] == plain[-2:]
+    assert comps.index(plain[5]) == 5
+    # A tuple column is read into coordinate columns and certified as they are.
+    replaced = dataclasses.replace(view, compositions=plain)
+    assert replaced == view and hash(replaced) == hash(view)
+    assert replaced.compositions.columns == [list(col) for col in view.compositions.columns]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 1 << 70)), min_size=1, max_size=30))
 def test_runs_are_maximal_and_partition_the_positions(rows):

@@ -148,6 +148,25 @@ def test_an_exact_sweep_fills_only_the_multiplicities_it_reads():
         assert filled[i] == math.comb(n, view.compositions[i][1])
 
 
+@pytest.mark.parametrize(
+    "base,n,deltas",
+    [
+        (BINARY, 65536, [0.25 + nu for nu in (0.125, 0.0625, 0.03125)]),
+        (TERNARY, 192, [0.25 + nu for nu in (0.125, 0.0625, 0.03125)]),
+        (bernoulli(Fraction(11, 100)), 8192, [Fraction(1, 4) + Fraction(1, 2**k) for k in (3, 4, 5)]),
+    ],
+    ids=["float-binary-65536", "float-ternary-192", "exact-binary-8192"],
+)
+def test_a_sweep_leaves_the_composition_tuples_unbuilt(base, n, deltas):
+    # The certificate, the multiplicities and the profile read the view's
+    # coordinate columns; nothing in a sweep asks for a composition tuple.
+    view = iid_power(base, n)
+    _smooth_values(view, "max", deltas)
+    _smooth_values(view, "min", deltas)
+    assert len(view.multiplicities._values) > 0
+    assert view.compositions._tuples is None
+
+
 # Metamorphic checks on both lanes.  Float three-symbol views are left
 # out of the label permutation: a view sums its per-symbol log terms in
 # label order, so a permuted base may round a level differently.  Two
