@@ -12,24 +12,27 @@ Two source representations are used everywhere in this package:
 
 A view's type classes (the method of types) come from one iterative
 walk over the compositions of n, a row of classes at a time: each row
-fixes all but the last two coordinates, and its coordinates and
-log-probabilities are each appended by one C-level pass.  The view
-keeps its classes as parallel columns (compositions, log-probabilities,
-multiplicities and, on exact bases, numerators) rather than one object
-per class.  Its compositions are held as s coordinate columns, one per
-support symbol (:class:`_Compositions`): the walk writes them, and the
-certificate, the multiplicities and the class readers read them where
-they are; the composition tuples are built only when a reader asks for
-an entry, and ``type_classes`` builds :class:`TypeClass` objects from
-the columns on first read.  The multiplicities are filled on demand: a
-read-only sequence over the same coordinate columns computes the exact
-multinomials only as far as a read reaches, and the level table shares
-it, so a sweep computes the counts of the levels it reads.  Both lanes
-certify their columns when built, with no tolerance and no count read:
-the coordinate columns hold every composition of n once, the key column
-(the walk's log fold, or the numerators of :func:`_class_numerators`)
-is exactly recomputed from them and it is sorted; by the multinomial
-theorem the masses sum to 1.
+fixes all but the last two coordinates, and its coordinates are
+appended by one C-level pass per symbol.  A view is its base, n and
+compositions; it keeps its classes as parallel columns rather than one
+object per class, and derives every column other than the compositions
+from them once, when it is built: log-probabilities, multiplicities and,
+on exact bases, numerators.  Its compositions are held as s coordinate
+columns, one per support symbol (:class:`_Compositions`): the walk
+writes them, and the certificate, the derived columns and the class
+readers read them where they are; the composition tuples are built only
+when a reader asks for an entry, and ``type_classes`` builds
+:class:`TypeClass` objects from the columns on first read.  The
+multiplicities are filled on demand: a read-only sequence over the same
+coordinate columns computes the exact multinomials only as far as a
+read reaches, and the level table shares it, so a sweep computes the
+counts of the levels it reads.  The key column the classes descend by
+(the numerators of :func:`_class_numerators`, or the log fold of
+:func:`_class_logs`) comes from one routine, :func:`_class_keys`, for
+both the sort in :func:`iid_power` and the view.  Both lanes certify a
+view when it is built, with no tolerance and no count read: the
+coordinate columns hold every composition of n once, as ints, and the
+key column is sorted; by the multinomial theorem the masses sum to 1.
 Exact masses are read as integers in one place, :func:`_numerators`:
 numerators over the least common denominator of the masses.  The
 normalisation of exact weights, a distribution's sum check and level
@@ -56,7 +59,6 @@ import itertools
 import json
 import math
 import operator
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -388,11 +390,14 @@ def _composition_codes(cols: Sequence[Sequence[int]], n: int) -> Iterable[int]:
 def _are_compositions(cols: Sequence[Sequence[int]], n: int, s: int) -> bool:
     """Whether the coordinate columns ``cols`` hold exactly the compositions of n into s parts.
 
-    s columns of C(n + s - 1, s - 1) nonnegative counts, each class summing
-    to n, with distinct :func:`_composition_codes` are every composition once.
+    s columns of C(n + s - 1, s - 1) nonnegative ``int`` counts, each class
+    summing to n, with distinct :func:`_composition_codes` are every
+    composition once.
     """
     count = math.comb(n + s - 1, s - 1)
     if len(cols) != s or any(len(col) != count for col in cols):
+        return False
+    if any(set(map(type, col)) != {int} for col in cols):
         return False
     totals = cols[0]
     for col in cols[1:]:
@@ -426,19 +431,16 @@ def _class_numerators(weights: Sequence[int], cols: Sequence[Sequence[int]], n: 
     return list(map(num_of.__getitem__, _composition_codes(cols, n)))
 
 
-def _log_terms(log_masses: Sequence[float], n: int) -> list[list[float]]:
-    """k * log(m_i) for every count k <= n, one list per support symbol."""
-    return [list(map(lm.__mul__, range(n + 1))) for lm in log_masses]
+def _class_logs(masses: Sequence[Number], cols: Sequence[Sequence[int]], n: int) -> tuple[float, ...]:
+    """Each class's natural-log probability, the sum of k_i log(m_i), in the order of ``cols``.
 
-
-def _folded_logs(log_terms: list[list[float]], cols: Sequence[Sequence[int]]) -> Iterable[float]:
-    """Each class's sum of k_i log(m_i), added as the walk of :func:`iid_power` adds it.
-
-    ``cols`` holds the classes' coordinates, one list per support symbol.
-    The walk sums the terms of all but the last two coordinates (the
-    head) with ``sum``, from 0, then adds the second-to-last and the last
-    term in turn.
+    ``masses`` are the support masses and ``cols`` the classes'
+    coordinates, one column per support symbol.  The terms k log(m_i) are
+    tabled for every count k <= n.  A class sums the terms of all but its
+    last two coordinates (its head) with ``sum``, from 0, once per distinct
+    head, then adds the second-to-last and the last term in turn.
     """
+    log_terms = [list(map(_log_exact(m).__mul__, range(n + 1))) for m in masses]
     s = len(cols)
     if s <= 3:  # a head of at most one term: the fold starts from 0 + the first term
         first = list(map(operator.add, itertools.repeat(0), log_terms[0]))
@@ -451,7 +453,21 @@ def _folded_logs(log_terms: list[list[float]], cols: Sequence[Sequence[int]]) ->
         rest = range(s - 2, s)
     for i in rest:
         folded = map(operator.add, folded, map(log_terms[i].__getitem__, cols[i]))
-    return folded
+    return tuple(folded)
+
+
+def _class_keys(base: FiniteDistribution, cols: Sequence[Sequence[int]], n: int) -> Sequence:
+    """The column a view's classes descend by, for the classes in ``cols``, in their order.
+
+    An exact base gives each class's numerator prod w_i^k_i over d^n
+    (:func:`_class_numerators`), a float base its log-probability
+    (:func:`_class_logs`).  The sort in :func:`iid_power` and the view's
+    own key column both come from here.
+    """
+    masses = [m for m in base.masses if m > 0]
+    if base.exact:
+        return tuple(_class_numerators(list(_numerators(masses)[0]), cols, n))
+    return _class_logs(masses, cols, n)
 
 
 class _TupleColumn(collections.abc.Sequence):
@@ -586,101 +602,93 @@ class _Multinomials(_TupleColumn):
             values += map(operator.getitem, map(rows.__getitem__, heads), lasts)
 
 
+def _derived():
+    """A view column that follows from its base, n and compositions: not set, compared or printed."""
+    return dataclasses.field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class ProductSourceView:
     """The i.i.d. n-fold power of a base distribution, by type classes.
 
-    Classes enumerate compositions of the base's support only; sequences
-    touching a zero-mass base atom are counted in ``zero_mass_count`` so
-    that the full alphabet size |base|^n stays available to min-entropy
+    A view is its ``base``, its block length ``n`` and its classes'
+    ``compositions`` (support-symbol counts aligned with
+    ``support_labels``), most probable first; it compares and hashes by
+    these three.  Every other column follows from them and is derived
+    once, when the view is built: ``log_probs`` (natural log of one
+    sequence's probability), ``multiplicities`` (exact multinomial
+    coefficients) and, on exact views, ``numerators``, each sequence's
+    probability times the common ``denominator`` d^n.  Both are None on
+    float views.  Classes enumerate compositions of the base's support
+    only; sequences touching a zero-mass base atom are counted in
+    ``zero_mass_count`` so that the full alphabet size
+    ``full_alphabet_size`` = |base|^n stays available to min-entropy
     clamping without inflating the class list.
 
-    The classes are held as parallel columns, most probable first:
-    ``compositions`` (support-symbol counts aligned with
-    ``support_labels``), ``log_probs`` (natural log of one sequence's
-    probability), ``multiplicities`` (exact multinomial coefficients)
-    and, on exact views, ``numerators``, each sequence's probability
-    times the common ``denominator`` d^n.  Both are None on float views.
     ``compositions`` is a read-only sequence over s coordinate columns,
     one per support symbol (its ``columns``): the walk writes them, and
-    the certificate, the multiplicities and the class readers read them
+    the certificate, the derived columns and the class readers read them
     where they are.  It builds the composition tuples on the first read
     of an entry; no library path reads one.  ``type_classes`` builds one
     :class:`TypeClass` per class from the columns on first read; nothing
     in the library reads it.
 
-    The view's own ``multiplicities`` is a read-only sequence over the
-    same coordinate columns that computes the multinomials only as far as
-    a read reaches; the level table shares it and the prefix-mass profile
-    fills it chunk by chunk, so a sweep computes the multinomials of the
-    levels it reads.  Iteration, ``type_classes``, a float view's
-    upper-tail spectrum quantile and the constructions read it whole.
+    ``multiplicities`` is a read-only sequence over the same coordinate
+    columns that computes the multinomials only as far as a read reaches;
+    the level table shares it and the prefix-mass profile fills it chunk
+    by chunk, so a sweep computes the multinomials of the levels it
+    reads.  Iteration, ``type_classes``, a float view's upper-tail
+    spectrum quantile and the constructions read it whole.
 
     Both lanes run one certificate when the view is built, and neither
-    reads a count: the coordinate columns must hold exactly the
-    C(n + s - 1, s - 1) compositions of n into the s support symbols; the
-    key column must be exactly what they give, each ``log_probs`` entry
-    bitwise the walk's left fold of k_i log(m_i) on float views, each
-    numerator prod w_i^k_i over ``denominator`` = d^n on exact ones; and
-    the keys must descend.  By the multinomial theorem the class masses
-    then sum to 1.  Compositions given as a plain tuple column, as
+    reads a count: the coordinate columns must hold each of the
+    C(n + s - 1, s - 1) compositions of n into the s support symbols
+    once, as ``int`` counts, and the key column derived from them (the
+    numerators on exact views, ``log_probs`` on float ones) must descend.
+    By the multinomial theorem the class masses then sum to 1.
+    Compositions given as a plain tuple column, as
     :func:`dataclasses.replace` passes them, are read into coordinate
-    columns once and certified the same way.  A ``multiplicities`` column
-    other than the view's own sequence over these columns is compared
-    with it in full.
+    columns once and certified the same way.
     """
 
     base: FiniteDistribution
     n: int
-    support_labels: tuple
     compositions: Sequence[tuple[int, ...]]
-    log_probs: tuple[float, ...]
-    multiplicities: Sequence[int]
-    full_alphabet_size: int
-    zero_mass_count: int
-    numerators: Optional[tuple[int, ...]] = None
-    denominator: Optional[int] = None
+    support_labels: tuple = _derived()
+    log_probs: tuple[float, ...] = _derived()
+    multiplicities: Sequence[int] = _derived()
+    full_alphabet_size: int = _derived()
+    zero_mass_count: int = _derived()
+    numerators: Optional[tuple[int, ...]] = _derived()
+    denominator: Optional[int] = _derived()
 
     def __post_init__(self) -> None:
-        comps, logs, mults = self.compositions, self.log_probs, self.multiplicities
+        comps, n = self.compositions, self.n
         support = [(lab, m) for lab, m in self.base.atoms if m > 0]
-        if self.support_labels != tuple(lab for lab, _ in support):
-            raise BadParamError("support labels are not the base's positive-mass labels")
-        n, s = self.n, len(support)
-        if self.zero_mass_count != self.full_alphabet_size - s**n:
-            raise BadParamError("zero-mass sequence count is inconsistent")
+        s = len(support)
         if not isinstance(comps, _Compositions):
             comps = _Compositions(_coordinates(comps))
-            object.__setattr__(self, "compositions", comps)
         cols = comps.columns
         if not _are_compositions(cols, n, s):
             count = math.comb(n + s - 1, s - 1)
             raise BadParamError(f"compositions are not the {count} compositions of {n} into {s} parts")
-        if not len(comps) == len(logs) == len(mults):
-            raise BadParamError("type-class columns differ in length")
-        if self.exact:
-            nums, (weights, d) = self.numerators, _numerators([m for _, m in support])
-            if nums is None or len(nums) != len(comps) or self.denominator != d**n:
-                raise BadParamError(f"an exact view needs its numerators over the common denominator {d}^{n}")
-            if list(nums) != _class_numerators(list(weights), cols, n):
-                raise BadParamError("class masses do not sum to 1: numerators are not prod w_i^k_i")
-        else:
-            log_terms = _log_terms([_log_exact(m) for _, m in support], n)
-            folded = array("d", _folded_logs(log_terms, cols))
-            if folded.tobytes() != array("d", logs).tobytes():
-                j = next(j for j, (a, b) in enumerate(zip(folded, logs)) if repr(a) != repr(b))
-                raise BadParamError(
-                    f"class masses sum to other than 1: log_probs[{j}] is {logs[j]!r}, "
-                    f"not the fold {folded[j]!r} of k_i log(m_i)"
-                )
-        keys = self._level_keys
-        bound = keys if self.exact else map(operator.add, logs, itertools.repeat(1e-15))
+        keys = _class_keys(self.base, cols, n)
+        bound = keys if self.exact else map(operator.add, keys, itertools.repeat(1e-15))
         if any(map(operator.gt, keys[1:], bound)):
             raise BadParamError("type classes not sorted by probability")
-        # The view's own sequence fills from the columns just certified.
-        own = isinstance(mults, _Multinomials) and mults.columns is cols
-        if not own and tuple(mults) != tuple(_Multinomials(cols)):
-            raise BadParamError("multiplicities are not the multinomials of the compositions")
+        masses, full = [m for _, m in support], self.base.size**n
+        derived = dict(
+            compositions=comps,
+            support_labels=tuple(lab for lab, _ in support),
+            log_probs=_class_logs(masses, cols, n) if self.exact else keys,
+            multiplicities=_Multinomials(cols),
+            full_alphabet_size=full,
+            zero_mass_count=full - s**n,
+            numerators=keys if self.exact else None,
+            denominator=_numerators(masses)[1] ** n if self.exact else None,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def exact(self) -> bool:
@@ -910,16 +918,12 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
 
     One walk visits the compositions of n over the s support symbols in
     lexicographic order, one row of classes per pass, and appends their
-    coordinates to s columns, one per symbol.  On an exact base with
-    support masses w_i / d (d their least common denominator) a class of
-    composition k has per-sequence numerator prod w_i^k_i over d^n, taken
-    from :func:`_class_numerators` on the walk's columns.  Classes are
-    then sorted most probable first, ties in walk order, and every column
-    is gathered through that order.  The multinomials are not computed
-    here: the view's ``multiplicities`` is a sequence over the sorted
-    coordinate columns that computes them as far as a read reaches.
-    Guards: the sequence-count width n*log2(|base|) must stay within
-    2^20 bits and the composition count within 5 000 000.
+    coordinates to s columns, one per symbol.  The classes are then sorted
+    most probable first, ties in walk order, by the key column of
+    :func:`_class_keys`, which is dropped; the coordinate columns are
+    gathered through that order and the view derives its other columns
+    from them.  Guards: the sequence-count width n*log2(|base|) must stay
+    within 2^20 bits and the composition count within 5 000 000.
     """
     if not isinstance(n, int) or n < 1:
         raise BadParamError(f"n must be a positive integer, got {n!r}")
@@ -929,43 +933,24 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
         raise OverflowGuardError(
             f"|base|^n needs more than {_MAX_BITS} bits at n={n}"
         )
-    support = [(lab, m) for lab, m in base.atoms if m > 0]
-    s = len(support)
+    s = base.support_size
     n_classes = math.comb(n + s - 1, s - 1)
     if n_classes > _MAX_CLASSES:
         raise OverflowGuardError(
             f"{n_classes} type classes exceed the cap of {_MAX_CLASSES}"
         )
-    support_labels = tuple(lab for lab, _ in support)
-    support_masses = [m for _, m in support]
-    log_masses = [_log_exact(m) for m in support_masses]
-    exact = base.exact
-
-    # k * log(m_i) for every count k, so that each class's log-probability
-    # is the left fold sum(k_i * log(m_i)) with no multiplication left.
-    log_terms = _log_terms(log_masses, n)
     cols: list[list[int]] = [[] for _ in range(s)]  # one coordinate column per symbol
-    logs: list[float] = []
+    comp = [0] * (s - 1) + [n]
     if s == 1:  # a one-symbol support has the one class (n,)
         cols[0].append(n)
-        logs.append(sum(map(list.__getitem__, log_terms, (n,))))
-    else:
-        # The last two coordinates' log terms, the last one read from k = n down.
-        left, last_down = log_terms[-2], log_terms[-1][::-1]
-    comp = [0] * (s - 1) + [n]
     while s > 1:
         # One row: the classes that share all but the last two coordinates,
         # from (..., 0, m) to (..., m, 0), each column filled by one pass.
-        # Its log-probabilities fold the shared coordinates once.
-        head = comp[:-2]
         m = comp[-1]
-        lead = sum(map(list.__getitem__, log_terms, head))
-        for col, k in zip(cols, head):
+        for col, k in zip(cols, comp[:-2]):
             col += itertools.repeat(k, m + 1)
         cols[-2] += range(m + 1)
         cols[-1] += range(m, -1, -1)
-        led = map(operator.add, itertools.repeat(lead), left[: m + 1])
-        logs += map(operator.add, led, last_down[n - m :])
         comp[-2], comp[-1] = m, 0
         if comp[0] == n:  # (n, 0, ..., 0) is the last composition
             break
@@ -979,30 +964,12 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
         comp[i] = 0
         comp[-1] = v - 1
 
-    denominator = nums = None
-    if exact:
-        weights, d = _numerators(support_masses)
-        denominator = d**n
-        nums = _class_numerators(list(weights), cols, n)
     # One stable sort of the class indices, most probable first, ties in
-    # walk order; every column is then read through it.
-    order = sorted(range(len(logs)), key=(nums if exact else logs).__getitem__, reverse=True)
+    # walk order; its keys are dropped before the view derives its own.
+    order = sorted(range(n_classes), key=_class_keys(base, cols, n).__getitem__, reverse=True)
     # An itemgetter of one index returns the entry, not a 1-tuple; one class needs no gather.
-    column = operator.itemgetter(*order) if len(order) > 1 else tuple
-    cols = list(map(column, cols))
-    full = base.size ** n
-    return ProductSourceView(
-        base=base,
-        n=n,
-        support_labels=support_labels,
-        compositions=_Compositions(cols),
-        log_probs=column(logs),
-        multiplicities=_Multinomials(cols),
-        full_alphabet_size=full,
-        zero_mass_count=full - s ** n,
-        numerators=column(nums) if exact else None,
-        denominator=denominator,
-    )
+    column = operator.itemgetter(*order) if n_classes > 1 else tuple
+    return ProductSourceView(base=base, n=n, compositions=_Compositions(list(map(column, cols))))
 
 
 def expand(view: ProductSourceView) -> FiniteDistribution:

@@ -271,19 +271,6 @@ def test_float_expand_is_accepted_by_its_constructor(weights, n):
     assert abs(math.fsum(flat.masses) - 1) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [8, 2048])
-def test_float_view_rejects_class_masses_off_one(n):
-    view = iid_power(make_distribution([0.7, 0.3]), n)
-    logs = list(view.log_probs)
-    assert dataclasses.replace(view, log_probs=tuple(logs)) == view
-    # Lower the heaviest class by less than the gap to its neighbours,
-    # so only the total mass is wrong.
-    j = max(range(len(logs)), key=lambda i: logs[i] + math.log(view.multiplicities[i]))
-    logs[j] -= 0.01
-    with pytest.raises(BadParamError, match="class masses sum"):
-        dataclasses.replace(view, log_probs=tuple(logs))
-
-
 @pytest.mark.parametrize("n", [1000, 5000])
 def test_float_view_accepts_a_base_within_its_sum_tolerance(n):
     # The base sums to 1 + 5e-13, inside the distribution's 1e-12; a check
@@ -294,70 +281,63 @@ def test_float_view_accepts_a_base_within_its_sum_tolerance(n):
     assert view.multiplicities[n // 2] == math.comb(n, view.compositions[n // 2][1])
 
 
-@pytest.mark.parametrize(
-    "weights,n", [([0.7, 0.3], 8), ([0.7, 0.3], 2048), ([0.5, 0.3, 0.2], 12)], ids=["2-8", "2-2048", "3-12"]
-)
-def test_float_view_rejects_multiplicities_that_are_not_its_multinomials(weights, n):
-    view = iid_power(make_distribution(weights), n)
-    mults = list(view.multiplicities)
-    assert dataclasses.replace(view, multiplicities=tuple(mults)) == view
-    logs = view.log_probs
-    j = max(range(len(logs)), key=lambda i: logs[i] + math.log(mults[i]))
-    raised = list(mults)
-    raised[j] += 1
-    # The heaviest class's count and the first class's, which differ: the sum stays.
-    swapped = list(mults)
-    swapped[0], swapped[j] = swapped[j], swapped[0]
-    assert swapped[0] != mults[0] and sum(swapped) == sum(mults)
-    for column in (raised, swapped):
-        with pytest.raises(BadParamError, match="multiplicities|class masses sum"):
-            dataclasses.replace(view, multiplicities=tuple(column))
+DERIVED = [
+    "support_labels",
+    "log_probs",
+    "multiplicities",
+    "numerators",
+    "denominator",
+    "full_alphabet_size",
+    "zero_mass_count",
+]
+DERIVED_BASES = [
+    make_distribution([Fraction(0), Fraction(1)]),
+    bernoulli(0.3),
+    make_distribution([Fraction(1, 2), Fraction(0), Fraction(3, 10), Fraction(1, 5)]),
+    make_distribution([Fraction(4, 10), Fraction(3, 10), Fraction(2, 10), Fraction(1, 10)]),
+    make_distribution([0.0, 1.0]),
+    make_distribution([0.7, 0.3]),
+    make_distribution([0.5, 0.0, 0.3, 0.2]),
+    make_distribution([0.4, 0.3, 0.2, 0.1]),
+]
+DERIVED_IDS = ["exact1", "exact2", "exact3-zero", "exact4", "float1", "float2", "float3-zero", "float4"]
 
 
-def test_exact_view_rejects_a_changed_numerator():
-    view = iid_power(bernoulli(0.3), 8)
-    nums = list(view.numerators)
-    assert dataclasses.replace(view, numerators=tuple(nums)) == view
-    # Raising the largest numerator keeps the order; only the mass is wrong.
-    nums[0] += 1
-    with pytest.raises(BadParamError, match="class masses do not sum to 1"):
-        dataclasses.replace(view, numerators=tuple(nums))
-
-
-def test_exact_view_rejects_a_numerator_trade_between_classes_of_equal_count():
-    view = iid_power(bernoulli(0.3), 8)
-    nums = list(view.numerators)
-    first, last = view.compositions.index((8, 0)), view.compositions.index((0, 8))
-    assert view.multiplicities[first] == view.multiplicities[last] == 1
-    # One unit from (0, 8) to (8, 0): the total mass and the order stay.
-    nums[first] += 1
-    nums[last] -= 1
-    assert nums == sorted(nums, reverse=True) and sum(nums) == sum(view.numerators)
-    with pytest.raises(BadParamError, match="class masses do not sum to 1"):
-        dataclasses.replace(view, numerators=tuple(nums))
-
-
-def test_exact_view_rejects_a_denominator_other_than_d_to_the_n():
-    view = iid_power(bernoulli(0.3), 8)
-    assert view.denominator == 10**8
-    # Twice the numerators over twice the denominator are the same masses.
-    doubled = tuple(2 * num for num in view.numerators)
-    with pytest.raises(BadParamError, match="denominator"):
-        dataclasses.replace(view, numerators=doubled, denominator=2 * view.denominator)
+@pytest.mark.parametrize("base", DERIVED_BASES, ids=DERIVED_IDS)
+def test_view_columns_are_derived_from_its_compositions(base):
+    view = iid_power(base, 7)
+    assert len(view.support_labels) == base.support_size == len(view.compositions.columns)
+    for name in DERIVED:
+        with pytest.raises(TypeError):
+            distributions.ProductSourceView(
+                base=base, n=7, compositions=view.compositions, **{name: getattr(view, name)}
+            )
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            dataclasses.replace(view, **{name: getattr(view, name)})
+    # The same compositions as plain tuples derive every column bit for bit.
+    replaced = dataclasses.replace(view, compositions=tuple(view.compositions))
+    assert list(map(float.hex, replaced.log_probs)) == list(map(float.hex, view.log_probs))
+    for name in DERIVED:
+        assert type(getattr(replaced, name)) is type(getattr(view, name))
+        assert getattr(replaced, name) == getattr(view, name), name
 
 
 @pytest.mark.parametrize("base", [bernoulli(0.3), make_distribution([0.7, 0.3])], ids=["exact", "float"])
 def test_view_rejects_two_swapped_classes(base):
     view = iid_power(base, 8)
-
-    def swapped(column):
-        column = list(column)
-        column[0], column[1] = column[1], column[0]
-        return tuple(column)
-
-    names = ["compositions", "log_probs", "multiplicities"] + (["numerators"] if base.exact else [])
+    comps = list(view.compositions)
+    comps[0], comps[1] = comps[1], comps[0]
     with pytest.raises(BadParamError, match="not sorted"):
-        dataclasses.replace(view, **{name: swapped(getattr(view, name)) for name in names})
+        dataclasses.replace(view, compositions=tuple(comps))
+
+
+def test_view_equality_and_hash_leave_the_multiplicities_unfilled():
+    # Two views are equal when their base, n and compositions are; the
+    # derived columns, the lazily filled multinomials among them, are not read.
+    first, second = (iid_power(make_distribution([0.89, 0.11]), 65536) for _ in range(2))
+    assert first == second and hash(first) == hash(second)
+    assert first != iid_power(make_distribution([0.89, 0.11]), 65535)
+    assert not first.multiplicities._values and not second.multiplicities._values
 
 
 COLUMN_BASES = [
@@ -403,6 +383,21 @@ def test_view_rejects_coordinate_columns_that_are_not_the_compositions(base, tam
     message = f"compositions are not the {math.comb(8 + s - 1, s - 1)} compositions of 8 into {s} parts"
     with pytest.raises(BadParamError, match=message):
         dataclasses.replace(view, compositions=distributions._Compositions(cols))
+
+
+@pytest.mark.parametrize("base", COLUMN_BASES, ids=COLUMN_IDS)
+@pytest.mark.parametrize("n,convert", [(8, float), (1, bool)], ids=["float", "bool"])
+def test_view_rejects_coordinates_that_are_not_ints(base, n, convert):
+    view = iid_power(base, n)
+    s = len(view.support_labels)
+    message = f"compositions are not the {math.comb(n + s - 1, s - 1)} compositions of {n} into {s} parts"
+    converted = tuple(tuple(map(convert, comp)) for comp in view.compositions)
+    assert converted == view.compositions
+    with pytest.raises(BadParamError, match=message):
+        dataclasses.replace(view, compositions=converted)
+    columns = [list(map(convert, col)) for col in view.compositions.columns]
+    with pytest.raises(BadParamError, match=message):
+        dataclasses.replace(view, compositions=distributions._Compositions(columns))
 
 
 @pytest.mark.parametrize("base", COLUMN_BASES, ids=COLUMN_IDS)
