@@ -28,6 +28,7 @@ from .errors import (
     BadParamError,
     C2PrimeViolatedError,
     DegenerateSupportError,
+    InexactCarryError,
     MTooSmallError,
     NegativeMassError,
     OutOfRangeError,
@@ -114,6 +115,7 @@ __all__ = [
     "BadParamError",
     "C2PrimeViolatedError",
     "DegenerateSupportError",
+    "InexactCarryError",
     "MTooSmallError",
     "NegativeMassError",
     "OutOfRangeError",

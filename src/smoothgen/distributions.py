@@ -15,46 +15,52 @@ walk over the compositions of n, a row of classes at a time: each row
 fixes all but the last two coordinates, and its coordinates are
 appended by one C-level pass per symbol.  A view is its base, n and
 compositions; it keeps its classes as parallel columns rather than one
-object per class, and derives every column other than the compositions
-from them once, when it is built: log-probabilities, multiplicities and,
-on exact bases, numerators.  Its compositions are held as s coordinate
-columns, one per support symbol (:class:`_Compositions`): the walk
-writes them, and the certificate, the derived columns and the class
-readers read them where they are; the composition tuples are built only
-when a reader asks for an entry, and ``type_classes`` builds
-:class:`TypeClass` objects from the columns on first read.  The
-multiplicities are filled on demand: a read-only sequence over the same
-coordinate columns computes the exact multinomials only as far as a
-read reaches, and the level table shares it, so a sweep computes the
-counts of the levels it reads.  The key column the classes descend by
-(the numerators of :func:`_class_numerators`, or the log fold of
-:func:`_class_logs`) comes from one routine, :func:`_class_keys`, for
-both the sort in :func:`iid_power` and the view.  Both lanes certify a
-view when it is built, with no tolerance and no count read: the
-coordinate columns hold every composition of n once, as ints, and the
-key column is sorted; by the multinomial theorem the masses sum to 1.
+object per class, and derives every other column from them.  Its
+compositions are held as s coordinate columns, one per support symbol
+(:class:`_Compositions`): the walk writes them, and the certificate, the
+derived columns and the class readers read them where they are; the
+composition tuples are built only when a reader asks for an entry, and
+``type_classes`` builds :class:`TypeClass` objects from the columns on
+first read.  The column routines live in :mod:`smoothgen.columns`.
+
+Both lanes order, certify and group classes by one column, the log fold
+of :func:`_class_logs`.  :func:`iid_power` sorts by it, ties in walk
+order; on an exact base every pair of neighbours whose float gap lies
+within the fold's proven rounding bound (:func:`_fold_bound`) is
+compared exactly by :func:`_exact_compare`, which cancels the common
+powers and builds neither probability.  The view certifies its order
+with the same pair rule when it is built (:func:`_certified_runs`), with
+no count and no numerator read, and the same pair decisions give its
+level runs.  By the multinomial theorem the masses of the certified
+compositions sum to 1.
+
+Every column past the log fold is filled on demand, only as far as a
+read reaches: the multiplicities (:class:`_Multinomials`), and on exact
+bases the numerators and the class masses (:class:`_Carried`), each
+carried from a neighbouring class by one exact product and division by
+small integers.  The level table shares these columns, so a sweep
+computes the counts, numerators and masses of the levels it reads.
 Exact masses are read as integers in one place, :func:`_numerators`:
 numerators over the least common denominator of the masses.  The
 normalisation of exact weights, a distribution's sum check and level
 keys, and a view's support weights all use it.  Sequence probabilities
 inside a view of an exact base are integer numerators over one common
 denominator d^n, where d is that denominator of the base's support
-masses, all carried by one routine, :func:`_class_numerators`; a
-natural-log float is kept alongside every class so that large-n
-computations can stay in log space.  A float view's class
+masses; a natural-log float is kept alongside every class so that
+large-n computations can stay in log space.  A float view's class
 probabilities, as the constructions read them, are the same carry over
-its support masses' exact values (integers over a power of two),
-each divided once.  Each source builds its
-:class:`Levels` table of distinct probability levels once and caches
-it; when no two classes share a level the table holds the view's own
-columns.  The smooth entropies, the spectrum and the constructions read
-only that table and the columns.
+its support masses' exact values (integers over a power of two), each
+divided once.  Each source builds its :class:`Levels` table of distinct
+probability levels once and caches it; when no two classes share a
+level the table holds the view's own columns.  The smooth entropies,
+the spectrum and the constructions read only that table and the
+columns.
 """
 
 from __future__ import annotations
 
-import collections.abc
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -65,6 +71,24 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
+from .columns import (
+    _are_compositions,
+    _Carried,
+    _certified_runs,
+    _class_logs,
+    _composition_codes,
+    _Compositions,
+    _coordinates,
+    _descending,
+    _exact_compare,
+    _fold_bound,
+    _is_exact,
+    _is_exact_type,
+    _log_exact,
+    _Multinomials,
+    _numerators,
+    _RunColumn,
+)
 from .errors import (
     AllZeroError,
     AlphabetMismatchError,
@@ -80,6 +104,9 @@ Number = Union[int, float, Fraction]
 _MAX_ATOMS = 1 << 20
 _MAX_BITS = 1 << 20
 _MAX_CLASSES = 5_000_000
+# Bits an exact prefix-mass profile may hold in one column: levels read times
+# the bits of the table's denominator (64 MiB).
+_MAX_PROFILE_BITS = 1 << 29
 # Every integer below 2^53 converts to a float exactly.
 _EXACT_FLOAT_INTS = 1 << 53
 
@@ -96,33 +123,6 @@ __all__ = [
     "from_json_obj",
     "parse_source",
 ]
-
-
-def _is_exact(x: Number) -> bool:
-    return _is_exact_type(type(x))
-
-
-def _is_exact_type(t: type) -> bool:
-    return issubclass(t, (int, Fraction)) and not issubclass(t, bool)
-
-
-def _log_exact(x: Number) -> float:
-    """Natural log of a positive number, exact-aware for huge fractions."""
-    if isinstance(x, Fraction):
-        return math.log(x.numerator) - math.log(x.denominator)
-    return math.log(x)
-
-
-def _numerators(masses: Sequence[Number]) -> tuple[Iterable[int], int]:
-    """Exact masses as integer numerators over the lcm of their denominators, lazily.
-
-    The one place where exact masses become integers: adding or comparing
-    the numerators replaces a gcd per ``Fraction`` operation.
-    """
-    denominator = operator.attrgetter("denominator")
-    den = math.lcm(*set(map(denominator, masses)))
-    scales = map(operator.floordiv, itertools.repeat(den), map(denominator, masses))
-    return map(operator.mul, map(operator.attrgetter("numerator"), masses), scales), den
 
 
 @dataclass(frozen=True)
@@ -209,13 +209,16 @@ class FiniteDistribution:
         bounds = _run_bounds(keys)
         firsts = bounds[:-1]
         masses = [self.masses[order[i]] for i in firsts]
+        probs = tuple(map(keys.__getitem__, firsts)) if self.exact else tuple(map(float, masses))
+        counts = tuple(map(operator.sub, bounds[1:], firsts))
         return Levels(
-            probs=tuple(map(keys.__getitem__, firsts)) if self.exact else tuple(map(float, masses)),
-            counts=tuple(map(operator.sub, bounds[1:], firsts)),
+            probs=probs,
+            counts=counts,
             logs=tuple(map(_log_exact, masses)),
             denominator=den,
             alphabet_size=self.size,
             n=1,
+            masses=tuple(map(operator.mul, probs, counts)) if self.exact else None,
         )
 
 
@@ -320,14 +323,19 @@ class Levels:
     share it and ``logs[j]`` is its natural log as the source stores it.
     ``alphabet_size`` also counts zero-mass atoms; ``n`` is the block
     length that spectrum values are divided by (1 for a distribution).
+    On exact sources ``masses[j]`` is the level's total mass, counts[j] *
+    probs[j], as a numerator over ``denominator``; a view carries it
+    class by class rather than multiplying.  It is None on float sources
+    and takes no part in comparisons.
     """
 
-    probs: tuple
+    probs: Sequence
     counts: Sequence[int]
     logs: tuple[float, ...]
     denominator: Optional[int]
     alphabet_size: int
     n: int
+    masses: Optional[Sequence[int]] = dataclasses.field(default=None, compare=False, repr=False)
 
     @property
     def exact(self) -> bool:
@@ -361,250 +369,15 @@ def _float_masses(probs, counts, logs) -> tuple[list[float], list[float], list[f
     return masses, log_counts, exps
 
 
-def _coordinates(comps: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """The coordinates of equal-length tuples, one list per position, read in one pass.
-
-    Tuples of unequal length have no coordinate columns: the result is empty.
-    """
-    lengths = set(map(len, comps))
-    if len(lengths) != 1:
-        return []
-    s = lengths.pop()
-    flat = list(itertools.chain.from_iterable(comps))
-    return [flat[i::s] for i in range(s)]
-
-
-def _composition_codes(cols: Sequence[Sequence[int]], n: int) -> Iterable[int]:
-    """Each composition's code, lazily: its first s - 1 coordinates as base n + 1 digits.
-
-    The first coordinate is the most significant digit.  The last is n less
-    the others, so distinct compositions of n have distinct codes, all below
-    (n + 1)^(s - 1).
-    """
-    codes = cols[0] if len(cols) > 1 else itertools.repeat(0, len(cols[0]))
-    for col in cols[1:-1]:
-        codes = map(operator.add, map(operator.mul, codes, itertools.repeat(n + 1)), col)
-    return codes
-
-
-def _are_compositions(cols: Sequence[Sequence[int]], n: int, s: int) -> bool:
-    """Whether the coordinate columns ``cols`` hold exactly the compositions of n into s parts.
-
-    s columns of C(n + s - 1, s - 1) nonnegative ``int`` counts, each class
-    summing to n, with distinct :func:`_composition_codes` are every
-    composition once.
-    """
-    count = math.comb(n + s - 1, s - 1)
-    if len(cols) != s or any(len(col) != count for col in cols):
-        return False
-    if any(set(map(type, col)) != {int} for col in cols):
-        return False
-    totals = cols[0]
-    for col in cols[1:]:
-        totals = list(map(operator.add, totals, col))
-    return (
-        min(map(min, cols)) >= 0
-        and totals.count(n) == count
-        and len(set(_composition_codes(cols, n))) == count
-    )
-
-
-def _class_numerators(weights: Sequence[int], cols: Sequence[Sequence[int]], n: int) -> list[int]:
-    """prod_i w_i^k_i for every composition k of n in the coordinate columns ``cols``, in their order.
-
-    One exact unit-move carry: the start class (n, 0, ..., 0) has w_0^n, and
-    every other class k has its parent k + e_0 - e_j's numerator // w_0 * w_j,
-    j being k's first nonzero coordinate after the first.  Coordinates fill
-    from the last to the second: at coordinate j each class with k_1 = ... =
-    k_j = 0 roots a chain that moves its k_0 units to k_j one at a time.
-    """
-    s, radix, w0 = len(cols), n + 1, weights[0]
-    top = radix ** (s - 2) if s > 1 else 0  # a code's first digit is k_0
-    num_of = {n * top: w0**n}  # by composition code
-    move = lambda num, w: num // w0 * w  # noqa: E731
-    for j in range(s - 1, 0, -1):
-        # What moving one unit from the first coordinate to coordinate j takes off a code.
-        lift = top - (radix ** (s - 2 - j) if j < s - 1 else 0)
-        for code, num in list(num_of.items()):
-            chain = itertools.accumulate(itertools.repeat(weights[j], code // top), move, initial=num)
-            num_of.update(zip(range(code, -1, -lift), chain))
-    return list(map(num_of.__getitem__, _composition_codes(cols, n)))
-
-
-def _class_logs(masses: Sequence[Number], cols: Sequence[Sequence[int]], n: int) -> tuple[float, ...]:
-    """Each class's natural-log probability, the sum of k_i log(m_i), in the order of ``cols``.
-
-    ``masses`` are the support masses and ``cols`` the classes'
-    coordinates, one column per support symbol.  The terms k log(m_i) are
-    tabled for every count k <= n.  A class sums the terms of all but its
-    last two coordinates (its head) with ``sum``, from 0, once per distinct
-    head, then adds the second-to-last and the last term in turn.
-    """
-    log_terms = [list(map(_log_exact(m).__mul__, range(n + 1))) for m in masses]
-    s = len(cols)
-    if s <= 3:  # a head of at most one term: the fold starts from 0 + the first term
-        first = list(map(operator.add, itertools.repeat(0), log_terms[0]))
-        folded: Iterable = map(first.__getitem__, cols[0])
-        rest = range(1, s)
-    else:
-        heads = list(zip(*cols[:-2]))
-        lead_of = {head: sum(map(list.__getitem__, log_terms, head)) for head in set(heads)}
-        folded = map(lead_of.__getitem__, heads)
-        rest = range(s - 2, s)
-    for i in rest:
-        folded = map(operator.add, folded, map(log_terms[i].__getitem__, cols[i]))
-    return tuple(folded)
-
-
-def _class_keys(base: FiniteDistribution, cols: Sequence[Sequence[int]], n: int) -> Sequence:
-    """The column a view's classes descend by, for the classes in ``cols``, in their order.
-
-    An exact base gives each class's numerator prod w_i^k_i over d^n
-    (:func:`_class_numerators`), a float base its log-probability
-    (:func:`_class_logs`).  The sort in :func:`iid_power` and the view's
-    own key column both come from here.
-    """
-    masses = [m for m in base.masses if m > 0]
-    if base.exact:
-        return tuple(_class_numerators(list(_numerators(masses)[0]), cols, n))
-    return _class_logs(masses, cols, n)
-
-
-class _TupleColumn(collections.abc.Sequence):
-    """A read-only column that compares, hashes and prints as the tuple of its entries."""
-
-    __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (_TupleColumn, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-class _Compositions(_TupleColumn):
-    """Every class's composition, held as its s coordinate columns.
-
-    ``columns`` holds one column of counts per support symbol, the storage
-    the walk of :func:`iid_power` writes and the view's certificate, the
-    multiplicities and the class readers read.  The composition tuples
-    themselves are built once, on the first read of an entry.
-    """
-
-    __slots__ = ("columns", "_tuples")
-
-    def __init__(self, columns: Sequence[Sequence[int]]) -> None:
-        self.columns = columns
-        self._tuples: Optional[tuple[tuple[int, ...], ...]] = None
-
-    def _built(self) -> tuple[tuple[int, ...], ...]:
-        if self._tuples is None:
-            self._tuples = tuple(zip(*self.columns))
-        return self._tuples
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, key):
-        return self._built()[key]
-
-    def __iter__(self):
-        return iter(self._built())
-
-
-class _Multinomials(_TupleColumn):
-    """The multinomial coefficient of every composition in a column, filled on demand.
-
-    A read-only sequence over the coordinate ``columns`` of a view's
-    :class:`_Compositions`, one per symbol, aligned with them.  A
-    read computes every position before the furthest one it reaches, and
-    nothing after it.  The classes that share a head (all but the last
-    two coordinates) form a row, indexed by the last coordinate j: the
-    coefficient of (head, m - j, j) is the head's multinomial
-    n! / (prod(head!) m!) times C(m, j).  A row starts from the head's
-    multinomial at both ends and is extended towards its middle by the
-    exact recurrence c_{j+1} = c_j (m - j) / (j + 1), only as deep as the
-    classes filled so far need; each class's coefficient is then read
-    off its row in one C-level pass.
-    """
-
-    __slots__ = ("columns", "_values", "_rows", "_depths")
-
-    def __init__(self, columns: Sequence[Sequence[int]]) -> None:
-        self.columns = columns
-        self._values: list[int] = []
-        self._rows: dict = {}  # head -> its row, None where not yet needed
-        self._depths: dict = {}  # head -> how many entries of each end are filled
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, key):
-        span = range(len(self))[key]
-        if isinstance(key, slice):
-            if span:
-                self._fill(max(span[0], span[-1]) + 1)
-            return list(map(self._values.__getitem__, span))
-        self._fill(span + 1)
-        return self._values[span]
-
-    def __iter__(self):
-        self._fill(len(self))
-        return iter(self._values)
-
-    def _fill(self, stop: int) -> None:
-        values = self._values
-        start = len(values)
-        if stop <= start:
-            return
-        cols = self.columns
-        s, n = len(cols), sum(col[0] for col in cols)
-        if s == 1:  # the one class (n,)
-            values += itertools.repeat(1, stop - start)
-            return
-        lasts = cols[-1][start:stop]
-        if s == 2:
-            heads: Iterable = [()]
-        elif s == 3:  # a head is an int on three symbols, a tuple on more
-            heads = cols[0][start:stop]
-        else:
-            heads = list(zip(*(col[start:stop] for col in cols[:-2])))
-        # A class reads its row at j = last, or by symmetry at m - last; the
-        # nearer end is less than min(max(lasts), n - min(lasts)) + 1 away.
-        depth = min(max(lasts), n - min(lasts)) + 1
-        rows, depths = self._rows, self._depths
-        for head in set(heads):
-            row = rows.get(head)
-            if row is None:
-                parts = (head, n - head) if s == 3 else (*head, n - sum(head))
-                row = rows[head] = [None] * (parts[-1] + 1)
-                row[0] = row[-1] = math.prod(map(math.comb, itertools.accumulate(parts), parts))
-                depths[head] = 1
-            done, m = depths[head], len(row) - 1
-            reach = min(depth, m // 2 + 1)
-            if done >= reach:
-                continue
-            c, new = row[done - 1], []
-            for j in range(done - 1, reach - 1):
-                c = c * (m - j) // (j + 1)
-                new.append(c)
-            row[done:reach] = new
-            row[m + 1 - reach : m + 1 - done] = new[::-1]
-            depths[head] = reach
-        if s == 2:
-            values += map(rows[()].__getitem__, lasts)
-        else:
-            values += map(operator.getitem, map(rows.__getitem__, heads), lasts)
-
-
 def _derived():
     """A view column that follows from its base, n and compositions: not set, compared or printed."""
     return dataclasses.field(init=False, compare=False, repr=False)
+
+
+def _check_n(n) -> None:
+    """Refuse a block length that is not a positive integer with BadParamError."""
+    if not isinstance(n, int) or n < 1:
+        raise BadParamError(f"n must be a positive integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -614,16 +387,15 @@ class ProductSourceView:
     A view is its ``base``, its block length ``n`` and its classes'
     ``compositions`` (support-symbol counts aligned with
     ``support_labels``), most probable first; it compares and hashes by
-    these three.  Every other column follows from them and is derived
-    once, when the view is built: ``log_probs`` (natural log of one
-    sequence's probability), ``multiplicities`` (exact multinomial
-    coefficients) and, on exact views, ``numerators``, each sequence's
-    probability times the common ``denominator`` d^n.  Both are None on
-    float views.  Classes enumerate compositions of the base's support
-    only; sequences touching a zero-mass base atom are counted in
-    ``zero_mass_count`` so that the full alphabet size
-    ``full_alphabet_size`` = |base|^n stays available to min-entropy
-    clamping without inflating the class list.
+    these three.  Every other column follows from them and cannot be
+    passed in: ``log_probs`` (natural log of one sequence's probability),
+    ``multiplicities`` (exact multinomial coefficients) and, on exact
+    views, ``numerators``, each sequence's probability times the common
+    ``denominator`` d^n.  Both are None on float views.  Classes
+    enumerate compositions of the base's support only; sequences touching
+    a zero-mass base atom are counted in ``zero_mass_count`` so that the
+    full alphabet size ``full_alphabet_size`` = |base|^n stays available
+    to min-entropy clamping without inflating the class list.
 
     ``compositions`` is a read-only sequence over s coordinate columns,
     one per support symbol (its ``columns``): the walk writes them, and
@@ -633,22 +405,30 @@ class ProductSourceView:
     :class:`TypeClass` per class from the columns on first read; nothing
     in the library reads it.
 
-    ``multiplicities`` is a read-only sequence over the same coordinate
-    columns that computes the multinomials only as far as a read reaches;
-    the level table shares it and the prefix-mass profile fills it chunk
-    by chunk, so a sweep computes the multinomials of the levels it
-    reads.  Iteration, ``type_classes``, a float view's upper-tail
-    spectrum quantile and the constructions read it whole.
+    The build computes ``log_probs`` (:func:`_class_logs`) and nothing
+    else per class.  The certificate reads that column: the coordinate
+    columns must hold each of the C(n + s - 1, s - 1) compositions of n
+    into the s support symbols once, as ``int`` counts, and every pair of
+    neighbours must descend by :func:`_certified_runs`.  A pair whose log
+    gap exceeds the fold's rounding bound (:func:`_fold_bound`, 0 on
+    float views) is ordered by the floats; a pair within it is compared
+    exactly from its coordinates (:func:`_exact_compare`) on exact views;
+    on float views it must have equal logs, and is one level.  By the
+    multinomial theorem the class masses then sum to 1.  The same pair
+    decisions give the runs of classes that share a level.  Compositions
+    given as a plain tuple column, as :func:`dataclasses.replace` passes
+    them, are read into coordinate columns once and certified the same
+    way.
 
-    Both lanes run one certificate when the view is built, and neither
-    reads a count: the coordinate columns must hold each of the
-    C(n + s - 1, s - 1) compositions of n into the s support symbols
-    once, as ``int`` counts, and the key column derived from them (the
-    numerators on exact views, ``log_probs`` on float ones) must descend.
-    By the multinomial theorem the class masses then sum to 1.
-    Compositions given as a plain tuple column, as
-    :func:`dataclasses.replace` passes them, are read into coordinate
-    columns once and certified the same way.
+    ``multiplicities`` and ``numerators`` are read-only sequences over
+    the coordinate columns that are filled only as far as a read reaches;
+    the build fills neither.  The numerators are carried class by class
+    from the most probable one (:class:`_Carried`), and the level table's
+    exact masses by the same carry times the multinomials, so the
+    prefix-mass profile computes the counts and masses of the levels it
+    reads and no count * numerator product.  Iteration, ``type_classes``,
+    a float view's upper-tail spectrum quantile and the constructions read
+    the columns whole.
     """
 
     base: FiniteDistribution
@@ -659,11 +439,13 @@ class ProductSourceView:
     multiplicities: Sequence[int] = _derived()
     full_alphabet_size: int = _derived()
     zero_mass_count: int = _derived()
-    numerators: Optional[tuple[int, ...]] = _derived()
+    numerators: Optional[Sequence[int]] = _derived()
     denominator: Optional[int] = _derived()
+    _level_bounds: Sequence[int] = _derived()
 
     def __post_init__(self) -> None:
         comps, n = self.compositions, self.n
+        _check_n(n)
         support = [(lab, m) for lab, m in self.base.atoms if m > 0]
         s = len(support)
         if not isinstance(comps, _Compositions):
@@ -672,20 +454,23 @@ class ProductSourceView:
         if not _are_compositions(cols, n, s):
             count = math.comb(n + s - 1, s - 1)
             raise BadParamError(f"compositions are not the {count} compositions of {n} into {s} parts")
-        keys = _class_keys(self.base, cols, n)
-        bound = keys if self.exact else map(operator.add, keys, itertools.repeat(1e-15))
-        if any(map(operator.gt, keys[1:], bound)):
-            raise BadParamError("type classes not sorted by probability")
         masses, full = [m for _, m in support], self.base.size**n
+        logs = _class_logs(masses, cols, n)
+        numerators = denominator = compare = None
+        if self.exact:
+            weights, d = _numerators(masses)
+            numerators, denominator = _Carried(weights, cols), d**n
+            compare = functools.partial(_exact_compare, numerators.weights, cols)
         derived = dict(
             compositions=comps,
             support_labels=tuple(lab for lab, _ in support),
-            log_probs=_class_logs(masses, cols, n) if self.exact else keys,
+            log_probs=logs,
             multiplicities=_Multinomials(cols),
             full_alphabet_size=full,
             zero_mass_count=full - s**n,
-            numerators=keys if self.exact else None,
-            denominator=_numerators(masses)[1] ** n if self.exact else None,
+            numerators=numerators,
+            denominator=denominator,
+            _level_bounds=_certified_runs(logs, _fold_bound(masses, n), compare),
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -703,29 +488,32 @@ class ProductSourceView:
             for comp, lp, mult, num in zip(self.compositions, self.log_probs, self.multiplicities, nums)
         )
 
-    @property
-    def _level_keys(self) -> tuple:
-        """The column whose runs of equal values are the levels.
-
-        Exact views group equal numerators, float views equal stored
-        log-probabilities (which may split equal levels that round
-        differently).
-        """
-        return self.numerators if self.exact else self.log_probs
-
     @cached_property
     def levels(self) -> Levels:
-        """Runs of classes sharing one probability level, built once."""
-        keys, counts, bounds = _runs(self._level_keys, self.multiplicities)
-        logs = _firsts(self.log_probs, bounds)
-        probs = keys if self.exact else map(math.exp, logs)
+        """Runs of classes sharing one probability level, built once.
+
+        The runs are the certificate's.  When every level is one class the
+        table holds the view's own columns; otherwise it reads them through
+        :class:`_RunColumn`, so it too fills them only as far as a read
+        reaches.  An exact table's masses are the class-mass carry, summed
+        per run in level order.
+        """
+        bounds, logs = self._level_bounds, self.log_probs
+        probs, counts = self.numerators, self.multiplicities
+        masses = _Carried(probs.weights, self.compositions.columns, counts=True) if self.exact else None
+        if len(bounds) <= len(logs):  # some level joins several classes
+            logs = tuple(_firsts(logs, bounds))
+            counts = _RunColumn(counts, bounds, summed=True)
+            if self.exact:
+                probs, masses = _RunColumn(probs, bounds), _RunColumn(masses, bounds, summed=True)
         return Levels(
-            probs=tuple(probs),
-            counts=counts if counts is self.multiplicities else tuple(counts),
-            logs=tuple(logs),
+            probs=probs if self.exact else tuple(map(math.exp, logs)),
+            counts=counts,
+            logs=logs,
             denominator=self.denominator,
             alphabet_size=self.full_alphabet_size,
             n=self.n,
+            masses=masses,
         )
 
 
@@ -799,7 +587,7 @@ def _class_probs(view: ProductSourceView) -> Sequence:
     if view.exact:
         return view.numerators
     weights, d = _numerators([Fraction(m) for m in view.base.masses if m > 0])
-    nums = _class_numerators(list(weights), view.compositions.columns, view.n)
+    nums = _Carried(weights, view.compositions.columns)
     return list(map(operator.truediv, nums, itertools.repeat(d**view.n)))
 
 
@@ -812,7 +600,7 @@ def _construction_levels(source: Union[FiniteDistribution, ProductSourceView]) -
     levels = _levels_of(source)
     if levels.exact or isinstance(source, FiniteDistribution):
         return levels
-    probs = _firsts(_class_probs(source), _run_bounds(source._level_keys))
+    probs = _firsts(_class_probs(source), source._level_bounds)
     return dataclasses.replace(levels, probs=tuple(probs))
 
 
@@ -833,7 +621,7 @@ def _atom_levels(source: Union[FiniteDistribution, ProductSourceView]) -> list[i
     digits = iter([(n + 1) ** (s - 2 - i) for i in range(s - 1)] + [0])
     steps = [next(digits) if m > 0 else (n + 1) ** (s - 1) for m in source.base.masses]
     classes = _composition_codes(source.compositions.columns, n)
-    code_level = dict(zip(classes, _group_of(_run_bounds(source._level_keys))))
+    code_level = dict(zip(classes, _group_of(source._level_bounds)))
     codes = [0]
     for _ in range(n):
         codes = [c + st for c in codes for st in steps]
@@ -919,14 +707,13 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     One walk visits the compositions of n over the s support symbols in
     lexicographic order, one row of classes per pass, and appends their
     coordinates to s columns, one per symbol.  The classes are then sorted
-    most probable first, ties in walk order, by the key column of
-    :func:`_class_keys`, which is dropped; the coordinate columns are
-    gathered through that order and the view derives its other columns
-    from them.  Guards: the sequence-count width n*log2(|base|) must stay
-    within 2^20 bits and the composition count within 5 000 000.
+    most probable first, ties in walk order (:func:`_descending`), the
+    coordinate columns are gathered through that order and the view
+    derives its other columns from them.  Guards: the sequence-count
+    width n*log2(|base|) must stay within 2^20 bits and the composition
+    count within 5 000 000.
     """
-    if not isinstance(n, int) or n < 1:
-        raise BadParamError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     if base.size < 2:
         raise BadParamError("base alphabet needs at least two symbols")
     if n * math.log2(base.size) > _MAX_BITS:
@@ -964,9 +751,7 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
         comp[i] = 0
         comp[-1] = v - 1
 
-    # One stable sort of the class indices, most probable first, ties in
-    # walk order; its keys are dropped before the view derives its own.
-    order = sorted(range(n_classes), key=_class_keys(base, cols, n).__getitem__, reverse=True)
+    order = _descending([m for m in base.masses if m > 0], cols, n)
     # An itemgetter of one index returns the entry, not a 1-tuple; one class needs no gather.
     column = operator.itemgetter(*order) if n_classes > 1 else tuple
     return ProductSourceView(base=base, n=n, compositions=_Compositions(list(map(column, cols))))

@@ -24,6 +24,10 @@ class OverflowGuardError(SmoothgenError):
     """A requested product construction exceeds the configured size guard."""
 
 
+class InexactCarryError(SmoothgenError):
+    """An exact carry between neighbouring type classes left a remainder."""
+
+
 class AlphabetMismatchError(SmoothgenError):
     """Two distributions that must share an alphabet do not."""
 

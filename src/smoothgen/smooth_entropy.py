@@ -32,18 +32,19 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 from typing import Optional, Sequence, Union
 
 from .distributions import (
     FiniteDistribution,
     Levels,
     ProductSourceView,
+    _MAX_PROFILE_BITS,
     _float_masses,
     _levels_of,
     _log_exact,
 )
-from .errors import BadParamError
+from .errors import BadParamError, OverflowGuardError
 
 Number = Union[int, float, Fraction]
 Source = Union[FiniteDistribution, ProductSourceView]
@@ -141,24 +142,29 @@ def _profile(levels: Levels) -> _Profile:
 class _Profile:
     """Descending prefix sums of one level table, grown on demand.
 
-    ``cum[j]`` is the mass of the levels before j: an integer over the
-    table's denominator on exact tables, the running float sum of the
-    level masses of :func:`~smoothgen.distributions._float_masses` on
-    float ones.  Exact tables also keep the atom count ``whole[j]``
-    before level j and ``excess[j]``, the mass above level j + 1's
-    probability among the levels up to j, which never decreases in j.
-    Float tables keep arrays of doubles instead: the log ``log_whole[j]``
-    of that atom count (a big integer at large n), and per level
-    log(count), exp(log_prob + log(count)) and the running sum
-    ``cum_exp`` of the latter, each added in the order a level-by-level
-    scan adds them.
+    ``cum[j]`` is the mass of the levels before j: the running sum of the
+    table's ``masses``, integers over its denominator, on exact tables,
+    and the running float sum of the level masses of
+    :func:`~smoothgen.distributions._float_masses` on float ones.  Exact
+    tables also keep the atom count ``whole[j]`` before level j.  The
+    min entropy reads ``_excess(j)``, the mass above level j + 1's
+    probability among the levels up to j, which never decreases in j; it
+    multiplies a count by a probability, so it is computed only at the
+    levels a search probes and kept in ``excess``.  An exact profile
+    holds at most ``_MAX_PROFILE_BITS`` bits in a column, levels read
+    times the bits of the denominator, and refuses to grow past them
+    with OverflowGuardError.  Float tables keep arrays of doubles
+    instead: the log ``log_whole[j]`` of that atom count (a big integer
+    at large n), and per level log(count), exp(log_prob + log(count))
+    and the running sum ``cum_exp`` of the latter, each added in the
+    order a level-by-level scan adds them.
 
     Levels are added in chunks, only when a query needs them.  On a view
-    of either lane whose levels are its classes, ``counts`` is the view's own
-    multiplicity sequence, and slicing a chunk of it computes that
-    chunk's exact multinomials: the profile's depth bounds what a sweep
-    fills.  The profile keeps the table's columns, never the table: the
-    table keeps the profile, and a reference back would make a cycle
+    of either lane ``counts`` (and on exact views ``probs`` and
+    ``masses``) are columns filled on demand, and slicing a chunk of them
+    computes that chunk's entries: the profile's depth bounds what a
+    sweep fills.  The profile keeps the table's columns, never the table:
+    the table keeps the profile, and a reference back would make a cycle
     that leaves a view and its multiplicities to the cyclic garbage
     collector.
     """
@@ -169,7 +175,8 @@ class _Profile:
         self.denominator, self.alphabet_size = levels.denominator, levels.alphabet_size
         self.atoms = 0
         if self.exact:
-            self.cum, self.whole, self.excess = [0], [0], []
+            self.masses, self.bits = levels.masses, levels.denominator.bit_length()
+            self.cum, self.whole, self.excess = [0], [0], {}
         else:
             self.cum, self.cum_exp = array("d", [0.0]), array("d", [0.0])
             self.log_whole = array("d", [-math.inf])
@@ -186,23 +193,33 @@ class _Profile:
         stop = min(start + max(start, 64), len(self.probs))
         if start == stop:
             return False
-        probs, counts = self.probs[start:stop], self.counts[start:stop]
+        if self.exact and stop * self.bits > _MAX_PROFILE_BITS:
+            raise OverflowGuardError(
+                f"{stop} exact levels of {self.bits}-bit masses exceed the profile budget of "
+                f"{_MAX_PROFILE_BITS} bits; a base of float weights takes the float lane at this n"
+            )
+        counts = self.counts[start:stop]
         atoms = list(accumulate(counts, initial=self.atoms))[1:]
         self.atoms = atoms[-1]
         if self.exact:
-            cum = list(accumulate(map(mul, probs, counts), initial=self.cum[-1]))[1:]
-            nxt = self.probs[start + 1 : stop + 1] + (0,) * (stop == len(self.probs))
-            self.cum += cum
+            self.cum += islice(accumulate(self.masses[start:stop], initial=self.cum[-1]), 1, None)
             self.whole += atoms
-            self.excess += map(sub, cum, map(mul, atoms, nxt))
             return True
-        linear, log_counts, masses = _float_masses(probs, counts, self.logs[start:stop])
+        linear, log_counts, masses = _float_masses(self.probs[start:stop], counts, self.logs[start:stop])
         self.cum.extend(islice(accumulate(linear, initial=self.cum[-1]), 1, None))
         self.cum_exp.extend(islice(accumulate(masses, initial=self.cum_exp[-1]), 1, None))
         self.log_whole.extend(map(math.log, atoms))
         self.log_counts.extend(log_counts)
         self.exp_masses.extend(masses)
         return True
+
+    def _excess(self, j: int) -> int:
+        """cum[j + 1] - whole[j + 1] * probs[j + 1] of a grown level j, probs past the table 0."""
+        excess = self.excess.get(j)
+        if excess is None:
+            nxt = self.probs[j + 1] if j + 1 < len(self.probs) else 0
+            excess = self.excess[j] = self.cum[j + 1] - self.whole[j + 1] * nxt
+        return excess
 
     def _first(self, column, threshold: Number, lo: int = 0) -> int:
         """Smallest i >= lo with column[i] >= threshold, len(column) if none.
@@ -296,7 +313,10 @@ class _Profile:
         # the next level nxt/den, that is once excess[j]*q >= p*den.
         p, q = d.numerator, d.denominator
         den = self.denominator
-        j = self._first(self.excess, -(-p * den // q))
+        target = -(-p * den // q)
+        while (len(self.cum) == 1 or self._excess(len(self.cum) - 2) < target) and self._grow():
+            pass
+        j = bisect_left(range(len(self.cum) - 1), target, key=self._excess)
         if j == len(self.probs):
             raise BadParamError("water-filling failed; masses do not reach delta")
         beta_star = Fraction(self.cum[j + 1] * q - p * den, q * den * self.whole[j + 1])

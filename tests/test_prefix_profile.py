@@ -132,20 +132,30 @@ def test_a_sweep_fills_only_the_multiplicities_it_reads():
 
 
 def test_an_exact_sweep_fills_only_the_multiplicities_it_reads():
-    # The exact view's certificate reads no count, so the build fills
-    # none; the sweep then fills only as deep as its profile reads.
+    # The exact view's certificate reads no count and no numerator, so the
+    # build fills neither; the sweep then fills counts, numerators and
+    # class masses only as deep as its profile reads.  The min entropy
+    # also reads the probability of the level after the last one grown.
     n = 8192
     view = iid_power(bernoulli(Fraction(11, 100)), n)
     assert view.multiplicities._values == []
+    assert view.numerators._values == []
     deltas = [Fraction(1, 4) + Fraction(1, 2**k) for k in (3, 4, 5)]
     _smooth_values(view, "max", deltas)
     _smooth_values(view, "min", deltas)
     depth = len(_profile(view.levels).cum) - 1
     filled = view.multiplicities._values
     assert view.levels.counts is view.multiplicities
+    assert view.levels.probs is view.numerators
     assert 0 < len(filled) <= depth < len(view.compositions) // 2
+    assert len(view.levels.masses._values) == depth
+    assert 0 < len(view.numerators._values) <= depth + 1
     for i in (0, len(filled) - 1):
         assert filled[i] == math.comb(n, view.compositions[i][1])
+    for i in (0, depth - 1):
+        num = view.numerators[i]
+        assert num == 89 ** view.compositions[i][0] * 11 ** view.compositions[i][1]
+        assert view.levels.masses[i] == filled[i] * num
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracle_entropy import oracle_max_entropy, oracle_min_entropy
 from smoothgen import (
     BadParamError,
+    OverflowGuardError,
     bernoulli,
     half_variational,
     iid_power,
@@ -140,6 +141,21 @@ def test_large_n_views_stay_feasible():
     assert 0 < rinf.value <= r0.value
     assert r0.value / 8192 == pytest.approx(0.3547352385, abs=1e-9)
     assert rinf.value / 8192 == pytest.approx(0.3378171282, abs=1e-9)
+
+
+def test_exact_binary_65536_refuses_within_the_profile_budget():
+    # 4097 levels of 435 412-bit masses do not fit the exact profile's
+    # budget: both smoothers refuse with a named error that points to float
+    # input, having grown no more levels than the budget holds.
+    from smoothgen.distributions import _MAX_PROFILE_BITS
+    from smoothgen.smooth_entropy import _profile
+
+    view = iid_power(bernoulli(0.11), 65536)
+    for smoother in (smooth_min_entropy, smooth_max_entropy):
+        with pytest.raises(OverflowGuardError, match="float weights"):
+            smoother(view, 0.1)
+    profile = _profile(view.levels)
+    assert 0 < (len(profile.cum) - 1) * view.denominator.bit_length() <= _MAX_PROFILE_BITS
 
 
 def test_exact_lane_keeps_a_rational_cap():
