@@ -7,11 +7,13 @@ certificate (:func:`_are_compositions`); the log fold
 (:func:`_class_logs`) that orders, certifies and groups the classes of
 both lanes, with its proven rounding bound (:func:`_fold_bound`), the
 exact compare of two classes (:func:`_exact_compare`), the sort of
-:func:`_descending` and the pair rule of :func:`_certified_runs`; and the
-read-only columns filled only as far as a read reaches: multinomials
-(:class:`_Multinomials`), numerators and class masses (:class:`_Carried`)
-and per-run views of a class column (:class:`_RunColumn`).  Exact masses
-are read as integers in one place, :func:`_numerators`.
+:func:`_descending`, which gathers the fold it sorts by with the columns
+so that a view folds no class twice, and the pair rule of
+:func:`_certified_runs`; and the read-only columns filled only as far as
+a read reaches: multinomials (:class:`_Multinomials`), numerators and
+class masses (:class:`_Carried`) and per-run views of a class column
+(:class:`_RunColumn`).  Exact masses are read as integers in one place,
+:func:`_numerators`.
 """
 
 from __future__ import annotations
@@ -115,10 +117,12 @@ def _class_logs(masses: Sequence[Number], cols: Sequence[Sequence[int]], n: int)
     last two coordinates (its head) with ``sum``, from 0, once per distinct
     head, then adds the second-to-last and the last term in turn.
     """
-    log_terms = [list(map(_log_exact(m).__mul__, range(n + 1))) for m in masses]
+    log_terms = [list(map(operator.mul, itertools.repeat(_log_exact(m)), range(n + 1))) for m in masses]
     s = len(cols)
     if s <= 3:  # a head of at most one term: the fold starts from 0 + the first term
-        first = list(map(operator.add, itertools.repeat(0), log_terms[0]))
+        first = log_terms[0]
+        # 0 + x is x bit for bit but for x = -0.0, the entry k = 0 of a negative log.
+        first[0] = 0.0
         folded: Iterable = map(first.__getitem__, cols[0])
         rest = range(1, s)
     else:
@@ -201,9 +205,13 @@ def _certified_runs(logs: Sequence[float], bound: float, compare) -> Sequence[in
     bound 0) such a pair is one level if its stored logs are equal and
     out of order if not.  The result is the run starts, then
     ``len(logs)``, as :func:`_run_bounds` gives them: a range when every
-    class is its own run.
+    class is its own run, found in one pass when every gap clears the
+    bound.
     """
-    starts = list(map(operator.gt, map(operator.sub, logs, logs[1:]), itertools.repeat(bound)))
+    nexts = logs[1:]
+    if all(map(operator.gt, map(operator.sub, logs, nexts), itertools.repeat(bound))):
+        return range(len(logs) + 1)
+    starts = list(map(operator.gt, map(operator.sub, logs, nexts), itertools.repeat(bound)))
     for i in itertools.compress(range(len(starts)), map(operator.not_, starts)):
         sign = compare(i, i + 1) if compare else (logs[i] == logs[i + 1]) - 1
         if sign < 0:
@@ -238,13 +246,30 @@ class _Compositions(_TupleColumn):
     the walk of :func:`iid_power` writes and the view's certificate, the
     multiplicities and the class readers read.  The composition tuples
     themselves are built once, on the first read of an entry.
+
+    Compositions sorted by :func:`_descending` carry the log fold the sort
+    computed, gathered with the columns; :meth:`logs` hands it on only to
+    a reader with the same support masses and n.
     """
 
-    __slots__ = ("columns", "_tuples")
+    __slots__ = ("columns", "_tuples", "_fold")
 
     def __init__(self, columns: Sequence[Sequence[int]]) -> None:
         self.columns = columns
         self._tuples: Optional[tuple[tuple[int, ...], ...]] = None
+        self._fold: Optional[tuple] = None  # (columns, masses key, n, logs), set by _descending
+
+    def logs(self, masses: Sequence[Number], n: int) -> tuple[float, ...]:
+        """:func:`_class_logs` of these columns over the support ``masses`` and n.
+
+        The carried fold is returned when it was computed from these very
+        columns with masses of the same types and values (the two lanes
+        never share a fold) and the same n; any other call folds again.
+        """
+        fold = self._fold
+        if fold is not None and fold[0] is self.columns and fold[1:3] == (_fold_key(masses), n):
+            return fold[3]
+        return _class_logs(masses, self.columns, n)
 
     def _built(self) -> tuple[tuple[int, ...], ...]:
         if self._tuples is None:
@@ -444,31 +469,40 @@ class _RunColumn(_TupleColumn):
         return sum(self.column[a:b]) if self.summed else self.column[a]
 
 
-def _descending(masses: Sequence[Number], cols: Sequence[Sequence[int]], n: int) -> list[int]:
-    """The indices of the classes in the columns ``cols``, most probable first, ties in column order.
+def _fold_key(masses: Sequence[Number]) -> tuple:
+    """The support masses as :func:`_log_exact` reads them: each value with its type."""
+    return tuple(zip(map(type, masses), masses))
+
+
+def _descending(masses: Sequence[Number], cols: Sequence[Sequence[int]], n: int) -> _Compositions:
+    """The classes of the columns ``cols``, most probable first, ties in column order.
 
     One stable sort by :func:`_class_logs`.  On exact masses each run of
     neighbours whose float gaps lie within :func:`_fold_bound` is sorted
     again by :func:`_exact_compare`, from column order, so exact ties keep
-    it; no class's numerator is built.  The log column is dropped on
-    return, before a view derives its own.
+    it; no class's numerator is built.  The columns and the log column are
+    gathered through the one order, and the sorted compositions carry
+    that fold (:meth:`_Compositions.logs`), so a view over them folds no
+    class again.  The column-order logs are dropped on return, before the
+    view certifies.
     """
     logs = _class_logs(masses, cols, n)
     order = sorted(range(len(logs)), key=logs.__getitem__, reverse=True)
     bound = _fold_bound(masses, n)
-    if not bound:
-        return order
-    ranked = list(map(logs.__getitem__, order))
+    ranked = list(map(logs.__getitem__, order)) if bound else []
     gaps = map(operator.sub, ranked, ranked[1:])
     near = list(itertools.compress(range(1, len(order)), map(operator.le, gaps, itertools.repeat(bound))))
-    if not near:
-        return order
-    compare = functools.cmp_to_key(functools.partial(_exact_compare, list(_numerators(masses)[0]), cols))
-    # Each near position p pairs p - 1 with p; consecutive ones form one run.
-    start = None
-    for p, after in zip(near, near[1:] + [None]):
-        start = p - 1 if start is None else start
-        if after != p + 1:
-            order[start : p + 1] = sorted(sorted(order[start : p + 1]), key=compare, reverse=True)
-            start = None
-    return order
+    if near:
+        compare = functools.cmp_to_key(functools.partial(_exact_compare, list(_numerators(masses)[0]), cols))
+        # Each near position p pairs p - 1 with p; consecutive ones form one run.
+        start = None
+        for p, after in zip(near, near[1:] + [None]):
+            start = p - 1 if start is None else start
+            if after != p + 1:
+                order[start : p + 1] = sorted(sorted(order[start : p + 1]), key=compare, reverse=True)
+                start = None
+    # An itemgetter of one index returns the entry, not a 1-tuple; one class needs no gather.
+    gather = operator.itemgetter(*order) if len(order) > 1 else tuple
+    comps = _Compositions(tuple(map(gather, cols)))
+    comps._fold = (comps.columns, _fold_key(masses), n, gather(logs))
+    return comps

@@ -24,15 +24,17 @@ composition tuples are built only when a reader asks for an entry, and
 first read.  The column routines live in :mod:`smoothgen.columns`.
 
 Both lanes order, certify and group classes by one column, the log fold
-of :func:`_class_logs`.  :func:`iid_power` sorts by it, ties in walk
-order; on an exact base every pair of neighbours whose float gap lies
-within the fold's proven rounding bound (:func:`_fold_bound`) is
-compared exactly by :func:`_exact_compare`, which cancels the common
-powers and builds neither probability.  The view certifies its order
-with the same pair rule when it is built (:func:`_certified_runs`), with
-no count and no numerator read, and the same pair decisions give its
-level runs.  By the multinomial theorem the masses of the certified
-compositions sum to 1.
+of :func:`_class_logs`, computed once per build.  :func:`iid_power`
+sorts by it, ties in walk order; on an exact base every pair of
+neighbours whose float gap lies within the fold's proven rounding bound
+(:func:`_fold_bound`) is compared exactly by :func:`_exact_compare`,
+which cancels the common powers and builds neither probability.  The
+fold is gathered with the coordinate columns through the one order and
+becomes the view's ``log_probs``.  The view certifies its order with the
+same pair rule when it is built (:func:`_certified_runs`), with no count
+and no numerator read, and the same pair decisions give its level runs.
+By the multinomial theorem the masses of the certified compositions sum
+to 1.
 
 Every column past the log fold is filled on demand, only as far as a
 read reaches: the multiplicities (:class:`_Multinomials`), and on exact
@@ -75,7 +77,6 @@ from .columns import (
     _are_compositions,
     _Carried,
     _certified_runs,
-    _class_logs,
     _composition_codes,
     _Compositions,
     _coordinates,
@@ -406,7 +407,11 @@ class ProductSourceView:
     in the library reads it.
 
     The build computes ``log_probs`` (:func:`_class_logs`) and nothing
-    else per class.  The certificate reads that column: the coordinate
+    else per class; compositions sorted by :func:`iid_power` carry the
+    fold the sort computed, which the view takes only when it was folded
+    from these columns with this view's support masses (same types, same
+    values) and n, and folds the columns itself otherwise.  The
+    certificate reads that column whichever way it came: the coordinate
     columns must hold each of the C(n + s - 1, s - 1) compositions of n
     into the s support symbols once, as ``int`` counts, and every pair of
     neighbours must descend by :func:`_certified_runs`.  A pair whose log
@@ -455,7 +460,7 @@ class ProductSourceView:
             count = math.comb(n + s - 1, s - 1)
             raise BadParamError(f"compositions are not the {count} compositions of {n} into {s} parts")
         masses, full = [m for _, m in support], self.base.size**n
-        logs = _class_logs(masses, cols, n)
+        logs = comps.logs(masses, n)
         numerators = denominator = compare = None
         if self.exact:
             weights, d = _numerators(masses)
@@ -708,10 +713,10 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     lexicographic order, one row of classes per pass, and appends their
     coordinates to s columns, one per symbol.  The classes are then sorted
     most probable first, ties in walk order (:func:`_descending`), the
-    coordinate columns are gathered through that order and the view
-    derives its other columns from them.  Guards: the sequence-count
-    width n*log2(|base|) must stay within 2^20 bits and the composition
-    count within 5 000 000.
+    coordinate columns and the sort's log fold are gathered through that
+    order and the view derives its other columns from them.  Guards: the
+    sequence-count width n*log2(|base|) must stay within 2^20 bits and
+    the composition count within 5 000 000.
     """
     _check_n(n)
     if base.size < 2:
@@ -751,10 +756,9 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
         comp[i] = 0
         comp[-1] = v - 1
 
-    order = _descending([m for m in base.masses if m > 0], cols, n)
-    # An itemgetter of one index returns the entry, not a 1-tuple; one class needs no gather.
-    column = operator.itemgetter(*order) if n_classes > 1 else tuple
-    return ProductSourceView(base=base, n=n, compositions=_Compositions(list(map(column, cols))))
+    comps = _descending([m for m in base.masses if m > 0], cols, n)
+    del cols  # the walk-order columns go before the view certifies the sorted ones
+    return ProductSourceView(base=base, n=n, compositions=comps)
 
 
 def expand(view: ProductSourceView) -> FiniteDistribution:

@@ -196,7 +196,9 @@ class _Profile:
         if self.exact and stop * self.bits > _MAX_PROFILE_BITS:
             raise OverflowGuardError(
                 f"{stop} exact levels of {self.bits}-bit masses exceed the profile budget of "
-                f"{_MAX_PROFILE_BITS} bits; a base of float weights takes the float lane at this n"
+                f"{_MAX_PROFILE_BITS} bits; a base of float weights (float masses through "
+                "make_distribution in the library) takes the float lane at this n, while the "
+                "CLI reads JSON weights exactly"
             )
         counts = self.counts[start:stop]
         atoms = list(accumulate(counts, initial=self.atoms))[1:]

@@ -36,7 +36,7 @@ from smoothgen import (
     spectrum_rate,
     uniform_distribution,
 )
-from smoothgen import distributions
+from smoothgen import columns, distributions
 
 
 def test_make_distribution_normalizes_and_keeps_exactness():
@@ -320,6 +320,60 @@ def test_view_columns_are_derived_from_its_compositions(base):
     for name in DERIVED:
         assert type(getattr(replaced, name)) is type(getattr(view, name))
         assert getattr(replaced, name) == getattr(view, name), name
+
+
+_FOLD = columns._class_logs
+FOLD_CASES = [(base, 7) for base in DERIVED_BASES] + [
+    (make_distribution([0.89, 0.11]), 16384),
+    (bernoulli(0.11), 4096),
+    (make_distribution([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]), 96),
+]
+FOLD_IDS = DERIVED_IDS + ["float-16384", "exact-4096", "ternary-96"]
+
+
+def _counted_folds(monkeypatch) -> list:
+    """Record every call of the log fold for the rest of the test."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _FOLD(*args)
+
+    monkeypatch.setattr(columns, "_class_logs", counted)
+    # A module holding the fold under its own name would call past the patch above.
+    monkeypatch.setattr(distributions, "_class_logs", counted, raising=False)
+    return calls
+
+
+def _fresh_fold(view) -> list[str]:
+    masses = [m for m in view.base.masses if m > 0]
+    return list(map(float.hex, _FOLD(masses, view.compositions.columns, view.n)))
+
+
+@pytest.mark.parametrize("base,n", FOLD_CASES, ids=FOLD_IDS)
+def test_a_build_folds_each_class_once(base, n, monkeypatch):
+    calls = _counted_folds(monkeypatch)
+    view = iid_power(base, n)
+    assert len(calls) == 1
+    assert list(map(float.hex, view.log_probs)) == _fresh_fold(view)
+
+
+def test_a_view_moved_onto_other_masses_folds_again(monkeypatch):
+    view = iid_power(make_distribution([Fraction(3, 4), Fraction(1, 4)]), 9)
+    calls = _counted_folds(monkeypatch)
+    # Equal masses in the same lane share the fold the sort computed.
+    same = dataclasses.replace(view, base=make_distribution([Fraction(3, 4), Fraction(1, 4)]))
+    assert calls == [] and same.log_probs is view.log_probs
+    # Other masses, the float lane's equal values, and columns given as tuples fold again.
+    for change in (
+        {"base": make_distribution([Fraction(4, 5), Fraction(1, 5)])},
+        {"base": make_distribution([0.75, 0.25])},
+        {"compositions": tuple(view.compositions)},
+    ):
+        calls.clear()
+        moved = dataclasses.replace(view, **change)
+        assert len(calls) == 1
+        assert list(map(float.hex, moved.log_probs)) == _fresh_fold(moved)
 
 
 @pytest.mark.parametrize("base", [bernoulli(0.3), make_distribution([0.7, 0.3])], ids=["exact", "float"])
