@@ -8,10 +8,18 @@ writes a map as JSON to its path, and ``--emit`` with ``--json`` leaves
 stdout empty.
 
 Exit codes: 0 on success, 2 when a computation rejects its inputs
-(infeasible targets, malformed specs), 1 on I/O failures.  All outputs
-are deterministic for a fixed invocation: CSV rows come in computation
-order with repr-formatted floats, and the seed is recorded in JSON
-artifacts but never drawn from.
+(infeasible targets, malformed specs, a D, nu or R that is nan or
+infinite), 1 on I/O failures.  A usage error (an unknown option, a
+missing required option, a number option that does not parse) exits 2
+from the shell; in-process it raises ``SystemExit(2)`` after writing the
+usage to stderr, as argparse does.  All outputs are deterministic for a
+fixed invocation: CSV rows come in computation order with
+repr-formatted floats, and the seed is recorded in JSON artifacts but
+never drawn from.
+
+:func:`main` may be called any number of times in one process.  It
+builds its parser on the first call and parses every later argv with
+that parser, so a call's output depends on its argv alone.
 
 Every JSON artifact is exactly ``json.dumps(obj, indent=2,
 sort_keys=True)`` followed by a newline, where ``obj`` holds labels as
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -376,7 +385,16 @@ def cmd_equivalence(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first :func:`main` call.
+
+    Every later call parses with the same parser, so every call shares
+    its default objects, and these are immutable.  The ``cmd_*``
+    functions are bound as each subcommand's ``fn`` at this first build;
+    the library names they read, such as ``iid_power``, are looked up
+    when they run.
+    """
     top = argparse.ArgumentParser(
         prog="smoothgen",
         description="Finite-blocklength divergence, smooth entropy, synthesis, and extraction",
@@ -431,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--f", required=True)
     p.add_argument("--D", type=float, required=True)
-    p.add_argument("--nu", type=_parse_float_list, default=[0.1, 0.01, 0.001])
+    p.add_argument("--nu", type=_parse_float_list, default=(0.1, 0.01, 0.001))
     p.add_argument("--n", type=_parse_int_list, required=True, help="comma list, e.g. 8,16,32")
     p.add_argument("--R", type=float, default=None, help="reference rate for second order")
     p.add_argument("--gamma", type=float, default=None, help="also construct maps per row")

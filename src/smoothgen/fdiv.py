@@ -370,6 +370,19 @@ def inverse(f0: OffsetFunction, D: Number) -> Number:
     return hi
 
 
+def _check_finite(name: str, *values: Optional[Number]) -> None:
+    """Refuse a float parameter that is nan or infinite.
+
+    Ints and ``Fraction``s are finite and ``None`` is an absent optional
+    parameter, so only floats are read.  A sweep calls this before it
+    reads a target as ``Fraction(level)``, which would fail on a
+    non-finite float with a bare ValueError or OverflowError.
+    """
+    for value in values:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise BadParamError(f"{name} must be finite, got {value!r}")
+
+
 def _inverse_level(f0: OffsetFunction, level: Number, exact: bool) -> Number:
     """f0^{-1}(level), the one reading of a divergence target as a mass.
 

@@ -60,6 +60,7 @@ from .errors import (
 from .fdiv import (
     DivergenceValue,
     FFunction,
+    _check_finite,
     _divergence_sum,
     _inverse_level,
     f_divergence,
@@ -536,6 +537,9 @@ def _rate_sweep(
     """
     f0 = offset(f)
     nus = tuple(float(v) for v in nu_ladder)
+    _check_finite("divergence target", D)
+    _check_finite("nu", *nus)
+    _check_finite("R", R)
     if not nus or any(v <= 0 for v in nus):
         raise BadParamError("nu ladder must be positive")
     if any(b >= a for a, b in zip(nus, nus[1:])):
@@ -592,8 +596,9 @@ def rate_formula(
 ) -> list[RateEvaluation]:
     """Evaluate the finite-n resolvability rate along an n list.
 
-    The nu ladder must be positive and strictly decreasing; targets
-    D + nu outside [0, f0(0)) propagate OutOfRange from the inversion.
+    The nu ladder must be positive and strictly decreasing, and a float
+    D, nu or R must be finite (BadParamError); finite targets D + nu
+    outside [0, f0(0)) propagate OutOfRange from the inversion.
 
     On an exact base a float ``D`` or nu is read at its binary value,
     ``Fraction(D)``, not at its decimal face value as :func:`bernoulli`

@@ -35,7 +35,7 @@ from .distributions import (
     iid_power,
 )
 from .errors import BadParamError, OutOfRangeError, TooFewPointsError
-from .fdiv import FFunction, _inverse_level, offset
+from .fdiv import FFunction, _check_finite, _inverse_level, offset
 from .smooth_entropy import _profile, _smooth_values
 
 Number = Union[int, float, Fraction]
@@ -177,7 +177,7 @@ def equivalence_report(
     Both routes run at divergence level D + nu: the covering entropy
     against kbar and the min entropy against kunder.  The gaps are
     expected to shrink from the first to the last n; violations land in
-    ``warnings``.
+    ``warnings``.  A nan or infinite D or nu raises BadParamError.
 
     On an exact base a float ``D`` or nu is read at its binary value,
     ``Fraction(D)``, not at its decimal face value as :func:`bernoulli`
@@ -186,6 +186,8 @@ def equivalence_report(
     """
     f0 = offset(f)
     nu_f = float(nu)
+    _check_finite("divergence target", D)
+    _check_finite("nu", nu_f)
     if not nu_f > 0:
         raise BadParamError(f"nu must be positive, got {nu}")
     if not n_list:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
 import math
@@ -15,6 +16,7 @@ import pytest
 
 from same_text import assert_same_text
 import smoothgen
+from smoothgen import cli
 from smoothgen.cli import main
 
 
@@ -371,6 +373,88 @@ def test_bad_n_list_exits_two(capsys):
         "--D", "0.2", "--n", "8,8",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("rates", "--D=nan"),
+        ("rates", "--nu=nan"),
+        ("rates", "--R=nan"),
+        ("rates", "--R=inf"),
+        ("equivalence", "--D=nan"),
+        ("equivalence", "--D=inf"),
+        ("equivalence", "--nu=inf"),
+    ],
+)
+def test_non_finite_targets_nu_and_R_exit_two(capsys, command, option):
+    # Each option comes last, so it overrides the finite value before it.
+    code, out, err = run(
+        capsys,
+        command, "--source", "bernoulli:0.3", "--f", "half-variational",
+        "--D", "0.2", "--n", "4,8", option,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "must be finite" in err
+
+
+def test_main_builds_one_parser_and_calls_share_nothing_else(capsys, monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    rates = ["rates", "--source", "bernoulli:0.3", "--f", "half-variational",
+             "--D", "0.2", "--n", "4,8"]
+    target = tmp_path / "map.json"
+
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--source", "bernoulli:0.3", "--D", "0.2", "--n", "4"])
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    def emit():
+        result = run(
+            capsys,
+            "resolve", "--source", "bernoulli:0.3", "--n", "6", "--f", "half-variational",
+            "--D", "0.25", "--gamma", "0.5", "--emit", str(target),
+        )
+        return result, target.read_bytes()
+
+    calls = [
+        lambda: run(capsys, *rates),
+        lambda: run(capsys, *rates, "--nu", "0.05"),
+        usage_error,
+        lambda: run(
+            capsys,
+            "equivalence", "--source", "bernoulli:0.3", "--f", "half-variational",
+            "--D", "0.2", "--n", "4,8", "--json",
+        ),
+        emit,
+    ]
+    first = [call() for call in calls]
+    assert built[0] == "smoothgen" and len(built) == 7
+    built.clear()
+    # The same calls again, so the first rates call follows the map's emit.
+    assert [call() for call in calls] == first
+    assert built == []
+
+    default_rates, explicit_rates, usage = first[:3]
+    assert [line.split(",")[1] for line in default_rates[1].splitlines()[1:]] == [
+        "0.1", "0.01", "0.001"
+    ] * 2
+    assert [line.split(",")[1] for line in explicit_rates[1].splitlines()[1:]] == ["0.05"] * 2
+    code, out, err = usage
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: smoothgen rates")
+    assert "the following arguments are required: --f" in err
+    assert cli._build_parser().parse_args(rates).nu == (0.1, 0.01, 0.001)
 
 
 EMIT_PINS = Path(__file__).parent / "data" / "emit"

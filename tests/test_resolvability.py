@@ -147,6 +147,26 @@ def test_rate_formula_validates_the_ladder():
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize(
+    "base", [bernoulli(0.3), make_distribution([0.7, 0.3])], ids=["exact", "float"]
+)
+def test_sweeps_refuse_non_finite_targets_nu_and_R(base, bad):
+    # Refused before any target is read as a Fraction, which on an exact
+    # base would fail with a bare ValueError or OverflowError.
+    f = half_variational()
+    good = [base, [4], f, 0.2, (0.1, 0.05), 0.5]
+    for sweep in (rate_formula, ir_rate_formula):
+        for at, value in ((3, bad), (4, (bad,)), (4, (0.1, bad)), (5, bad)):
+            args = list(good)
+            args[at] = value
+            with pytest.raises(BadParamError, match="must be finite"):
+                sweep(*args)
+    for args in ((base, f, bad, 0.01, [4]), (base, f, 0.2, bad, [4])):
+        with pytest.raises(BadParamError, match="must be finite"):
+            equivalence_report(*args)
+
+
 def test_float_targets_on_exact_bases_are_read_at_their_binary_value():
     # bernoulli reads its parameter at decimal face value; a float D or nu
     # on an exact base is read as Fraction(x), the float's binary value.
