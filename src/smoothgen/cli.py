@@ -8,14 +8,14 @@ writes a map as JSON to its path, and ``--emit`` with ``--json`` leaves
 stdout empty.
 
 Exit codes: 0 on success, 2 when a computation rejects its inputs
-(infeasible targets, malformed specs, a D, nu or R that is nan or
-infinite), 1 on I/O failures.  A usage error (an unknown option, a
-missing required option, a number option that does not parse) exits 2
-from the shell; in-process it raises ``SystemExit(2)`` after writing the
-usage to stderr, as argparse does.  All outputs are deterministic for a
-fixed invocation: CSV rows come in computation order with
-repr-formatted floats, and the seed is recorded in JSON artifacts but
-never drawn from.
+(infeasible targets, malformed specs, a D, Delta, nu, R or gamma that
+is nan or infinite, a gamma that is not positive), 1 on I/O failures.
+A usage error (an unknown option, a missing required option, a number
+option that does not parse) exits 2 from the shell; in-process it
+raises ``SystemExit(2)`` after writing the usage to stderr, as argparse
+does.  All outputs are deterministic for a fixed invocation: CSV rows
+come in computation order with repr-formatted floats, and the seed is
+recorded in JSON artifacts but never drawn from.
 
 :func:`main` may be called any number of times in one process.  It
 builds its parser on the first call and parses every later argv with
@@ -48,7 +48,7 @@ from .distributions import FiniteDistribution, expand, iid_power, parse_source
 from .errors import SmoothgenError
 from .fdiv import check_conditions, f_divergence, parse_generator
 from .intrinsic import build_extractor
-from .resolvability import _rate_sweep, build_resolvability_map
+from .resolvability import _check_gamma, _rate_sweep, build_resolvability_map
 from .smooth_entropy import smooth_max_entropy, smooth_min_entropy
 from .spectrum import equivalence_report
 
@@ -332,9 +332,12 @@ def _construction_cells(args, f, view, n: int, nu: float) -> list:
 
 
 def _rates_rows(args, f, base) -> tuple[list[str], list[list]]:
-    # The whole sweep runs before the first construction, so a sweep error
+    # A gamma no row could build with is refused before the sweep.  The
+    # whole sweep runs before the first construction, so a sweep error
     # is reported before any construction warning.  Without --gamma no
     # view is kept and zip_longest pairs each evaluation with None.
+    if args.gamma is not None:
+        _check_gamma(args.gamma)
     views: list = []
     evals = _rate_sweep(
         base, args.n, f, args.D, tuple(args.nu), args.R,

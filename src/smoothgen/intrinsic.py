@@ -13,11 +13,14 @@ The construction is level-wise.  It reads the source's
 :class:`Levels` table: atoms of one modified mass are interchangeable,
 so first-fit takes min(left, floor((cap - cur) / mass)) atoms of a level
 at a time, in integers on exact sources (float sources add one atom at a
-time, as an atom-by-atom fill would).  The clipped atoms, every atom of
-mass at least beta0, share one modified mass and are placed in label
-order across their levels; they are kept in that order with prefix
-sums of their original masses, so a bin's induced mass is a difference
-of two sums.  Labels are enumerated only when ``bins`` or
+time, as an atom-by-atom fill would).  Each bin starts empty, so a bin
+repeats while the levels it took from have its counts left; the bins
+are stored as such runs, and filled, checked and summed into D_f once
+per run.  The clipped atoms, every atom of mass at least beta0, share
+one modified mass and are placed in label order across their levels;
+they are kept in that order with prefix sums of their original masses,
+so the induced mass of a bin that holds some is a difference of two
+sums, read bin by bin.  Labels are enumerated only when ``bins`` or
 ``modified.dist`` is read; a view of more than 2^20 atoms, too many to
 enumerate, is refused at build time.  A float view's level
 probabilities are the exact products of its base masses, rounded once.
@@ -30,6 +33,7 @@ achieved divergence.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -185,8 +189,13 @@ def _clip_normalizer(source: Source, levels, beta0: Number) -> Number:
     return 1 - Fraction(excess, den * c)
 
 
+def _shifted(ranges: list, j: int) -> list[tuple[int, int, int]]:
+    """The ranges of bin j of a run whose first bin has ``ranges``."""
+    return [(g, a + j * (b - a), b + j * (b - a)) for g, a, b in ranges]
+
+
 class _Binning:
-    """First-fit bins over groups of atoms of equal modified mass.
+    """First-fit bins over groups of atoms of equal modified mass, as runs.
 
     Group g joins the levels ``bounds[g]:bounds[g+1]``, most massive first:
     the clipped levels form one group, every other level is a group of
@@ -194,7 +203,10 @@ class _Binning:
     several levels orders its atoms by label; ``order[g]`` lists the
     level of each of them.  A bin is a list of (group, start, stop)
     ranges of its atoms, in placement order; the last bin also takes
-    every zero-mass atom.
+    every zero-mass atom.  Each bin starts empty, so the bins after one
+    take the same counts of the same groups for as long as those groups
+    have the atoms: ``runs`` holds (ranges of a run's first bin, number
+    of bins), and bin j of a run is ``_shifted(ranges, j)``.
     """
 
     def __init__(self, source: Source, levels, modified: list, M: int, cap: Number) -> None:
@@ -210,21 +222,23 @@ class _Binning:
                 if j >= 0 and self.group_of[j] in self.order:
                     self.order[self.group_of[j]].append(j)
         self.zeros = levels.alphabet_size - sum(levels.counts)
-        self.bins = self._fill(M, cap)
+        self.runs = self._fill(M, cap)
 
-    def _fill(self, M: int, cap: Number) -> list[list[tuple[int, int, int]]]:
+    def _fill(self, M: int, cap: Number) -> list[tuple[list[tuple[int, int, int]], int]]:
         """First-fit over descending masses; the last bin takes the rest.
 
         Each bin jumps, by bisection over the groups with atoms left, to
         the next group whose atom still fits, and takes as many of its
-        atoms as fit.
+        atoms as fit.  It then repeats as often as every group it took
+        from has its count left.
         """
         exact = isinstance(cap, int)
         masses, sizes = self.mass, self.sizes
         left = list(sizes)
         active = [g for g, size in enumerate(sizes) if size]
-        bins: list[list[tuple[int, int, int]]] = []
-        for _ in range(M - 1):
+        runs: list[tuple[list[tuple[int, int, int]], int]] = []
+        todo = M - 1
+        while todo:
             if not active:
                 raise DegenerateSupportError("ran out of positive atoms before the last bin")
             cur: Number = 0
@@ -255,61 +269,70 @@ class _Binning:
                 raise DegenerateSupportError(
                     "an atom alone exceeds 1/M; M is too large for this source"
                 )
-            bins.append(ranges)
+            repeat = min(todo - 1, *(left[g] // (b - a) for g, a, b in ranges))
+            for g, a, b in ranges:
+                left[g] -= repeat * (b - a)
+            active = [g for g in active if left[g]]
+            runs.append((ranges, 1 + repeat))
+            todo -= 1 + repeat
         last = [(g, sizes[g] - k, sizes[g]) for g, k in enumerate(left) if k]
         if not last and not self.zeros:
             raise DegenerateSupportError("nothing left for the last bin")
-        bins.append(last)
-        return bins
+        runs.append((last, 1))
+        return runs
 
     def induced_masses(self) -> list[Number]:
-        """Source mass of each bin: integer sums over the denominator when exact.
+        """Source mass of each bin: integer numerators over the denominator when exact.
 
-        Float sources add the atoms' masses one at a time in placement
-        order, as the atom-by-atom sum does.
+        A run that takes no atom of a several-level group has one mass.
+        In a run that does, each bin reads that group's label-ordered
+        atoms: exact sources as differences of their prefix sums, float
+        sources by adding each atom's mass in placement order, as the
+        atom-by-atom sum does.
         """
-        levels = self.levels
-        probs = levels.probs
-        out: list[Number] = []
-        if levels.exact:
-            prefix = {
-                g: list(itertools.accumulate((probs[j] for j in seq), initial=0))
-                for g, seq in self.order.items()
-            }
-            for ranges in self.bins:
-                total = 0
-                for g, a, b in ranges:
-                    if g in prefix:
-                        total += prefix[g][b] - prefix[g][a]
-                    else:
-                        total += (b - a) * probs[self.bounds[g]]
-                out.append(Fraction(total, levels.denominator))
-            return out
-        for ranges in self.bins:
+        levels, order, probs = self.levels, self.order, self.levels.probs
+        prefix = {
+            g: list(itertools.accumulate((probs[j] for j in seq), initial=0))
+            for g, seq in (order.items() if levels.exact else ())
+        }
+
+        def mass(ranges: list) -> Number:
             total: Number = 0
             for g, a, b in ranges:
-                seq = self.order[g][a:b] if g in self.order else [self.bounds[g]] * (b - a)
-                for j in seq:
-                    total += probs[j]
-            out.append(total)
-        if self.zeros:
+                if g in prefix:
+                    total += prefix[g][b] - prefix[g][a]
+                elif levels.exact:
+                    total += (b - a) * probs[self.bounds[g]]
+                else:
+                    for j in order[g][a:b] if g in order else [self.bounds[g]] * (b - a):
+                        total += probs[j]
+            return total
+
+        out: list[Number] = []
+        for ranges, count in self.runs:
+            if any(g in order for g, _, _ in ranges):
+                out.extend(mass(_shifted(ranges, j)) for j in range(count))
+            else:
+                out.extend([mass(ranges)] * count)
+        if self.zeros and not levels.exact:
             out[-1] += 0.0
         return out
 
     def check(self, M: int, fits, above_floor) -> None:
-        """The bins' invariants, level-wise: a partition, and each bin's modified mass."""
+        """The bins' invariants, run by run: each bin's modified mass, and a partition."""
         placed = [0] * len(self.sizes)
-        for ranges in self.bins:
-            for g, a, b in ranges:
-                placed[g] += b - a
-        if len(self.bins) != M or placed != list(self.sizes):
-            raise BadParamError("bins must partition the alphabet")
-        for i, ranges in enumerate(self.bins):
+        i = 0
+        for ranges, count in self.runs:
             counts = [(b - a, self.mass[g]) for g, a, b in ranges]
             if i < M - 1 and not fits(counts):
                 raise BadParamError(f"bin {i + 1} exceeds modified mass 1/M")
             if not above_floor(counts):
                 raise BadParamError(f"bin {i + 1} falls below 1/M - beta0/A_n")
+            for g, a, b in ranges:
+                placed[g] += count * (b - a)
+            i += count
+        if i != M or placed != list(self.sizes):
+            raise BadParamError("bins must partition the alphabet")
 
     def labels(self) -> tuple[tuple[object, ...], ...]:
         """The bins as label tuples, each group's atoms in label order."""
@@ -317,9 +340,29 @@ class _Binning:
         zeros: list = []
         for lab, j in zip(_labels(self.source), _atom_levels(self.source)):
             (members[self.group_of[j]] if j >= 0 else zeros).append(lab)
-        bins = [[lab for g, a, b in ranges for lab in members[g][a:b]] for ranges in self.bins]
+        bins = [
+            [lab for g, a, b in _shifted(ranges, j) for lab in members[g][a:b]]
+            for ranges, count in self.runs
+            for j in range(count)
+        ]
         bins[-1].extend(zeros)
         return tuple(tuple(b) for b in bins)
+
+
+class _Reciprocal(float):
+    """1.0 / M, multiplying as ``Fraction(1, M)`` does.
+
+    A float through 1.0 / M, an int or a Fraction exactly, so a float
+    map's D_f terms keep their bits and types over this divisor.
+    """
+
+    def __new__(cls, M: int) -> "_Reciprocal":
+        self = super().__new__(cls, 1.0 / M)
+        self.exact = Fraction(1, M)
+        return self
+
+    def __mul__(self, x):
+        return float(self) * x if isinstance(x, float) else self.exact * x
 
 
 def build_extractor(
@@ -391,11 +434,23 @@ def build_extractor(
         )
         level_mass = lambda j: modified[j]  # noqa: E731
 
-    induced = FiniteDistribution(
-        labels=tuple(range(1, M + 1)), masses=tuple(binning.induced_masses())
-    )
-    q = Fraction(1, M)
-    achieved = _divergence_sum(f, ((1, p, q) for p in induced.masses))
+    masses = binning.induced_masses()
+    if exact:
+        # Bins of one numerator share a Fraction and a D_f term: exact
+        # terms sum alike in any grouping, rounded ones only bin by bin.
+        q = Fraction(1, M)
+        counts = collections.Counter(masses)
+        share = {num: Fraction(num, levels.denominator) for num in counts}
+        masses = [share[num] for num in masses]
+        achieved = _divergence_sum(f, ((k, share[num], q) for num, k in counts.items()))
+        if isinstance(achieved.value, float):
+            achieved = _divergence_sum(f, ((1, p, q) for p in masses))
+        distinct = share.values()
+    else:
+        q = _Reciprocal(M)
+        achieved = _divergence_sum(f, ((1, p, q) for p in masses))
+        distinct = masses
+    induced = FiniteDistribution(labels=tuple(range(1, M + 1)), masses=tuple(masses))
 
     def modified_dist() -> FiniteDistribution:
         zero = beta0 * 0 / a_n
@@ -407,7 +462,7 @@ def build_extractor(
 
     beta0_f = float(beta0)
     a_n_f = float(a_n)
-    min_induced = min(float(m) for m in induced.masses)
+    min_induced = min(map(float, distinct))
     if m_from_formula:
         arg = a_n_f * (1.0 - math.exp(-n * gamma_f / 2.0))
     else:

@@ -281,23 +281,30 @@ class _Quantization:
 def _construction_start(source: Source, f: FFunction, target: Number, gamma: float):
     """The checks both builders open with, and what they read next.
 
-    Refuses a negative or infeasible divergence target, a nonpositive
-    gamma and a view of more than 2^20 atoms, in that order; the cap
-    comes before the level table, whose float products cost big-integer
-    work at large n.  Returns the offset form of f, gamma as a float and
-    the source's construction level table.
+    Refuses a non-finite, negative or infeasible divergence target, a
+    non-finite or nonpositive gamma and a view of more than 2^20 atoms,
+    in that order; the cap comes before the level table, whose float
+    products cost big-integer work at large n.  Returns the offset form
+    of f, gamma as a float and the source's construction level table.
     """
     f0 = offset(f)
+    _check_finite("divergence target", target)
     if target < 0:
         raise BadParamError(f"divergence target must be nonnegative, got {target}")
     if not target < f0.f_at_zero:
         raise TargetInfeasibleError(f"target {target} not below f0(0) = {f0.f_at_zero}")
-    gamma_f = float(gamma)
-    if not gamma_f > 0:
-        raise BadParamError(f"gamma must be positive, got {gamma}")
+    gamma_f = _check_gamma(gamma)
     if isinstance(source, ProductSourceView):
         _check_cap(source.full_alphabet_size)
     return f0, gamma_f, _construction_levels(source)
+
+
+def _check_gamma(gamma: Number) -> float:
+    """gamma as a float, refused unless finite and positive."""
+    _check_finite("gamma", gamma)
+    if not float(gamma) > 0:
+        raise BadParamError(f"gamma must be positive, got {gamma}")
+    return float(gamma)
 
 
 def _check_m_override(M) -> None:

@@ -119,8 +119,9 @@ def spectrum_rate(
     profile that the smoothers share, kunder from the mass summed
     downward; exact sources count in integers over the level table's
     common denominator, and only the two returned levels become
-    fractions.
+    fractions.  A nan or infinite epsilon is refused as malformed.
     """
+    _check_finite("epsilon", epsilon)
     f0 = offset(f)
     if epsilon < 0 or not epsilon < f0.f_at_zero:
         raise OutOfRangeError(
