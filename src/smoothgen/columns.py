@@ -1,19 +1,21 @@
-"""Type-class columns of a product view: coordinates, the log fold and its certified order.
+"""Type-class columns of a product view: the walk's rows, the log fold and its certified order.
 
 A view keeps its classes as columns (see :mod:`smoothgen.distributions`).
-This module holds the routines those columns are made of: the
-compositions as s coordinate columns (:class:`_Compositions`) and their
-certificate (:func:`_are_compositions`); the log fold
-(:func:`_class_logs`) that orders, certifies and groups the classes of
-both lanes, with its proven rounding bound (:func:`_fold_bound`), the
-exact compare of two classes (:func:`_exact_compare`), the sort of
-:func:`_descending`, which gathers the fold it sorts by with the columns
-so that a view folds no class twice, and the pair rule of
-:func:`_certified_runs`; and the read-only columns filled only as far as
-a read reaches: multinomials (:class:`_Multinomials`), numerators and
-class masses (:class:`_Carried`) and per-run views of a class column
-(:class:`_RunColumn`).  Exact masses are read as integers in one place,
-:func:`_numerators`.
+This module holds the routines those columns are made of: the walk's row
+table (:func:`_rows`), one row per head (all coordinates but the last
+two), which the log fold (:func:`_row_logs`) reads a row at a time and
+:func:`_expanded` turns into the classes' s coordinate columns
+(:class:`_Compositions`); the walk ranks of compositions given as they
+are (:func:`_ranks`) and the certificate of a row table and an order of
+the ranks (:func:`_check_classes`, with :func:`_are_compositions`); the
+fold's proven rounding bound (:func:`_fold_bound`), the exact compare of
+two classes (:func:`_exact_compare`), the sort of :func:`_descending`,
+which gathers the columns and the fold through one order, and the pair
+rule of :func:`_certified_runs`; and the read-only columns filled only
+as far as a read reaches: multinomials (:class:`_Multinomials`),
+numerators and class masses (:class:`_Carried`) and per-run views of a
+class column (:class:`_RunColumn`).  Exact masses are read as integers in
+one place, :func:`_numerators`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BadParamError, InexactCarryError
 
@@ -93,6 +95,11 @@ def _are_compositions(cols: Sequence[Sequence[int]], n: int, s: int) -> bool:
     summing to n, with distinct :func:`_composition_codes` are every
     composition once.
     """
+    return _each_a_composition(cols, n, s) and len(set(_composition_codes(cols, n))) == len(cols[0])
+
+
+def _each_a_composition(cols: Sequence[Sequence[int]], n: int, s: int) -> bool:
+    """Whether ``cols`` are s columns of C(n + s - 1, s - 1) nonnegative ``int`` counts, each class summing to n."""
     count = math.comb(n + s - 1, s - 1)
     if len(cols) != s or any(len(col) != count for col in cols):
         return False
@@ -101,42 +108,129 @@ def _are_compositions(cols: Sequence[Sequence[int]], n: int, s: int) -> bool:
     totals = cols[0]
     for col in cols[1:]:
         totals = list(map(operator.add, totals, col))
-    return (
-        min(map(min, cols)) >= 0
-        and totals.count(n) == count
-        and len(set(_composition_codes(cols, n))) == count
-    )
+    return min(map(min, cols)) >= 0 and totals.count(n) == count
 
 
-def _class_logs(masses: Sequence[Number], cols: Sequence[Sequence[int]], n: int) -> tuple[float, ...]:
-    """Each class's natural-log probability, the sum of k_i log(m_i), in the order of ``cols``.
+def _rows(n: int, s: int) -> list[list[int]]:
+    """The walk's row table: the compositions of n into s - 1 parts, in lexicographic order.
 
-    ``masses`` are the support masses and ``cols`` the classes'
-    coordinates, one column per support symbol.  The terms k log(m_i) are
-    tabled for every count k <= n.  A class sums the terms of all but its
-    last two coordinates (its head) with ``sum``, from 0, once per distinct
-    head, then adds the second-to-last and the last term in turn.
+    One column per part.  Row (head, m) stands for the m + 1 classes
+    (head, j, m - j), j = 0..m, that share all but their last two
+    coordinates; the rows' classes in turn are every composition of n
+    into s parts in lexicographic order, the walk order.  A one-symbol
+    support has the one row (n,), which is its one class.
     """
-    log_terms = [list(map(operator.mul, itertools.repeat(_log_exact(m)), range(n + 1))) for m in masses]
-    s = len(cols)
-    if s <= 3:  # a head of at most one term: the fold starts from 0 + the first term
-        first = log_terms[0]
-        # 0 + x is x bit for bit but for x = -0.0, the entry k = 0 of a negative log.
-        first[0] = 0.0
-        folded: Iterable = map(first.__getitem__, cols[0])
-        rest = range(1, s)
-    else:
-        heads = list(zip(*cols[:-2]))
-        lead_of = {head: sum(map(list.__getitem__, log_terms, head)) for head in set(heads)}
-        folded = map(lead_of.__getitem__, heads)
-        rest = range(s - 2, s)
-    for i in rest:
-        folded = map(operator.add, folded, map(log_terms[i].__getitem__, cols[i]))
-    return tuple(folded)
+    if s == 1:
+        return [[n]]
+    rows: list[list[int]] = [[] for _ in range(s - 1)]
+    comp = [0] * (s - 1) + [n]
+    while True:
+        m = comp[-1]
+        for col, k in zip(rows, comp[:-2]):
+            col.append(k)
+        rows[-1].append(m)
+        comp[-2], comp[-1] = m, 0
+        if comp[0] == n:  # (n, 0, ..., 0) is the last composition
+            break
+        # Carry: the rightmost nonzero coordinate v gives one unit to its
+        # left neighbour and its other v-1 units to the last coordinate.
+        i = s - 2
+        while not comp[i]:
+            i -= 1
+        v = comp[i]
+        comp[i - 1] += 1
+        comp[i] = 0
+        comp[-1] = v - 1
+    return rows
+
+
+def _expanded(rows: Sequence[Sequence[int]], s: int) -> list[list[int]]:
+    """The coordinate columns of the classes of the row table ``rows``, in walk order.
+
+    Each column is extended by one C-level pass per row.
+    """
+    if s == 1:
+        return [list(rows[0])]
+    cols: list[list[int]] = [[] for _ in range(s)]
+    for row in zip(*rows):
+        m = row[-1]
+        for col, k in zip(cols, row[:-1]):
+            col += itertools.repeat(k, m + 1)
+        cols[-2] += range(m + 1)
+        cols[-1] += range(m, -1, -1)
+    return cols
+
+
+def _ranks(cols: Sequence[Sequence[int]], rows: Sequence[Sequence[int]], n: int, s: int) -> Optional[list[int]]:
+    """Each class's walk rank over the row table ``rows``; None if a class is no composition of n into s parts.
+
+    A class (head, j, m - j) is ranked at its row's first rank plus j, its
+    lexicographic rank among the compositions of n (enumerative coding,
+    Cover 1973).  A repeated class repeats a rank: :func:`_check_classes`
+    refuses it.
+    """
+    if not _each_a_composition(cols, n, s):
+        return None
+    if s == 1:
+        return [0] * len(cols[0])
+    firsts = itertools.accumulate(map((1).__add__, rows[-1]), initial=0)
+    first_of = dict(zip(_composition_codes(rows, n), firsts))
+    return list(map(operator.add, map(first_of.__getitem__, _composition_codes(cols[:-1], n)), cols[-2]))
+
+
+def _check_classes(rows: Sequence[Sequence[int]], order: Optional[Sequence[int]], n: int, s: int) -> None:
+    """Certify that the row table and the order hold every composition of n into s parts once.
+
+    The rows must be the compositions of n into s - 1 parts
+    (:func:`_are_compositions`), C(n + s - 2, s - 2) of them, and the order
+    a permutation of the C(n + s - 1, s - 1) walk ranks their classes take,
+    with ``int`` entries.  No class is read.  Anything else raises
+    BadParamError.
+    """
+    count = math.comb(n + s - 1, s - 1)
+    if not (
+        order is not None
+        and _are_compositions(rows, n, max(s - 1, 1))
+        and len(order) == count
+        and set(map(type, order)) == {int}
+        and min(order) >= 0
+        and max(order) < count
+        and len(set(order)) == count
+    ):
+        raise BadParamError(f"compositions are not the {count} compositions of {n} into {s} parts")
+
+
+def _row_logs(masses: Sequence[Number], rows: Sequence[Sequence[int]], n: int) -> list[float]:
+    """Each class's natural-log probability, the sum of k_i log(m_i), in the walk order of ``rows``.
+
+    ``masses`` are the support masses and ``rows`` the row table of
+    :func:`_rows`.  The terms k log(m_i) are tabled for every count k <= n,
+    the last symbol's from k = n down.  A row sums the terms of its head
+    with ``sum``, from 0, and its classes (head, j, m - j) then add the
+    slice of second-to-last terms for j = 0..m and the slice of last terms
+    for m - j in turn, each in one C-level pass.  With no head (two
+    symbols, one row) the fold starts from the second-to-last term, whose
+    entry k = 0 is 0.0, as 0 + (-0.0) is.
+    """
+    logs = list(map(_log_exact, masses))
+    last = list(map(operator.mul, itertools.repeat(logs[-1]), range(n, -1, -1)))  # last[n - k]: k log m_s
+    if len(logs) == 1:  # the one class (n,)
+        return [0 + last[0]]
+    terms = [list(map(operator.mul, itertools.repeat(log_m), range(n + 1))) for log_m in logs[:-1]]
+    near = terms[-1]
+    if len(logs) == 2:
+        near[0] = 0.0
+        return list(map(operator.add, near, last))
+    folded: list[float] = []
+    for row in zip(*rows):
+        m = row[-1]
+        lead = sum(map(list.__getitem__, terms, row[:-1]))
+        folded += map(operator.add, map(operator.add, itertools.repeat(lead, m + 1), near[: m + 1]), last[n - m :])
+    return folded
 
 
 def _fold_bound(masses: Sequence[Number], n: int) -> float:
-    """How far apart two classes' :func:`_class_logs` can lie and still be misordered.
+    """How far apart two classes' :func:`_row_logs` can lie and still be misordered.
 
     Float masses give 0: a float view's stored logs are its probabilities.
     For exact masses m_i = a_i / b_i (in lowest terms) over s support symbols
@@ -197,7 +291,7 @@ def _exact_compare(weights: Sequence[int], cols: Sequence[Sequence[int]], i: int
 def _certified_runs(logs: Sequence[float], bound: float, compare) -> Sequence[int]:
     """Certify that classes descend, and return where each run of equal probability starts.
 
-    ``logs`` is the classes' :func:`_class_logs` column and ``bound`` its
+    ``logs`` is the classes' :func:`_row_logs` column and ``bound`` its
     :func:`_fold_bound`.  A pair of neighbours whose computed gap exceeds
     the bound descends strictly and starts a run.  A pair within it is
     settled by ``compare(i, i + 1)``, the sign of the first class's exact
@@ -242,34 +336,18 @@ class _TupleColumn(collections.abc.Sequence):
 class _Compositions(_TupleColumn):
     """Every class's composition, held as its s coordinate columns.
 
-    ``columns`` holds one column of counts per support symbol, the storage
-    the walk of :func:`iid_power` writes and the view's certificate, the
-    multiplicities and the class readers read.  The composition tuples
-    themselves are built once, on the first read of an entry.
-
-    Compositions sorted by :func:`_descending` carry the log fold the sort
-    computed, gathered with the columns; :meth:`logs` hands it on only to
-    a reader with the same support masses and n.
+    ``columns`` holds one column of counts per support symbol:
+    :func:`_descending` gathers them from the expanded walk rows, and the
+    multiplicities and the class readers read them where they are.  The
+    composition tuples themselves are built once, on the first read of an
+    entry.
     """
 
-    __slots__ = ("columns", "_tuples", "_fold")
+    __slots__ = ("columns", "_tuples")
 
     def __init__(self, columns: Sequence[Sequence[int]]) -> None:
         self.columns = columns
         self._tuples: Optional[tuple[tuple[int, ...], ...]] = None
-        self._fold: Optional[tuple] = None  # (columns, masses key, n, logs), set by _descending
-
-    def logs(self, masses: Sequence[Number], n: int) -> tuple[float, ...]:
-        """:func:`_class_logs` of these columns over the support ``masses`` and n.
-
-        The carried fold is returned when it was computed from these very
-        columns with masses of the same types and values (the two lanes
-        never share a fold) and the same n; any other call folds again.
-        """
-        fold = self._fold
-        if fold is not None and fold[0] is self.columns and fold[1:3] == (_fold_key(masses), n):
-            return fold[3]
-        return _class_logs(masses, self.columns, n)
 
     def _built(self) -> tuple[tuple[int, ...], ...]:
         if self._tuples is None:
@@ -469,24 +547,39 @@ class _RunColumn(_TupleColumn):
         return sum(self.column[a:b]) if self.summed else self.column[a]
 
 
-def _fold_key(masses: Sequence[Number]) -> tuple:
-    """The support masses as :func:`_log_exact` reads them: each value with its type."""
-    return tuple(zip(map(type, masses), masses))
+class _Sorted(NamedTuple):
+    """What :func:`_descending` hands the view of the masses and n it sorted over.
 
-
-def _descending(masses: Sequence[Number], cols: Sequence[Sequence[int]], n: int) -> _Compositions:
-    """The classes of the columns ``cols``, most probable first, ties in column order.
-
-    One stable sort by :func:`_class_logs`.  On exact masses each run of
-    neighbours whose float gaps lie within :func:`_fold_bound` is sorted
-    again by :func:`_exact_compare`, from column order, so exact ties keep
-    it; no class's numerator is built.  The columns and the log column are
-    gathered through the one order, and the sorted compositions carry
-    that fold (:meth:`_Compositions.logs`), so a view over them folds no
-    class again.  The column-order logs are dropped on return, before the
-    view certifies.
+    ``rows`` is the walk's row table, ``order`` the walk ranks of the
+    classes most probable first, ``logs`` their :func:`_row_logs` and
+    ``compositions`` their coordinate columns, both gathered through
+    ``order``.  The view certifies ``rows`` and ``order`` and keeps neither.
     """
-    logs = _class_logs(masses, cols, n)
+
+    rows: Sequence[Sequence[int]]
+    order: list[int]
+    logs: tuple[float, ...]
+    compositions: _Compositions
+
+
+def _gather(order: Sequence[int]):
+    """A function that gathers a column through ``order`` into a tuple."""
+    # An itemgetter of one index returns the entry, not a 1-tuple; one class needs no gather.
+    return operator.itemgetter(*order) if len(order) > 1 else tuple
+
+
+def _descending(masses: Sequence[Number], rows: Sequence[Sequence[int]], n: int) -> _Sorted:
+    """The classes of the row table ``rows``, most probable first, ties in walk order.
+
+    One stable sort of the walk ranks by :func:`_row_logs`.  On exact
+    masses each run of neighbours whose float gaps lie within
+    :func:`_fold_bound` is sorted again by :func:`_exact_compare`, from
+    walk order, so exact ties keep it; no class's numerator is built.  The
+    rows are expanded into coordinate columns once, and the columns and
+    the fold are gathered through the one order.
+    """
+    logs = _row_logs(masses, rows, n)
+    cols = _expanded(rows, len(masses))
     order = sorted(range(len(logs)), key=logs.__getitem__, reverse=True)
     bound = _fold_bound(masses, n)
     ranked = list(map(logs.__getitem__, order)) if bound else []
@@ -501,8 +594,5 @@ def _descending(masses: Sequence[Number], cols: Sequence[Sequence[int]], n: int)
             if after != p + 1:
                 order[start : p + 1] = sorted(sorted(order[start : p + 1]), key=compare, reverse=True)
                 start = None
-    # An itemgetter of one index returns the entry, not a 1-tuple; one class needs no gather.
-    gather = operator.itemgetter(*order) if len(order) > 1 else tuple
-    comps = _Compositions(tuple(map(gather, cols)))
-    comps._fold = (comps.columns, _fold_key(masses), n, gather(logs))
-    return comps
+    gather = _gather(order)
+    return _Sorted(rows, order, gather(logs), _Compositions(tuple(map(gather, cols))))

@@ -11,27 +11,33 @@ Two source representations are used everywhere in this package:
   |base|^n atoms.
 
 A view's type classes (the method of types) come from one iterative
-walk over the compositions of n, a row of classes at a time: each row
-fixes all but the last two coordinates, and its coordinates are
-appended by one C-level pass per symbol.  A view is its base, n and
-compositions; it keeps its classes as parallel columns rather than one
-object per class, and derives every other column from them.  Its
-compositions are held as s coordinate columns, one per support symbol
-(:class:`_Compositions`): the walk writes them, and the certificate, the
-derived columns and the class readers read them where they are; the
-composition tuples are built only when a reader asks for an entry, and
-``type_classes`` builds :class:`TypeClass` objects from the columns on
-first read.  The column routines live in :mod:`smoothgen.columns`.
+walk over the compositions of n.  The walk emits one row per head, the
+classes that share all but their last two coordinates: row (head, m)
+stands for the classes (head, j, m - j), j = 0..m, and each class's walk
+rank is its lexicographic rank.  A view is its base, n and compositions;
+it keeps its classes as parallel columns rather than one object per
+class, and derives every other column from them.  Its compositions are
+held as s coordinate columns, one per support symbol
+(:class:`_Compositions`), expanded from the rows once and gathered
+through the sort's order; the derived columns and the class readers read
+them where they are, the composition tuples are built only when a reader
+asks for an entry, and ``type_classes`` builds :class:`TypeClass` objects
+from the columns on first read.  The column routines live in
+:mod:`smoothgen.columns`.
 
 Both lanes order, certify and group classes by one column, the log fold
-of :func:`_class_logs`, computed once per build.  :func:`iid_power`
-sorts by it, ties in walk order; on an exact base every pair of
-neighbours whose float gap lies within the fold's proven rounding bound
-(:func:`_fold_bound`) is compared exactly by :func:`_exact_compare`,
-which cancels the common powers and builds neither probability.  The
-fold is gathered with the coordinate columns through the one order and
-becomes the view's ``log_probs``.  The view certifies its order with the
-same pair rule when it is built (:func:`_certified_runs`), with no count
+of :func:`_row_logs`, computed once per build from the rows: a row adds
+slices of the k log m tables, one C-level pass each.  :func:`iid_power`
+sorts the walk ranks by it, ties in walk order; on an exact base every
+pair of neighbours whose float gap lies within the fold's proven rounding
+bound (:func:`_fold_bound`) is compared exactly by :func:`_exact_compare`,
+which cancels the common powers and builds neither probability.  The fold
+is gathered with the coordinate columns through the one order and becomes
+the view's ``log_probs``.  The view certifies its classes from the row
+table and the order alone (:func:`_check_classes`): the rows are the
+compositions of n into s - 1 parts and the order is a permutation of the
+walk ranks, so every composition of n is a class once.  It certifies
+their order with the pair rule of :func:`_certified_runs`, with no count
 and no numerator read, and the same pair decisions give its level runs.
 By the multinomial theorem the masses of the certified compositions sum
 to 1.
@@ -74,21 +80,26 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .columns import (
-    _are_compositions,
     _Carried,
     _certified_runs,
+    _check_classes,
     _composition_codes,
     _Compositions,
     _coordinates,
     _descending,
     _exact_compare,
     _fold_bound,
+    _gather,
     _is_exact,
     _is_exact_type,
     _log_exact,
     _Multinomials,
     _numerators,
+    _ranks,
+    _row_logs,
+    _rows,
     _RunColumn,
+    _Sorted,
 )
 from .errors import (
     AllZeroError,
@@ -399,31 +410,37 @@ class ProductSourceView:
     to min-entropy clamping without inflating the class list.
 
     ``compositions`` is a read-only sequence over s coordinate columns,
-    one per support symbol (its ``columns``): the walk writes them, and
-    the certificate, the derived columns and the class readers read them
-    where they are.  It builds the composition tuples on the first read
-    of an entry; no library path reads one.  ``type_classes`` builds one
+    one per support symbol (its ``columns``): :func:`iid_power` expands
+    them from the walk's rows and gathers them through its sort, and the
+    derived columns and the class readers read them where they are.  It
+    builds the composition tuples on the first read of an entry; no
+    library path reads one.  ``type_classes`` builds one
     :class:`TypeClass` per class from the columns on first read; nothing
     in the library reads it.
 
-    The build computes ``log_probs`` (:func:`_class_logs`) and nothing
-    else per class; compositions sorted by :func:`iid_power` carry the
-    fold the sort computed, which the view takes only when it was folded
-    from these columns with this view's support masses (same types, same
-    values) and n, and folds the columns itself otherwise.  The
-    certificate reads that column whichever way it came: the coordinate
-    columns must hold each of the C(n + s - 1, s - 1) compositions of n
-    into the s support symbols once, as ``int`` counts, and every pair of
-    neighbours must descend by :func:`_certified_runs`.  A pair whose log
-    gap exceeds the fold's rounding bound (:func:`_fold_bound`, 0 on
-    float views) is ordered by the floats; a pair within it is compared
-    exactly from its coordinates (:func:`_exact_compare`) on exact views;
-    on float views it must have equal logs, and is one level.  By the
-    multinomial theorem the class masses then sum to 1.  The same pair
-    decisions give the runs of classes that share a level.  Compositions
-    given as a plain tuple column, as :func:`dataclasses.replace` passes
-    them, are read into coordinate columns once and certified the same
-    way.
+    A view holds its classes as the walk's row table (:func:`_rows`) and
+    an order, the walk ranks of its classes most probable first.  The
+    build folds the rows once (:func:`_row_logs`) and computes nothing
+    else per class; :func:`iid_power` hands the view its rows, its order
+    and the fold its sort gathered.  Compositions given any other way, as
+    a plain tuple column (:func:`dataclasses.replace` passes the view's
+    own) or as hand-built coordinate columns, are read into the same form
+    by their ranks (:func:`_ranks`): non-``int`` counts, classes that are
+    not compositions of n into the s support symbols and columns of the
+    wrong length are refused, and the rows are folded and the fold
+    gathered through the ranks.  The certificate then reads only the row
+    table and the order (:func:`_check_classes`): the rows must be the
+    C(n + s - 2, s - 2) compositions of n into s - 1 parts and the order
+    a permutation of the C(n + s - 1, s - 1) walk ranks with ``int``
+    entries, so a repeated class is refused; the view keeps neither.
+    Every pair of neighbours must descend by :func:`_certified_runs`.  A
+    pair whose log gap exceeds the fold's rounding bound
+    (:func:`_fold_bound`, 0 on float views) is ordered by the floats; a
+    pair within it is compared exactly from its coordinates
+    (:func:`_exact_compare`) on exact views; on float views it must have
+    equal logs, and is one level.  By the multinomial theorem the class
+    masses then sum to 1.  The same pair decisions give the runs of
+    classes that share a level.
 
     ``multiplicities`` and ``numerators`` are read-only sequences over
     the coordinate columns that are filled only as far as a read reaches;
@@ -452,15 +469,18 @@ class ProductSourceView:
         comps, n = self.compositions, self.n
         _check_n(n)
         support = [(lab, m) for lab, m in self.base.atoms if m > 0]
-        s = len(support)
-        if not isinstance(comps, _Compositions):
-            comps = _Compositions(_coordinates(comps))
+        masses, s, full = [m for _, m in support], len(support), self.base.size**n
+        if isinstance(comps, _Sorted):  # iid_power's sort over these masses and n
+            rows, order, logs, comps = comps
+        else:
+            if not isinstance(comps, _Compositions):
+                comps = _Compositions(_coordinates(comps))
+            rows, logs = _rows(n, s), None
+            order = _ranks(comps.columns, rows, n, s)
+        _check_classes(rows, order, n, s)
+        if logs is None:
+            logs = _gather(order)(_row_logs(masses, rows, n))
         cols = comps.columns
-        if not _are_compositions(cols, n, s):
-            count = math.comb(n + s - 1, s - 1)
-            raise BadParamError(f"compositions are not the {count} compositions of {n} into {s} parts")
-        masses, full = [m for _, m in support], self.base.size**n
-        logs = comps.logs(masses, n)
         numerators = denominator = compare = None
         if self.exact:
             weights, d = _numerators(masses)
@@ -710,13 +730,14 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
     """Build the type-class view of base^n.
 
     One walk visits the compositions of n over the s support symbols in
-    lexicographic order, one row of classes per pass, and appends their
-    coordinates to s columns, one per symbol.  The classes are then sorted
-    most probable first, ties in walk order (:func:`_descending`), the
-    coordinate columns and the sort's log fold are gathered through that
-    order and the view derives its other columns from them.  Guards: the
-    sequence-count width n*log2(|base|) must stay within 2^20 bits and
-    the composition count within 5 000 000.
+    lexicographic order and emits one row per head (:func:`_rows`).  The
+    rows are folded (:func:`_row_logs`), the walk ranks sorted by the
+    fold, most probable first, ties in walk order (:func:`_descending`),
+    and the rows expanded once into coordinate columns, which are gathered
+    with the fold through that order; the view certifies the rows and the
+    order and derives its other columns.  Guards: the sequence-count width
+    n*log2(|base|) must stay within 2^20 bits and the composition count
+    within 5 000 000.
     """
     _check_n(n)
     if base.size < 2:
@@ -731,33 +752,7 @@ def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
         raise OverflowGuardError(
             f"{n_classes} type classes exceed the cap of {_MAX_CLASSES}"
         )
-    cols: list[list[int]] = [[] for _ in range(s)]  # one coordinate column per symbol
-    comp = [0] * (s - 1) + [n]
-    if s == 1:  # a one-symbol support has the one class (n,)
-        cols[0].append(n)
-    while s > 1:
-        # One row: the classes that share all but the last two coordinates,
-        # from (..., 0, m) to (..., m, 0), each column filled by one pass.
-        m = comp[-1]
-        for col, k in zip(cols, comp[:-2]):
-            col += itertools.repeat(k, m + 1)
-        cols[-2] += range(m + 1)
-        cols[-1] += range(m, -1, -1)
-        comp[-2], comp[-1] = m, 0
-        if comp[0] == n:  # (n, 0, ..., 0) is the last composition
-            break
-        # Carry: the rightmost nonzero coordinate v gives one unit to its
-        # left neighbour and its other v-1 units to the last coordinate.
-        i = s - 2
-        while not comp[i]:
-            i -= 1
-        v = comp[i]
-        comp[i - 1] += 1
-        comp[i] = 0
-        comp[-1] = v - 1
-
-    comps = _descending([m for m in base.masses if m > 0], cols, n)
-    del cols  # the walk-order columns go before the view certifies the sorted ones
+    comps = _descending([m for m in base.masses if m > 0], _rows(n, s), n)
     return ProductSourceView(base=base, n=n, compositions=comps)
 
 

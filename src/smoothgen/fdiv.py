@@ -309,6 +309,11 @@ def _divergence_sum(f: FFunction, terms) -> DivergenceValue:
             term = p * f.c_f
         else:
             continue
+        if term == 0 and not isinstance(term, float) and not isinstance(total, int):
+            # An exact zero changes neither a Fraction total nor a float one,
+            # which starts from the int 0 and so is never -0.0; only an int
+            # total can still take its type.
+            continue
         total += term if count == 1 else count * term
     if total < 0 and total > -1e-12:
         total = 0

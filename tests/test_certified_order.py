@@ -49,7 +49,8 @@ def _bound(view):
 
 
 def test_the_float_logs_misorder_or_tie_these_masses():
-    logs = columns._class_logs([SMALLER, LARGER], [[1, 0], [0, 1]], 1)
+    # The walk of n = 1 over two symbols: the classes (0, 1), then (1, 0).
+    logs = columns._row_logs([LARGER, SMALLER], [[1]], 1)
     assert SMALLER < LARGER and logs[0] > logs[1]
     assert logs[0] - logs[1] <= _bound(iid_power(MISORDERED, 1))
     a, b = TIED_FLOATS.masses

@@ -322,7 +322,7 @@ def test_view_columns_are_derived_from_its_compositions(base):
         assert getattr(replaced, name) == getattr(view, name), name
 
 
-_FOLD = columns._class_logs
+_FOLD = columns._row_logs
 FOLD_CASES = [(base, 7) for base in DERIVED_BASES] + [
     (make_distribution([0.89, 0.11]), 16384),
     (bernoulli(0.11), 4096),
@@ -332,22 +332,26 @@ FOLD_IDS = DERIVED_IDS + ["float-16384", "exact-4096", "ternary-96"]
 
 
 def _counted_folds(monkeypatch) -> list:
-    """Record every call of the log fold for the rest of the test."""
+    """Record every call of the row fold for the rest of the test."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return _FOLD(*args)
 
-    monkeypatch.setattr(columns, "_class_logs", counted)
+    monkeypatch.setattr(columns, "_row_logs", counted)
     # A module holding the fold under its own name would call past the patch above.
-    monkeypatch.setattr(distributions, "_class_logs", counted, raising=False)
+    monkeypatch.setattr(distributions, "_row_logs", counted, raising=False)
     return calls
 
 
 def _fresh_fold(view) -> list[str]:
+    """The row fold of the view's walk, gathered through its classes' walk ranks."""
     masses = [m for m in view.base.masses if m > 0]
-    return list(map(float.hex, _FOLD(masses, view.compositions.columns, view.n)))
+    s, n = len(masses), view.n
+    rows = columns._rows(n, s)
+    ranks = columns._ranks(view.compositions.columns, rows, n, s)
+    return list(map(float.hex, columns._gather(ranks)(_FOLD(masses, rows, n))))
 
 
 @pytest.mark.parametrize("base,n", FOLD_CASES, ids=FOLD_IDS)
@@ -361,9 +365,11 @@ def test_a_build_folds_each_class_once(base, n, monkeypatch):
 def test_a_view_moved_onto_other_masses_folds_again(monkeypatch):
     view = iid_power(make_distribution([Fraction(3, 4), Fraction(1, 4)]), 9)
     calls = _counted_folds(monkeypatch)
-    # Equal masses in the same lane share the fold the sort computed.
+    # A view given compositions folds its rows once; equal masses in the same
+    # lane fold to the same bits.
     same = dataclasses.replace(view, base=make_distribution([Fraction(3, 4), Fraction(1, 4)]))
-    assert calls == [] and same.log_probs is view.log_probs
+    assert len(calls) == 1
+    assert list(map(float.hex, same.log_probs)) == list(map(float.hex, view.log_probs))
     # Other masses, the float lane's equal values, and columns given as tuples fold again.
     for change in (
         {"base": make_distribution([Fraction(4, 5), Fraction(1, 5)])},

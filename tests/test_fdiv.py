@@ -360,3 +360,37 @@ def test_a_channel_never_raises_the_divergence(pq, data):
             assert after.value <= before.value, f.name
         else:
             assert float(after) <= float(before) + 1e-12 * abs(float(before)), (f.name, before, after)
+
+
+def _every_term_added(f, terms):
+    """sum count * q * f(p / q) over (count, p, q) groups with both p and q positive, every term added."""
+    total = 0
+    for count, p, q in terms:
+        term = q * f.eval(p / q)
+        total += term if count == 1 else count * term
+    return total
+
+
+EXACT_ZERO_TERMS = [
+    # Leading exact zeros over Fraction(1, 4), then float terms.
+    [(1, Fraction(1, 2), Fraction(1, 4)), (3, Fraction(1, 3), Fraction(1, 4)), (1, 0.1, 0.25), (1, 0.3, 0.25)],
+    # Exact zeros after a float term.
+    [(1, 0.1, 0.25), (1, Fraction(1, 2), Fraction(1, 4)), (2, Fraction(1, 3), Fraction(1, 4))],
+    # An int Q-mass gives the int 0 first; a later Fraction zero makes the total a Fraction.
+    [(1, 2, 1), (1, Fraction(1, 2), Fraction(1, 4)), (1, Fraction(1, 3), Fraction(1, 4))],
+    # Only int zeros: the total stays an int.
+    [(1, 2, 1), (2, 3, 1)],
+    # Exact zeros between exact positive terms.
+    [(1, Fraction(1, 8), Fraction(1, 4)), (1, Fraction(1, 2), Fraction(1, 4)), (1, Fraction(1, 16), Fraction(1, 4))],
+]
+
+
+@pytest.mark.parametrize("terms", EXACT_ZERO_TERMS, ids=["leading", "after-float", "int-then-fraction", "ints", "between"])
+def test_exact_zero_terms_leave_the_sum_and_its_type_as_every_term_added_would(terms):
+    # half-variational is the int 0 at t >= 1, so q * f(t) is an exact zero there.
+    from smoothgen.fdiv import _divergence_sum
+
+    f = half_variational()
+    want = _every_term_added(f, terms)
+    got = _divergence_sum(f, iter(terms)).value
+    assert got == want and type(got) is type(want)
