@@ -26,8 +26,9 @@ sort_keys=True)`` followed by a newline, where ``obj`` holds labels as
 lists and exact rationals as strings, so ``python -m json.tool
 --sort-keys --indent 2`` reproduces it byte for byte.  :func:`_render`
 builds that text by joining, since ``json.dumps`` falls back to the
-stdlib's pure-Python encoder whenever ``indent`` is set, and a map's
-labels are rendered from one table of their base's label texts.
+stdlib's pure-Python encoder whenever ``indent`` is set.  A map's
+labels are rendered from two tables of half-label texts, and a
+resolvability map's image entries from one template.
 """
 
 from __future__ import annotations
@@ -103,10 +104,13 @@ def _render(obj, pad: str = "\n") -> str:
     ``pad`` is a newline and the indents of ``obj``'s depth.  Containers
     join their items' texts, so a list of :class:`_Text` alone is joined
     first and indented once, and add their brackets in one step, so a
-    long body is copied once.  Scalars of the plain types are written by
-    the encoder's own functions, any other through ``json.dumps``.  A
-    ``Fraction`` is written as its string, a tuple as a list and a
-    :class:`_Text` as it stands.
+    long body is copied once.  A map's labels (:func:`_label_text`) and
+    image entries (:func:`_image_entry`) come as :class:`_Text`, so its
+    label lists and its image take that join; every other payload goes
+    through the object and scalar paths.  Scalars of the plain types are
+    written by the encoder's own functions, any other through
+    ``json.dumps``.  A ``Fraction`` is written as its string, a tuple as
+    a list and a :class:`_Text` as it stands.
     """
     scalar = _SCALAR_TEXT.get(type(obj))
     if scalar is not None:
@@ -139,14 +143,33 @@ def _render(obj, pad: str = "\n") -> str:
 def _label_text(source):
     """Map a label of ``source`` to what :func:`_render` writes for it.
 
-    A view's label is a tuple of its base's labels, which are unique
-    under ``==``, so each base label is rendered once into a table and a
-    label's text is the table's entries joined.
+    A view's label is a tuple of n base labels, which are unique under
+    ``==``.  Each base label is rendered once, then every prefix of
+    length floor(n/2) and every suffix of length ceil(n/2) over the
+    base's labels (zero-mass ones too) is rendered once into a half
+    table, the opening bracket and the separator on the prefix side and
+    the closing bracket on the suffix side.  A label's text is then two
+    lookups and one concatenation.  Each table holds at most
+    s^ceil(n/2) texts for s base labels, under the 2^20 atom cap about a
+    thousand times sqrt(s).  A plain distribution's label is its own text.
     """
     if isinstance(source, FiniteDistribution):
         return lambda label: label
-    table = {lab: _render(lab, "\n  ") for lab in source.base.labels}
-    return lambda label: _Text("[\n  " + ",\n  ".join(map(table.__getitem__, label)) + "\n]")
+    labels = source.base.labels
+    symbols = [_render(lab, "\n  ") for lab in labels]
+    half = source.n // 2
+
+    def table(k: int, head: str, tail: str) -> dict:
+        return {
+            key: head + ",\n  ".join(texts) + tail
+            for key, texts in zip(
+                itertools.product(labels, repeat=k), itertools.product(symbols, repeat=k)
+            )
+        }
+
+    prefix = table(half, "[\n  ", ",\n  " if half else "")
+    suffix = table(source.n - half, "", "\n]")
+    return lambda label: _Text(prefix[label[:half]] + suffix[label[half:]])
 
 
 def _write(text: str, path: Optional[str]) -> None:
@@ -275,15 +298,34 @@ def _report_map(args, map_, target: str, last: str, fields: dict) -> None:
     )
 
 
+def _image_entry(text):
+    """Map an image pair (label, count) to the text of its artifact entry.
+
+    An entry is ``{"count": k, "sequence": label}``, written from one
+    template with its keys in sorted order, so a map's image is a list
+    of :class:`_Text` that :func:`_render` joins in one step.  The label
+    is rendered from ``text`` (see :func:`_label_text`) at the entry's
+    depth, so a plain distribution's labels keep any JSON value's text.
+    """
+    return lambda lab, k: _Text(
+        '{\n  "count": ' + _render(k) + ',\n  "sequence": ' + _render(text(lab), "\n  ") + "\n}"
+    )
+
+
 def cmd_resolve(args) -> int:
+    """Build and report a resolvability map.
+
+    Each image entry is one text from :func:`_image_entry`'s template,
+    its label looked up in :func:`_label_text`'s two half tables.
+    """
     f = parse_generator(args.f)
     source = _source_at(args.source, args.n)
     map_ = build_resolvability_map(source, f, args.D, args.gamma, M=args.M)
     p = map_.params
-    text = _label_text(source)
+    entry = _image_entry(_label_text(source))
     fields = {
         "D": p.D,
-        "image": [{"sequence": text(lab), "count": k} for lab, k in map_.image],
+        "image": list(itertools.starmap(entry, map_.image)),
         "slack": p.slack,
         "pr_b": p.pr_b,
         "b_size": p.b_size,

@@ -349,11 +349,16 @@ class _Binning:
         return tuple(tuple(b) for b in bins)
 
 
+_ZERO = Fraction(0)
+
+
 class _Reciprocal(float):
     """1.0 / M, multiplying as ``Fraction(1, M)`` does.
 
     A float through 1.0 / M, an int or a Fraction exactly, so a float
-    map's D_f terms keep their bits and types over this divisor.
+    map's D_f terms keep their bits and types over this divisor.  An
+    exact zero factor gives the shared ``Fraction(0)``, which is that
+    product, without building it.
     """
 
     def __new__(cls, M: int) -> "_Reciprocal":
@@ -362,7 +367,11 @@ class _Reciprocal(float):
         return self
 
     def __mul__(self, x):
-        return float(self) * x if isinstance(x, float) else self.exact * x
+        if isinstance(x, float):
+            return float(self) * x
+        if x == 0 and isinstance(x, (int, Fraction)):
+            return _ZERO
+        return self.exact * x
 
 
 def build_extractor(

@@ -514,7 +514,7 @@ def _assert_stdlib_bytes(text: str) -> None:
     assert_same_text(text, json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n")
 
 
-@pytest.mark.parametrize("n", ["1", "5"])
+@pytest.mark.parametrize("n", ["1", "2", "5"])
 @pytest.mark.parametrize("kind", ["resolve", "extract"])
 def test_labelled_maps_are_stdlib_json_on_file_and_stdout(capsys, tmp_path, kind, n):
     spec = _labelled_source(tmp_path)

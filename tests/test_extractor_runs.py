@@ -142,6 +142,15 @@ def test_a_float_map_of_exact_zero_terms_keeps_its_fraction_type():
     assert type(map_.achieved_divergence.value) is Fraction
 
 
+def test_the_reciprocal_times_an_exact_zero_is_a_fraction_zero():
+    q = _Reciprocal(7)
+    for zero in (0, Fraction(0)):
+        got = q * zero
+        assert type(got) is Fraction and got == 0
+    assert q * Fraction(2, 3) == Fraction(2, 21)
+    assert type(q * 0.5) is float and q * 0.5 == (1.0 / 7) * 0.5
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
 def test_builders_and_spectrum_refuse_non_finite_inputs(bad):
     view = iid_power(bernoulli(0.3), 6)

@@ -9,12 +9,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from same_text import assert_same_text
 from smoothgen import iid_power, make_distribution
-from smoothgen.cli import _label_text, _render
+from smoothgen.cli import _image_entry, _label_text, _render
 
 TRICKY_TEXT = ["", "aé\"q", "line\nbreak", "back\\slash", "☃\U0001f600", "\t\x00\x7f"]
 TRICKY_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 0.1]
@@ -87,9 +87,11 @@ labels = st.recursive(
 
 
 @settings(max_examples=150, deadline=None)
+@example(["a\nb", (1, None), 2.5], 1, True)  # an empty prefix half
+@example(["a\nb", (1, None), 2.5], 4, False)  # two halves of two
 @given(
     st.lists(labels, min_size=2, max_size=4, unique=True),
-    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
     st.booleans(),
 )
 def test_label_blocks_match_the_stdlib_encoder(base_labels, n, exact):
@@ -99,12 +101,13 @@ def test_label_blocks_match_the_stdlib_encoder(base_labels, n, exact):
     base = make_distribution(weights, labels=base_labels)
     for source in (base, iid_power(base, n)):
         text = _label_text(source)
+        entry = _image_entry(text)
         view_labels = (
             list(base.labels) if source is base else list(itertools.product(base.labels, repeat=n))
         )
         payload = {
             "bins": [list(map(text, view_labels[:2])), list(map(text, view_labels[2:]))],
-            "image": [{"count": k, "sequence": text(lab)} for k, lab in enumerate(view_labels)],
+            "image": [entry(lab, k) for k, lab in enumerate(view_labels)],
         }
         expected = {
             "bins": [as_lists(tuple(view_labels[:2])), as_lists(tuple(view_labels[2:]))],
