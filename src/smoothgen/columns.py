@@ -13,8 +13,10 @@ two classes (:func:`_exact_compare`), the sort of :func:`_descending`,
 which gathers the columns and the fold through one order, and the pair
 rule of :func:`_certified_runs`; and the read-only columns filled only
 as far as a read reaches: multinomials (:class:`_Multinomials`),
-numerators and class masses (:class:`_Carried`) and per-run views of a
-class column (:class:`_RunColumn`).  Exact masses are read as integers in
+numerators and class masses (:class:`_Carried`, which reads one entry
+from its composition, carries slices, keeps only its frontier, and on
+the class masses keeps no entry) and per-run views of a class column
+(:class:`_RunColumn`).  Exact masses are read as integers in
 one place, :func:`_numerators`.
 """
 
@@ -465,70 +467,150 @@ class _Multinomials(_Prefix):
 
 
 class _Carried(_Prefix):
-    """prod_i w_i^k_i for every class in the coordinate ``columns``, in their order, filled on demand.
+    """prod_i w_i^k_i for every class in the coordinate ``columns``, in their order.
 
     With ``counts`` each entry is also multiplied by the class's
-    multinomial: the class mass as a numerator over d^n.  The root symbol
-    r is the last support symbol of largest weight.  A class k with a
-    coordinate other than r is carried from its parent k - e_b + e_r, b
-    being its first such coordinate: the parent's entry times w_b (and
-    k_r + 1) divided by w_r (and k_b), one product and one division by
-    small integers whose remainder must be 0.  In a certified order every
-    parent comes first: moving a unit to r never makes a class less
-    probable, and among classes of equal probability the parent is first
-    in walk order.  A class whose parent has not been read (the root, or
-    one placed before its parent among ties) is computed directly.
+    multinomial: the class mass as a numerator over d^n.  An entry read
+    on its own, by an int index, is computed from its class's composition
+    (:meth:`_direct`) unless the column already holds it, and fills
+    nothing: a query that probes a few levels' probabilities pays one
+    product per probe.  Slices and iteration read the carry.
+
+    The root symbol r is the last support symbol of largest weight.  A
+    class k with a coordinate other than r is carried from its parent
+    k - e_b + e_r, b being its first such coordinate: the parent's entry
+    times w_b (and k_r + 1) divided by w_r (and k_b), one product and one
+    division by small integers whose remainder must be 0.  In a certified
+    order every parent comes first: moving a unit to r never makes a class
+    less probable, and among classes of equal probability the parent is
+    first in walk order.  A class whose parent has not been read (the
+    root, or one placed before its parent among ties) is computed
+    directly.
+
+    The carry keeps only its frontier: a class's entry while some of its
+    children are still to come.  Class k's children are k - e_r + e_c for
+    every c other than r up to its first coordinate other than r (every
+    c at the root), when k_r > 0.  A child takes its parent's entry out
+    of the frontier unless ``_more`` counts children after it; a child
+    read before its parent is struck from the parent's count when the
+    parent comes.  On a binary base every class has one child and the
+    frontier is one entry.  The numerators keep every entry the carry
+    reaches in ``_values``.  The class masses keep none: the prefix-mass
+    profile sums them as it reads them, in order, and a read that starts
+    behind the carry starts it again from the first class.
     """
 
-    __slots__ = ("weights", "counts", "_known", "_lifts", "_root")
+    __slots__ = ("weights", "counts", "_known", "_more", "_early", "_carried", "_lifts", "_kids", "_root")
 
     def __init__(self, weights: Sequence[int], columns: Sequence[Sequence[int]], counts: bool = False) -> None:
         self.columns, self.weights, self.counts = columns, list(weights), counts
         self._values: list[int] = []
-        self._known: dict = {}  # composition code -> entry
+        self._restart()
         s, n = len(columns), sum(col[0] for col in columns)
         self._root = r = max(range(s), key=lambda i: (self.weights[i], i))
         # What moving a unit from coordinate b to r adds to a code (_composition_codes).
         steps = [(n + 1) ** (s - 2 - i) for i in range(s - 1)] + [0]
         self._lifts = [steps[r] - step for step in steps]
+        # The children of a class whose first coordinate other than r is b: one per
+        # coordinate other than r up to b.  Index -1, the root's, gives all s - 1.
+        self._kids = [b + (b < r) for b in range(s)]
+
+    def _restart(self) -> None:
+        self._known: dict = {}  # frontier: composition code -> entry
+        self._more: dict = {}  # frontier code -> children still to come after the next one
+        self._early: set = set()  # codes of classes read before their parents
+        self._carried = 0  # classes the carry has passed
+
+    def __getitem__(self, key):
+        span = range(len(self))[key]
+        if isinstance(key, slice):
+            if not span:
+                return []
+            lo, hi = min(span[0], span[-1]), max(span[0], span[-1]) + 1
+            if self.counts:
+                block = self._carry(lo, hi)
+                return block if span.step == 1 else [block[i - lo] for i in span]
+            self._fill(hi)
+            return list(map(self._values.__getitem__, span))
+        if span < len(self._values):
+            return self._values[span]
+        return self._direct([col[span] for col in self.columns])
+
+    def __iter__(self):
+        if self.counts:
+            return iter(self._carry(0, len(self)))
+        return super().__iter__()
+
+    def _direct(self, comp: Sequence[int]) -> int:
+        """The entry of the class of composition ``comp``, with no carry."""
+        value = math.prod(map(pow, self.weights, comp))
+        if self.counts:
+            value *= math.prod(map(math.comb, itertools.accumulate(comp), comp))
+        return value
 
     def _fill(self, stop: int) -> None:
-        values = self._values
-        start = len(values)
-        if stop <= start:
-            return
-        weights, lifts, r, known = self.weights, self._lifts, self._root, self._known
-        block = [col[start:stop] for col in self.columns]
+        start = len(self._values)
+        if stop > start:
+            self._values += self._carry(start, stop)
+
+    def _carry(self, start: int, stop: int) -> list[int]:
+        """The entries of classes ``start:stop``, carried on from the last class passed."""
+        if start < self._carried:
+            self._restart()
+        first = self._carried
+        weights, lifts, kids, r = self.weights, self._lifts, self._kids, self._root
+        known, more, early = self._known, self._more, self._early
+        block = [col[first:stop] for col in self.columns]
         codes = _composition_codes(block, sum(col[0] for col in block))
         # Each class's first nonzero coordinate other than r, -1 where there is none.
-        firsts = [-1] * (stop - start)
+        firsts = [-1] * (stop - first)
         for i in reversed(range(len(block))):
             if i != r:
                 firsts = [i if k else b for k, b in zip(block[i], firsts)]
         counts, w_r, at_r = self.counts, weights[r], block[r]
-        for at, code, b in zip(range(stop - start), codes, firsts):
-            parent = known.get(code + lifts[b]) if b >= 0 else None
-            if parent is None:
-                comp = [col[at] for col in block]
-                value = math.prod(map(pow, weights, comp))
-                if counts:
-                    value *= math.prod(map(math.comb, itertools.accumulate(comp), comp))
+        out = []
+        for at, code, b in zip(range(stop - first), codes, firsts):
+            entry = known.pop(code + lifts[b], None) if b >= 0 else None
+            if entry is None:
+                value = self._direct([col[at] for col in block])
+                if b >= 0:
+                    early.add(code)
             else:
                 if counts:
-                    value, rest = divmod(parent * (weights[b] * (at_r[at] + 1)), w_r * block[b][at])
+                    value, rest = divmod(entry * (weights[b] * (at_r[at] + 1)), w_r * block[b][at])
                 else:
-                    value, rest = divmod(parent * weights[b], w_r)
+                    value, rest = divmod(entry * weights[b], w_r)
                 if rest:
-                    raise InexactCarryError(f"the carry to class {start + at} left a remainder of {rest}")
-            known[code] = value
-            values.append(value)
+                    raise InexactCarryError(f"the carry to class {first + at} left a remainder of {rest}")
+                if more:
+                    left = more.pop(code + lifts[b], 0)
+                    if left:
+                        known[code + lifts[b]] = entry
+                        if left > 1:
+                            more[code + lifts[b]] = left - 1
+            if at_r[at]:
+                left = kids[b]
+                if early:
+                    for c in range(b + 1 if b >= 0 else len(kids)):
+                        if c != r and code - lifts[c] in early:
+                            early.remove(code - lifts[c])
+                            left -= 1
+                if left:
+                    known[code] = value
+                    if left > 1:
+                        more[code] = left - 1
+            out.append(value)
+        self._carried = stop
+        return out[start - first :]
 
 
 class _RunColumn(_TupleColumn):
     """Each run's first entry of a class column, or with ``summed`` the sum of its entries, on demand.
 
     Run g spans ``bounds[g]:bounds[g + 1]`` of ``column``; reading run g
-    reads the column only that far.
+    reads the column only that far.  A slice, and iteration, read the
+    column under their runs as one slice, so a carried column is carried
+    through them once, not run by run.
     """
 
     __slots__ = ("column", "bounds", "summed")
@@ -540,11 +622,24 @@ class _RunColumn(_TupleColumn):
         return len(self.bounds) - 1
 
     def __getitem__(self, key):
+        span = range(len(self))[key]
         if isinstance(key, slice):
-            return [self[g] for g in range(len(self))[key]]
-        g = range(len(self))[key]
-        a, b = self.bounds[g], self.bounds[g + 1]
+            if not span:
+                return []
+            # One read of the column under the runs, so a carried column carries once.
+            lo, hi = min(span[0], span[-1]), max(span[0], span[-1]) + 1
+            bounds, a = self.bounds, self.bounds[lo]
+            block = self.column[a : bounds[hi] if self.summed else bounds[hi - 1] + 1]
+            if self.summed:
+                runs = [sum(block[x - a : y - a]) for x, y in zip(bounds[lo:hi], bounds[lo + 1 : hi + 1])]
+            else:
+                runs = [block[x - a] for x in bounds[lo:hi]]
+            return [runs[g - lo] for g in span]
+        a, b = self.bounds[span], self.bounds[span + 1]
         return sum(self.column[a:b]) if self.summed else self.column[a]
+
+    def __iter__(self):
+        return iter(self[:])
 
 
 class _Sorted(NamedTuple):

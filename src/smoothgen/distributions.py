@@ -46,8 +46,11 @@ Every column past the log fold is filled on demand, only as far as a
 read reaches: the multiplicities (:class:`_Multinomials`), and on exact
 bases the numerators and the class masses (:class:`_Carried`), each
 carried from a neighbouring class by one exact product and division by
-small integers.  The level table shares these columns, so a sweep
-computes the counts, numerators and masses of the levels it reads.
+small integers.  A numerator read on its own is computed from its
+class's composition, and the class masses keep only the carry's
+frontier.  The level table shares these columns, so a sweep computes
+the counts and masses of the levels it reads, and the probabilities of
+the levels it probes, one product each.
 Exact masses are read as integers in one place, :func:`_numerators`:
 numerators over the least common denominator of the masses.  The
 normalisation of exact weights, a distribution's sum check and level
@@ -337,8 +340,12 @@ class Levels:
     length that spectrum values are divided by (1 for a distribution).
     On exact sources ``masses[j]`` is the level's total mass, counts[j] *
     probs[j], as a numerator over ``denominator``; a view carries it
-    class by class rather than multiplying.  It is None on float sources
-    and takes no part in comparisons.
+    class by class rather than multiplying, keeping no entry, so it is
+    read in order, as the prefix-mass profile sums it.  It is None on
+    float sources and takes no part in comparisons.  On a view ``probs[j]``
+    computes the numerator of level j's first class from its composition,
+    prod w_i^k_i: the one reader of a single level's probability, which
+    the profile's probes and :meth:`value` share.
     """
 
     probs: Sequence
@@ -444,13 +451,15 @@ class ProductSourceView:
 
     ``multiplicities`` and ``numerators`` are read-only sequences over
     the coordinate columns that are filled only as far as a read reaches;
-    the build fills neither.  The numerators are carried class by class
-    from the most probable one (:class:`_Carried`), and the level table's
-    exact masses by the same carry times the multinomials, so the
+    the build fills neither.  A slice of the numerators, or iteration,
+    carries them class by class from the most probable one
+    (:class:`_Carried`); one entry read by its index is computed from its
+    composition and fills nothing.  The level table's exact masses are the
+    same carry times the multinomials, keeping only its frontier, so the
     prefix-mass profile computes the counts and masses of the levels it
-    reads and no count * numerator product.  Iteration, ``type_classes``,
-    a float view's upper-tail spectrum quantile and the constructions read
-    the columns whole.
+    reads and no count * numerator product, and its probes fill no
+    numerator.  Iteration, ``type_classes``, a float view's upper-tail
+    spectrum quantile and the constructions read the columns whole.
     """
 
     base: FiniteDistribution

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -206,7 +207,10 @@ class _Binning:
     every zero-mass atom.  Each bin starts empty, so the bins after one
     take the same counts of the same groups for as long as those groups
     have the atoms: ``runs`` holds (ranges of a run's first bin, number
-    of bins), and bin j of a run is ``_shifted(ranges, j)``.
+    of bins), and bin j of a run is ``_shifted(ranges, j)``.  The level of
+    every atom in label order, ``atom_levels``, is computed once, on the
+    first read, and shared by the grouping, the labels and the modified
+    distribution.
     """
 
     def __init__(self, source: Source, levels, modified: list, M: int, cap: Number) -> None:
@@ -218,7 +222,7 @@ class _Binning:
             g: [] for g, (a, b) in enumerate(zip(self.bounds, self.bounds[1:])) if b - a > 1
         }
         if self.order:
-            for j in _atom_levels(source):
+            for j in self.atom_levels:
                 if j >= 0 and self.group_of[j] in self.order:
                     self.order[self.group_of[j]].append(j)
         self.zeros = levels.alphabet_size - sum(levels.counts)
@@ -281,6 +285,10 @@ class _Binning:
         runs.append((last, 1))
         return runs
 
+    @functools.cached_property
+    def atom_levels(self) -> list[int]:
+        return _atom_levels(self.source)
+
     def induced_masses(self) -> list[Number]:
         """Source mass of each bin: integer numerators over the denominator when exact.
 
@@ -338,7 +346,7 @@ class _Binning:
         """The bins as label tuples, each group's atoms in label order."""
         members: list[list] = [[] for _ in self.sizes]
         zeros: list = []
-        for lab, j in zip(_labels(self.source), _atom_levels(self.source)):
+        for lab, j in zip(_labels(self.source), self.atom_levels):
             (members[self.group_of[j]] if j >= 0 else zeros).append(lab)
         bins = [
             [lab for g, a, b in _shifted(ranges, j) for lab in members[g][a:b]]
@@ -466,7 +474,7 @@ def build_extractor(
         mass = [level_mass(j) for j in range(len(levels))]
         return FiniteDistribution(
             labels=tuple(_labels(source)),
-            masses=tuple(mass[j] if j >= 0 else zero for j in _atom_levels(source)),
+            masses=tuple(mass[j] if j >= 0 else zero for j in binning.atom_levels),
         )
 
     beta0_f = float(beta0)
@@ -510,31 +518,37 @@ def achieved_uniformity(map_: ExtractorMap, source: Source, f: FFunction) -> Div
     is an independent route around the builder, which sums Q * f(P/Q)
     over its own masses with the counted sum of :mod:`smoothgen.fdiv`.
     The sum stays its own on purpose: in floats (1/M) * f(M * P) differs
-    in its last bits from Q * f(P / Q).  A view weighs each label by the
-    type class of its composition.  Labels loaded from JSON read on both
+    in its last bits from Q * f(P / Q).  Bins of equal mass share one
+    term: exact terms are summed once per distinct mass, times its count,
+    and float terms bin by bin, in bin order.  A view weighs each label by
+    the type class of its composition.  Labels loaded from JSON read on both
     kinds of source; a bin label outside the source's alphabet, on a view
     one that is not a length-n sequence over the base alphabet, raises
     AlphabetMismatchError.
     """
     if not isinstance(source, (FiniteDistribution, ProductSourceView)):
         raise BadParamError(f"unsupported source type {type(source).__name__}")
+    # A view's exact masses are integer numerators over its denominator.
     masses = _bin_weights(source, map_.bins)
-    if isinstance(source, ProductSourceView) and source.exact:
-        masses = [Fraction(s, source.denominator) for s in masses]
+    den = source.denominator if isinstance(source, ProductSourceView) and source.exact else None
     M = map_.M
     one = Fraction(1, M) if source.exact else 1.0 / M
+    # One term per distinct bin mass, in the order the bins first reach it.
+    counts = collections.Counter(masses)
+    terms = {}
+    for mass in counts:
+        if mass == 0 and math.isinf(float(f.f_at_zero)):
+            return DivergenceValue(value=math.inf, finite=False)
+        p = mass if den is None else Fraction(mass, den)
+        terms[mass] = one * (f.f_at_zero if mass == 0 else f.eval(p * M))
     total: Number = 0
-    finite = True
-    for p in masses:
-        if p == 0:
-            if math.isinf(float(f.f_at_zero)):
-                finite = False
-                break
-            total = total + one * f.f_at_zero
-        else:
-            total = total + one * f.eval(p * M)
-    if not finite:
-        return DivergenceValue(value=math.inf, finite=False)
+    if all(isinstance(t, (int, Fraction)) for t in terms.values()):
+        # Exact terms sum alike in any grouping.
+        total = sum(k * terms[mass] for mass, k in counts.items())
+    else:
+        # A rounded term is added bin by bin, in bin order.
+        for mass in masses:
+            total = total + terms[mass]
     if total < 0:
         total = 0 if source.exact else max(total, 0.0)
     return DivergenceValue(value=total, finite=True)

@@ -237,13 +237,20 @@ class _Quantization:
         self.group_of = _group_of(bounds)
 
     def _members(self) -> list[list[tuple[object, int]]]:
-        """(label, level) of each group's image atoms, in label order."""
+        """(label, level) of each group's image atoms, in label order.
+
+        The walk stops at the last image atom; no label after it is read.
+        """
         left = list(self.taken)
+        todo = sum(left)
         members: list[list[tuple[object, int]]] = [[] for _ in self.seeds]
         for lab, j in zip(_labels(self.source), _atom_levels(self.source)):
             if 0 <= j < len(left) and left[j]:
                 left[j] -= 1
                 members[self.group_of[j]].append((lab, j))
+                todo -= 1
+                if not todo:
+                    break
         return members
 
     @cached_property

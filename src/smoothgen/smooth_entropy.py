@@ -47,6 +47,9 @@ from .distributions import (
 from .errors import BadParamError, OverflowGuardError
 
 Number = Union[int, float, Fraction]
+
+# Bits of class masses an exact profile sums in one read of the carry.
+_SUM_BITS = 1 << 23
 Source = Union[FiniteDistribution, ProductSourceView]
 
 __all__ = [
@@ -160,13 +163,18 @@ class _Profile:
     order a level-by-level scan adds them.
 
     Levels are added in chunks, only when a query needs them.  On a view
-    of either lane ``counts`` (and on exact views ``probs`` and
-    ``masses``) are columns filled on demand, and slicing a chunk of them
-    computes that chunk's entries: the profile's depth bounds what a
-    sweep fills.  The profile keeps the table's columns, never the table:
-    the table keeps the profile, and a reference back would make a cycle
-    that leaves a view and its multiplicities to the cyclic garbage
-    collector.
+    of either lane ``counts`` is a column filled on demand, and slicing a
+    chunk of it computes that chunk's entries: the profile's depth bounds
+    what a sweep fills.  An exact view's ``masses`` are carried class by
+    class and summed into ``cum`` about ``_SUM_BITS`` bits at a time; the
+    carry keeps only its frontier, so ``cum``, ``whole`` and ``counts``
+    are the columns an exact profile holds.  A probe of one level's
+    probability, ``probs[j]`` (the excess, the max entropy's crossing
+    level, the clamp's bisection), computes that level's numerator from
+    its composition and fills no column.  The profile keeps the table's
+    columns, never the table: the table keeps the profile, and a
+    reference back would make a cycle that leaves a view and its
+    multiplicities to the cyclic garbage collector.
     """
 
     def __init__(self, levels: Levels) -> None:
@@ -204,7 +212,12 @@ class _Profile:
         atoms = list(accumulate(counts, initial=self.atoms))[1:]
         self.atoms = atoms[-1]
         if self.exact:
-            self.cum += islice(accumulate(self.masses[start:stop], initial=self.cum[-1]), 1, None)
+            # The carry keeps no class mass, and the profile holds at most
+            # about _SUM_BITS bits of them (at least 64 levels) beside ``cum``.
+            step = max(_SUM_BITS // self.bits, 64)
+            for a in range(start, stop, step):
+                masses = self.masses[a : min(a + step, stop)]
+                self.cum += islice(accumulate(masses, initial=self.cum[-1]), 1, None)
             self.whole += atoms
             return True
         linear, log_counts, masses = _float_masses(self.probs[start:stop], counts, self.logs[start:stop])
@@ -328,10 +341,10 @@ class _Profile:
             beta0, residual = beta_star, float(d)
         else:
             # Excess over the k levels above the clamp 1/c, all of them at
-            # or before the stop level.
-            c, k = clamp.denominator, 0
-            while k < len(self.probs) and self.probs[k] * c > den:
-                k += 1
+            # or before the stop level: the cap is at least level j + 1's
+            # probability and at most the clamp.
+            c = clamp.denominator
+            k = bisect_left(range(j + 1), True, key=lambda i: self.probs[i] * c <= den)
             beta0 = clamp
             residual = (self.cum[k] * c - den * self.whole[k]) / (den * c)
         value = -_log_exact(beta0)

@@ -154,7 +154,15 @@ def test_a_bound_scaled_by_the_mass_logs_alone_is_too_small_near_one():
 
 
 @pytest.mark.parametrize(
-    "weights", [[F(89, 100), F(11, 100)], [F(11, 100), F(89, 100)], [F(1, 2), F(1, 4), F(1, 4)], [F(1, 4), F(1, 4), F(1, 2)]]
+    "weights",
+    [
+        [F(89, 100), F(11, 100)],
+        [F(11, 100), F(89, 100)],
+        [F(1, 2), F(1, 4), F(1, 4)],
+        [F(1, 4), F(1, 4), F(1, 2)],
+        [F(48, 101), F(34, 101), F(19, 101)],
+        [F(1, 10), F(2, 10), F(3, 10), F(4, 10)],
+    ],
 )
 def test_the_carries_equal_direct_products(weights):
     view = iid_power(make_distribution(weights), 40)
@@ -162,18 +170,44 @@ def test_the_carries_equal_direct_products(weights):
     comps = list(zip(*cols))
     assert list(view.numerators) == [math.prod(map(pow, w, c)) for c in comps]
     masses = columns._Carried(w, cols, counts=True)
-    assert list(masses) == [m * n for m, n in zip(view.multiplicities, view.numerators)]
+    want = [m * n for m, n in zip(view.multiplicities, view.numerators)]
+    assert list(masses) == want
     assert sum(view.levels.masses) == view.denominator
+    # Every class's children come after it, so a whole carry leaves no frontier.
+    for carry in (view.numerators, masses):
+        assert carry._known == {} and carry._more == {} and carry._early == set()
+    # The masses keep no entry: a read behind the carry starts it again.
+    assert masses[5:9] == want[5:9] and masses[1:3] == want[1:3] and masses[8:3:-2] == want[8:3:-2]
+    assert masses._values == [] and masses[7] == want[7]
+
+
+def test_children_read_before_their_parents_leave_no_frontier():
+    # A uniform base has one level, so any order of its classes is
+    # certified.  Reversed, every child comes before its parent and is
+    # computed directly, and is struck from the parent's count when the
+    # parent comes.
+    view = iid_power(make_distribution([F(1, 3)] * 3), 5)
+    flipped = dataclasses.replace(view, compositions=tuple(reversed(view.compositions)))
+    cols, w = flipped.compositions.columns, flipped.numerators.weights
+    masses = columns._Carried(w, cols, counts=True)
+    assert list(masses) == [math.prod(map(math.comb, itertools.accumulate(c), c)) for c in zip(*cols)]
+    assert list(flipped.numerators) == [1] * len(flipped.compositions)
+    for carry in (flipped.numerators, masses):
+        assert carry._known == {} and carry._more == {} and carry._early == set()
 
 
 def test_a_carry_that_leaves_a_remainder_is_refused():
     view = iid_power(bernoulli(F(3, 10)), 8)
-    carry = columns._Carried(view.numerators.weights, view.compositions.columns)
-    root = carry[0]
-    code = next(iter(carry._known))
-    carry._known[code] = root + 1  # no longer a multiple of w_r
-    with pytest.raises(InexactCarryError, match="remainder"):
-        carry[1]
+    # An int read is a direct product; a slice reads the carry, whose
+    # frontier then holds the root alone, the parent of the next class.
+    for counts in (False, True):
+        carry = columns._Carried(view.numerators.weights, view.compositions.columns, counts=counts)
+        [root] = carry[:1]
+        [code] = carry._known
+        assert carry._known[code] == root and carry._more == {}
+        carry._known[code] = root + 1  # no longer a multiple of w_r
+        with pytest.raises(InexactCarryError, match="remainder"):
+            carry[1:2]
 
 
 def test_the_view_checks_its_block_length():

@@ -11,8 +11,11 @@ one label.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,7 @@ from smoothgen import (
     BadParamError,
     OutOfRangeError,
     TargetInfeasibleError,
+    achieved_uniformity,
     bernoulli,
     build_extractor,
     build_resolvability_map,
@@ -37,7 +41,7 @@ from smoothgen import (
     spectrum_rate,
 )
 from smoothgen.cli import main
-from smoothgen.fdiv import _divergence_sum
+from smoothgen.fdiv import DivergenceValue, _divergence_sum
 from smoothgen.intrinsic import _Reciprocal
 
 
@@ -194,3 +198,64 @@ def test_rates_refuses_a_bad_gamma_before_the_sweep(capsys, monkeypatch, gamma, 
     assert captured.err.startswith("error: gamma must be ")
     assert captured.err.count("\n") == 1
     assert ("finite" if gamma in ("nan", "inf") else "positive") in captured.err
+
+
+def test_an_extract_run_walks_the_atom_levels_once(monkeypatch, tmp_path):
+    # The clipped group orders its atoms by label and the bins list them:
+    # one walk of the atoms' levels serves both.  The artifact's digest is
+    # that of the map written with one walk for each.
+    calls, walk = [], smoothgen.distributions._atom_levels
+
+    def counted(source):
+        calls.append(source)
+        return walk(source)
+
+    monkeypatch.setattr(smoothgen.intrinsic, "_atom_levels", counted)
+    target = tmp_path / "bins.json"
+    argv = ["extract", "--source", "bernoulli:0.3", "--n", "12", "--f", "half-variational"]
+    assert main([*argv, "--Delta", "0.25", "--gamma", "0.5", "--emit", str(target)]) == 0
+    assert len(calls) == 1
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == "4ead0c881e8f518ca277be33dc0a69223c3e4d5026cc03bab571b3688de16aef"
+
+
+def _bin_by_bin(map_, source, f) -> DivergenceValue:
+    """achieved_uniformity as one term (1/M) f(M P) per bin, added in bin order."""
+    masses = smoothgen.distributions._bin_weights(source, map_.bins)
+    if source.exact and isinstance(source, smoothgen.distributions.ProductSourceView):
+        masses = [Fraction(s, source.denominator) for s in masses]
+    M = map_.M
+    one = Fraction(1, M) if source.exact else 1.0 / M
+    total = 0
+    for p in masses:
+        if p == 0:
+            if math.isinf(float(f.f_at_zero)):
+                return DivergenceValue(value=math.inf, finite=False)
+            total = total + one * f.f_at_zero
+        else:
+            total = total + one * f.eval(p * M)
+    if total < 0:
+        total = 0 if source.exact else max(total, 0.0)
+    return DivergenceValue(value=total, finite=True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_converse_sum_groups_bins_by_mass_with_the_bin_by_bin_value_and_type(seed):
+    # Random partitions of a source's labels into M bins, some of them
+    # empty, on both lanes, views and plain distributions alike.
+    rng = random.Random(seed)
+    bases = [bernoulli(Fraction(3, 10)), make_distribution([Fraction(w, 101) for w in (48, 34, 19)])]
+    bases += [make_distribution([0.7, 0.3]), make_distribution([0.48, 0.34, 0.18])]
+    for base in bases:
+        view = iid_power(base, rng.choice([2, 3, 4]))
+        for source in (view, expand(view)):
+            labels = list(expand(view).labels)
+            rng.shuffle(labels)
+            M = rng.randint(1, len(labels) + 2)
+            cuts = sorted(rng.choices(range(len(labels) + 1), k=M - 1))
+            bins = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, len(labels)])]
+            map_ = types.SimpleNamespace(M=M, bins=bins)
+            for f in registry():
+                got, want = achieved_uniformity(map_, source, f), _bin_by_bin(map_, source, f)
+                assert got == want, (f.name, source)
+                assert type(got.value) is type(want.value), f.name

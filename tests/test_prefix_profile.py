@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_float_levels as ref
+import oracle_fraction_levels as fraction_ref
 from smoothgen import (
     FiniteDistribution,
     bernoulli,
@@ -133,9 +134,11 @@ def test_a_sweep_fills_only_the_multiplicities_it_reads():
 
 def test_an_exact_sweep_fills_only_the_multiplicities_it_reads():
     # The exact view's certificate reads no count and no numerator, so the
-    # build fills neither; the sweep then fills counts, numerators and
-    # class masses only as deep as its profile reads.  The min entropy
-    # also reads the probability of the level after the last one grown.
+    # build fills neither.  The sweep then fills counts only as deep as its
+    # profile reads and carries the class masses exactly that deep, keeping
+    # only the carry's frontier, one class on a binary base.  It reads each
+    # probed level's probability (the min entropy's also past the last level
+    # grown) from its composition, so it fills no numerator.
     n = 8192
     view = iid_power(bernoulli(Fraction(11, 100)), n)
     assert view.multiplicities._values == []
@@ -148,14 +151,46 @@ def test_an_exact_sweep_fills_only_the_multiplicities_it_reads():
     assert view.levels.counts is view.multiplicities
     assert view.levels.probs is view.numerators
     assert 0 < len(filled) <= depth < len(view.compositions) // 2
-    assert len(view.levels.masses._values) == depth
-    assert 0 < len(view.numerators._values) <= depth + 1
+    assert view.numerators._values == []
+    masses = view.levels.masses
+    assert masses._carried == depth and masses._values == []
+    assert len(masses._known) <= 1
     for i in (0, len(filled) - 1):
         assert filled[i] == math.comb(n, view.compositions[i][1])
     for i in (0, depth - 1):
         num = view.numerators[i]
         assert num == 89 ** view.compositions[i][0] * 11 ** view.compositions[i][1]
         assert view.levels.masses[i] == filled[i] * num
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(89, 11), (48, 34, 19), (2, 1, 1), (3, 0, 7)],
+    ids=["binary", "ternary", "tied", "zero-mass"],
+)
+def test_probed_level_probabilities_are_products_of_their_compositions(weights):
+    # The oracle: every composition's probability from the masses alone,
+    # with no carry, merged into distinct levels.  The exact smoothers,
+    # their clamp and the spectrum probe single levels and must fill no
+    # numerator; each level reads prod w_i^k_i of its first class.
+    masses = [Fraction(w, sum(weights)) for w in weights]
+    n = 6
+    view = iid_power(make_distribution(masses), n)
+    want, alphabet = fraction_ref.view_levels(masses, n)
+    levels = view.levels
+    deltas = [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(99, 100)]
+    clamped = 0
+    for d in deltas:
+        value, beta0, residual = fraction_ref.min_entropy(want, alphabet, d)
+        got = smooth_min_entropy(view, d)
+        assert (got.value, got.witness.beta, got.witness.residual) == (value, beta0, residual)
+        clamped += beta0 == Fraction(1, alphabet)
+        assert smooth_max_entropy(view, d).value == fraction_ref.max_entropy(want, d)[0]
+    spectrum_rate(view, half_variational(), Fraction(1, 8))
+    assert clamped > 0
+    assert view.numerators._values == []
+    assert [Fraction(levels.probs[j], levels.denominator) for j in range(len(levels))] == [p for p, _ in want]
+    assert view.numerators._values == []
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smoothgen.resolvability
 from smoothgen import (
     BadParamError,
     DegenerateSupportError,
@@ -195,3 +197,23 @@ def test_achieved_divergence_requires_matching_alphabets():
 
     with pytest.raises(AlphabetMismatchError):
         achieved_divergence(map_, other, half_variational())
+
+
+@pytest.mark.parametrize("weights,n", [((7, 3), 10), ((48, 34, 19), 5)], ids=["binary", "ternary"])
+def test_the_image_walk_stops_at_its_last_atom(monkeypatch, weights, n):
+    # The walk picks each level's first atoms in label order; once every
+    # level has its count it reads no further label.
+    view = iid_power(make_distribution([Fraction(w, sum(weights)) for w in weights]), n)
+    f, D = half_variational(), Fraction(1, 4)
+    want = build_resolvability_map(view, f, D, 0.5).image
+    labels = list(itertools.product(view.base.labels, repeat=n))
+    index = {lab: i for i, lab in enumerate(labels)}
+    last = max(index[lab] for lab, _ in want)
+    assert last < len(labels) - 1
+
+    def stream(source):
+        yield from labels[: last + 1]
+        raise AssertionError("read a label past the last image atom")
+
+    monkeypatch.setattr(smoothgen.resolvability, "_labels", stream)
+    assert build_resolvability_map(view, f, D, 0.5).image == want
