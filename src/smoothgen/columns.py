@@ -5,19 +5,20 @@ This module holds the routines those columns are made of: the walk's row
 table (:func:`_rows`), one row per head (all coordinates but the last
 two), which the log fold (:func:`_row_logs`) reads a row at a time and
 :func:`_expanded` turns into the classes' s coordinate columns
-(:class:`_Compositions`); the walk ranks of compositions given as they
-are (:func:`_ranks`) and the certificate of a row table and an order of
-the ranks (:func:`_check_classes`, with :func:`_are_compositions`); the
-fold's proven rounding bound (:func:`_fold_bound`), the exact compare of
-two classes (:func:`_exact_compare`), the sort of :func:`_descending`,
-which gathers the columns and the fold through one order, and the pair
-rule of :func:`_certified_runs`; and the read-only columns filled only
-as far as a read reaches: multinomials (:class:`_Multinomials`),
-numerators and class masses (:class:`_Carried`, which reads one entry
-from its composition, carries slices, keeps only its frontier, and on
-the class masses keeps no entry) and per-run views of a class column
-(:class:`_RunColumn`).  Exact masses are read as integers in
-one place, :func:`_numerators`.
+(:class:`_Compositions`); the fold's proven rounding bound
+(:func:`_fold_bound`), the exact compare of two classes
+(:func:`_exact_compare`), the sort of :func:`_descending`, which builds a
+view's classes from its support masses and n and gathers the columns and
+the fold through one order, and the pair rule of :func:`_certified_runs`,
+which certifies that order; and the read-only columns filled only as far
+as a read reaches: multinomials (:class:`_Multinomials`), a float view's
+level probabilities (:class:`_Exponentials`), numerators and class masses
+(:class:`_Carried`, which reads one entry from its composition, carries
+slices, keeps only its frontier, and on the class masses keeps no entry)
+and per-run views of a class column (:class:`_RunColumn`).  The walk
+makes every composition of n once, so no certificate re-reads the
+classes; the tests check the walk against an independent oracle.  Exact
+masses are read as integers in one place, :func:`_numerators`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BadParamError, InexactCarryError
 
@@ -64,19 +65,6 @@ def _numerators(masses: Sequence[Number]) -> tuple[Iterable[int], int]:
     return map(operator.mul, map(operator.attrgetter("numerator"), masses), scales), den
 
 
-def _coordinates(comps: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """The coordinates of equal-length tuples, one list per position, read in one pass.
-
-    Tuples of unequal length have no coordinate columns: the result is empty.
-    """
-    lengths = set(map(len, comps))
-    if len(lengths) != 1:
-        return []
-    s = lengths.pop()
-    flat = list(itertools.chain.from_iterable(comps))
-    return [flat[i::s] for i in range(s)]
-
-
 def _composition_codes(cols: Sequence[Sequence[int]], n: int) -> Iterable[int]:
     """Each composition's code, lazily: its first s - 1 coordinates as base n + 1 digits.
 
@@ -88,29 +76,6 @@ def _composition_codes(cols: Sequence[Sequence[int]], n: int) -> Iterable[int]:
     for col in cols[1:-1]:
         codes = map(operator.add, map(operator.mul, codes, itertools.repeat(n + 1)), col)
     return codes
-
-
-def _are_compositions(cols: Sequence[Sequence[int]], n: int, s: int) -> bool:
-    """Whether the coordinate columns ``cols`` hold exactly the compositions of n into s parts.
-
-    s columns of C(n + s - 1, s - 1) nonnegative ``int`` counts, each class
-    summing to n, with distinct :func:`_composition_codes` are every
-    composition once.
-    """
-    return _each_a_composition(cols, n, s) and len(set(_composition_codes(cols, n))) == len(cols[0])
-
-
-def _each_a_composition(cols: Sequence[Sequence[int]], n: int, s: int) -> bool:
-    """Whether ``cols`` are s columns of C(n + s - 1, s - 1) nonnegative ``int`` counts, each class summing to n."""
-    count = math.comb(n + s - 1, s - 1)
-    if len(cols) != s or any(len(col) != count for col in cols):
-        return False
-    if any(set(map(type, col)) != {int} for col in cols):
-        return False
-    totals = cols[0]
-    for col in cols[1:]:
-        totals = list(map(operator.add, totals, col))
-    return min(map(min, cols)) >= 0 and totals.count(n) == count
 
 
 def _rows(n: int, s: int) -> list[list[int]]:
@@ -161,45 +126,6 @@ def _expanded(rows: Sequence[Sequence[int]], s: int) -> list[list[int]]:
         cols[-2] += range(m + 1)
         cols[-1] += range(m, -1, -1)
     return cols
-
-
-def _ranks(cols: Sequence[Sequence[int]], rows: Sequence[Sequence[int]], n: int, s: int) -> Optional[list[int]]:
-    """Each class's walk rank over the row table ``rows``; None if a class is no composition of n into s parts.
-
-    A class (head, j, m - j) is ranked at its row's first rank plus j, its
-    lexicographic rank among the compositions of n (enumerative coding,
-    Cover 1973).  A repeated class repeats a rank: :func:`_check_classes`
-    refuses it.
-    """
-    if not _each_a_composition(cols, n, s):
-        return None
-    if s == 1:
-        return [0] * len(cols[0])
-    firsts = itertools.accumulate(map((1).__add__, rows[-1]), initial=0)
-    first_of = dict(zip(_composition_codes(rows, n), firsts))
-    return list(map(operator.add, map(first_of.__getitem__, _composition_codes(cols[:-1], n)), cols[-2]))
-
-
-def _check_classes(rows: Sequence[Sequence[int]], order: Optional[Sequence[int]], n: int, s: int) -> None:
-    """Certify that the row table and the order hold every composition of n into s parts once.
-
-    The rows must be the compositions of n into s - 1 parts
-    (:func:`_are_compositions`), C(n + s - 2, s - 2) of them, and the order
-    a permutation of the C(n + s - 1, s - 1) walk ranks their classes take,
-    with ``int`` entries.  No class is read.  Anything else raises
-    BadParamError.
-    """
-    count = math.comb(n + s - 1, s - 1)
-    if not (
-        order is not None
-        and _are_compositions(rows, n, max(s - 1, 1))
-        and len(order) == count
-        and set(map(type, order)) == {int}
-        and min(order) >= 0
-        and max(order) < count
-        and len(set(order)) == count
-    ):
-        raise BadParamError(f"compositions are not the {count} compositions of {n} into {s} parts")
 
 
 def _row_logs(masses: Sequence[Number], rows: Sequence[Sequence[int]], n: int) -> list[float]:
@@ -367,7 +293,7 @@ class _Compositions(_TupleColumn):
 
 
 class _Prefix(_TupleColumn):
-    """A read-only column over a view's coordinate ``columns``, filled on demand.
+    """A read-only column over the aligned ``columns`` it is computed from, filled on demand.
 
     A read computes every entry before the furthest one it reaches, and
     nothing after it; ``_fill(stop)`` extends ``_values`` to ``stop`` entries.
@@ -396,6 +322,23 @@ class _Prefix(_TupleColumn):
 
     def _fill(self, stop: int) -> None:
         raise NotImplementedError
+
+
+class _Exponentials(_Prefix):
+    """``math.exp`` of every entry of a float log column: a float view's level probabilities.
+
+    A :class:`_Prefix` over the one column ``logs``; an entry is the exp
+    of its log, taken only as far as a read reaches.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, logs: Sequence[float]) -> None:
+        self.columns, self._values = (logs,), []
+
+    def _fill(self, stop: int) -> None:
+        values = self._values
+        values += map(math.exp, self.columns[0][len(values) : stop])
 
 
 class _Multinomials(_Prefix):
@@ -642,43 +585,33 @@ class _RunColumn(_TupleColumn):
         return iter(self[:])
 
 
-class _Sorted(NamedTuple):
-    """What :func:`_descending` hands the view of the masses and n it sorted over.
-
-    ``rows`` is the walk's row table, ``order`` the walk ranks of the
-    classes most probable first, ``logs`` their :func:`_row_logs` and
-    ``compositions`` their coordinate columns, both gathered through
-    ``order``.  The view certifies ``rows`` and ``order`` and keeps neither.
-    """
-
-    rows: Sequence[Sequence[int]]
-    order: list[int]
-    logs: tuple[float, ...]
-    compositions: _Compositions
-
-
 def _gather(order: Sequence[int]):
     """A function that gathers a column through ``order`` into a tuple."""
     # An itemgetter of one index returns the entry, not a 1-tuple; one class needs no gather.
     return operator.itemgetter(*order) if len(order) > 1 else tuple
 
 
-def _descending(masses: Sequence[Number], rows: Sequence[Sequence[int]], n: int) -> _Sorted:
-    """The classes of the row table ``rows``, most probable first, ties in walk order.
+def _descending(masses: Sequence[Number], n: int) -> tuple[tuple[float, ...], _Compositions]:
+    """The classes of n over the support ``masses``, most probable first, ties in walk order.
 
-    One stable sort of the walk ranks by :func:`_row_logs`.  On exact
-    masses each run of neighbours whose float gaps lie within
-    :func:`_fold_bound` is sorted again by :func:`_exact_compare`, from
-    walk order, so exact ties keep it; no class's numerator is built.  The
-    rows are expanded into coordinate columns once, and the columns and
-    the fold are gathered through the one order.
+    The walk's rows (:func:`_rows`) are folded (:func:`_row_logs`) and the
+    walk ranks sorted by the fold in one stable sort.  On exact masses
+    each run of neighbours whose float gaps lie within :func:`_fold_bound`
+    is sorted again by :func:`_exact_compare`, from walk order, so exact
+    ties keep it; no class's numerator is built.  The rows are expanded
+    into coordinate columns once, and the columns and the fold are
+    gathered through the one order.  The near pairs' gaps are read off
+    the gathered fold, which is gathered again only after some run is
+    re-sorted.  Returns the gathered fold and the classes' compositions.
     """
+    rows = _rows(n, len(masses))
     logs = _row_logs(masses, rows, n)
     cols = _expanded(rows, len(masses))
     order = sorted(range(len(logs)), key=logs.__getitem__, reverse=True)
+    gather = _gather(order)
+    ranked = gather(logs)
     bound = _fold_bound(masses, n)
-    ranked = list(map(logs.__getitem__, order)) if bound else []
-    gaps = map(operator.sub, ranked, ranked[1:])
+    gaps = map(operator.sub, ranked, ranked[1:]) if bound else ()
     near = list(itertools.compress(range(1, len(order)), map(operator.le, gaps, itertools.repeat(bound))))
     if near:
         compare = functools.cmp_to_key(functools.partial(_exact_compare, list(_numerators(masses)[0]), cols))
@@ -689,5 +622,6 @@ def _descending(masses: Sequence[Number], rows: Sequence[Sequence[int]], n: int)
             if after != p + 1:
                 order[start : p + 1] = sorted(sorted(order[start : p + 1]), key=compare, reverse=True)
                 start = None
-    gather = _gather(order)
-    return _Sorted(rows, order, gather(logs), _Compositions(tuple(map(gather, cols))))
+        gather = _gather(order)
+        ranked = gather(logs)
+    return ranked, _Compositions(tuple(map(gather, cols)))

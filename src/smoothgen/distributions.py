@@ -14,33 +14,30 @@ A view's type classes (the method of types) come from one iterative
 walk over the compositions of n.  The walk emits one row per head, the
 classes that share all but their last two coordinates: row (head, m)
 stands for the classes (head, j, m - j), j = 0..m, and each class's walk
-rank is its lexicographic rank.  A view is its base, n and compositions;
-it keeps its classes as parallel columns rather than one object per
-class, and derives every other column from them.  Its compositions are
-held as s coordinate columns, one per support symbol
-(:class:`_Compositions`), expanded from the rows once and gathered
-through the sort's order; the derived columns and the class readers read
-them where they are, the composition tuples are built only when a reader
-asks for an entry, and ``type_classes`` builds :class:`TypeClass` objects
-from the columns on first read.  The column routines live in
-:mod:`smoothgen.columns`.
+rank is its lexicographic rank.  A view is its base and n; it keeps its
+classes as parallel columns rather than one object per class, and
+builds every column from those two.  Its compositions are held as s
+coordinate columns, one per support symbol (:class:`_Compositions`),
+expanded from the rows once and gathered through the sort's order; the
+derived columns and the class readers read them where they are, the
+composition tuples are built only when a reader asks for an entry, and
+``type_classes`` builds :class:`TypeClass` objects from the columns on
+first read.  The column routines live in :mod:`smoothgen.columns`.
 
 Both lanes order, certify and group classes by one column, the log fold
 of :func:`_row_logs`, computed once per build from the rows: a row adds
-slices of the k log m tables, one C-level pass each.  :func:`iid_power`
-sorts the walk ranks by it, ties in walk order; on an exact base every
-pair of neighbours whose float gap lies within the fold's proven rounding
-bound (:func:`_fold_bound`) is compared exactly by :func:`_exact_compare`,
-which cancels the common powers and builds neither probability.  The fold
-is gathered with the coordinate columns through the one order and becomes
-the view's ``log_probs``.  The view certifies its classes from the row
-table and the order alone (:func:`_check_classes`): the rows are the
-compositions of n into s - 1 parts and the order is a permutation of the
-walk ranks, so every composition of n is a class once.  It certifies
-their order with the pair rule of :func:`_certified_runs`, with no count
-and no numerator read, and the same pair decisions give its level runs.
-By the multinomial theorem the masses of the certified compositions sum
-to 1.
+slices of the k log m tables, one C-level pass each.  The build sorts
+the walk ranks by it, ties in walk order; on an exact base every pair of
+neighbours whose float gap lies within the fold's proven rounding bound
+(:func:`_fold_bound`) is compared exactly by :func:`_exact_compare`,
+which cancels the common powers and builds neither probability.  The
+fold is gathered with the coordinate columns through the one order and
+becomes the view's ``log_probs``.  The walk makes every composition of n
+once, so the classes need no certificate of their own; the view
+certifies their order with the pair rule of :func:`_certified_runs`,
+with no count and no numerator read, and the same pair decisions give
+its level runs.  By the multinomial theorem the masses of the
+compositions sum to 1.
 
 Every column past the log fold is filled on demand, only as far as a
 read reaches: the multiplicities (:class:`_Multinomials`), and on exact
@@ -50,7 +47,8 @@ small integers.  A numerator read on its own is computed from its
 class's composition, and the class masses keep only the carry's
 frontier.  The level table shares these columns, so a sweep computes
 the counts and masses of the levels it reads, and the probabilities of
-the levels it probes, one product each.
+the levels it probes, one product each; a float table takes the exp of
+a level's log only as far as a read reaches.
 Exact masses are read as integers in one place, :func:`_numerators`:
 numerators over the least common denominator of the masses.  The
 normalisation of exact weights, a distribution's sum check and level
@@ -85,24 +83,18 @@ from typing import Iterable, Optional, Sequence, Union
 from .columns import (
     _Carried,
     _certified_runs,
-    _check_classes,
     _composition_codes,
     _Compositions,
-    _coordinates,
     _descending,
     _exact_compare,
+    _Exponentials,
     _fold_bound,
-    _gather,
     _is_exact,
     _is_exact_type,
     _log_exact,
     _Multinomials,
     _numerators,
-    _ranks,
-    _row_logs,
-    _rows,
     _RunColumn,
-    _Sorted,
 )
 from .errors import (
     AllZeroError,
@@ -345,7 +337,9 @@ class Levels:
     float sources and takes no part in comparisons.  On a view ``probs[j]``
     computes the numerator of level j's first class from its composition,
     prod w_i^k_i: the one reader of a single level's probability, which
-    the profile's probes and :meth:`value` share.
+    the profile's probes and :meth:`value` share.  On a float view
+    ``probs`` is the exp of each level's log, taken only as far as a read
+    reaches, and compares, hashes and prints as the tuple of them.
     """
 
     probs: Sequence
@@ -389,13 +383,13 @@ def _float_masses(probs, counts, logs) -> tuple[list[float], list[float], list[f
 
 
 def _derived():
-    """A view column that follows from its base, n and compositions: not set, compared or printed."""
+    """A view column that follows from its base and n: not set, compared or printed."""
     return dataclasses.field(init=False, compare=False, repr=False)
 
 
 def _check_n(n) -> None:
-    """Refuse a block length that is not a positive integer with BadParamError."""
-    if not isinstance(n, int) or n < 1:
+    """Refuse a block length that is not a positive integer (``bool`` included) with BadParamError."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadParamError(f"n must be a positive integer, got {n!r}")
 
 
@@ -403,43 +397,38 @@ def _check_n(n) -> None:
 class ProductSourceView:
     """The i.i.d. n-fold power of a base distribution, by type classes.
 
-    A view is its ``base``, its block length ``n`` and its classes'
-    ``compositions`` (support-symbol counts aligned with
-    ``support_labels``), most probable first; it compares and hashes by
-    these three.  Every other column follows from them and cannot be
-    passed in: ``log_probs`` (natural log of one sequence's probability),
-    ``multiplicities`` (exact multinomial coefficients) and, on exact
-    views, ``numerators``, each sequence's probability times the common
-    ``denominator`` d^n.  Both are None on float views.  Classes
-    enumerate compositions of the base's support only; sequences touching
-    a zero-mass base atom are counted in ``zero_mass_count`` so that the
+    A view is its ``base`` and its block length ``n``, and compares and
+    hashes by these two: ``ProductSourceView(base, n)`` builds it, and
+    every column follows from them and cannot be passed in.  The build
+    refuses a base that is not a :class:`FiniteDistribution`, a base of
+    fewer than two symbols and an ``n`` that is not a positive ``int``
+    with BadParamError, and a sequence-count width n*log2(|base|) past
+    2^20 bits or more than 5 000 000 compositions with
+    OverflowGuardError, each before the walk.  Classes enumerate
+    compositions of the base's support only; sequences touching a
+    zero-mass base atom are counted in ``zero_mass_count`` so that the
     full alphabet size ``full_alphabet_size`` = |base|^n stays available
     to min-entropy clamping without inflating the class list.
 
-    ``compositions`` is a read-only sequence over s coordinate columns,
-    one per support symbol (its ``columns``): :func:`iid_power` expands
-    them from the walk's rows and gathers them through its sort, and the
-    derived columns and the class readers read them where they are.  It
-    builds the composition tuples on the first read of an entry; no
-    library path reads one.  ``type_classes`` builds one
+    The classes, most probable first, are the columns ``compositions``
+    (support-symbol counts aligned with ``support_labels``),
+    ``log_probs`` (natural log of one sequence's probability),
+    ``multiplicities`` (exact multinomial coefficients) and, on exact
+    views, ``numerators``, each sequence's probability times the common
+    ``denominator`` d^n; both are None on float views.  One walk visits
+    the compositions of n over the s support symbols in lexicographic
+    order and emits one row per head (:func:`_rows`); the rows are folded
+    once (:func:`_row_logs`), the walk ranks sorted by the fold, ties in
+    walk order, exact near pairs sorted again exactly, and the rows
+    expanded once into coordinate columns, which are gathered with the
+    fold through that order (:func:`_descending`).  The walk makes every
+    composition once, so the build re-reads no class.  ``compositions``
+    is a read-only sequence over the s coordinate columns (its
+    ``columns``); it builds the composition tuples on the first read of
+    an entry, and no library path reads one.  ``type_classes`` builds one
     :class:`TypeClass` per class from the columns on first read; nothing
     in the library reads it.
 
-    A view holds its classes as the walk's row table (:func:`_rows`) and
-    an order, the walk ranks of its classes most probable first.  The
-    build folds the rows once (:func:`_row_logs`) and computes nothing
-    else per class; :func:`iid_power` hands the view its rows, its order
-    and the fold its sort gathered.  Compositions given any other way, as
-    a plain tuple column (:func:`dataclasses.replace` passes the view's
-    own) or as hand-built coordinate columns, are read into the same form
-    by their ranks (:func:`_ranks`): non-``int`` counts, classes that are
-    not compositions of n into the s support symbols and columns of the
-    wrong length are refused, and the rows are folded and the fold
-    gathered through the ranks.  The certificate then reads only the row
-    table and the order (:func:`_check_classes`): the rows must be the
-    C(n + s - 2, s - 2) compositions of n into s - 1 parts and the order
-    a permutation of the C(n + s - 1, s - 1) walk ranks with ``int``
-    entries, so a repeated class is refused; the view keeps neither.
     Every pair of neighbours must descend by :func:`_certified_runs`.  A
     pair whose log gap exceeds the fold's rounding bound
     (:func:`_fold_bound`, 0 on float views) is ordered by the floats; a
@@ -458,13 +447,15 @@ class ProductSourceView:
     same carry times the multinomials, keeping only its frontier, so the
     prefix-mass profile computes the counts and masses of the levels it
     reads and no count * numerator product, and its probes fill no
-    numerator.  Iteration, ``type_classes``, a float view's upper-tail
-    spectrum quantile and the constructions read the columns whole.
+    numerator.  A float table's probabilities are the exps of its logs,
+    taken as far as a read reaches (:class:`_Exponentials`).  Iteration,
+    ``type_classes``, a float view's upper-tail spectrum quantile and the
+    constructions read the columns whole.
     """
 
     base: FiniteDistribution
     n: int
-    compositions: Sequence[tuple[int, ...]]
+    compositions: _Compositions = _derived()
     support_labels: tuple = _derived()
     log_probs: tuple[float, ...] = _derived()
     multiplicities: Sequence[int] = _derived()
@@ -475,20 +466,21 @@ class ProductSourceView:
     _level_bounds: Sequence[int] = _derived()
 
     def __post_init__(self) -> None:
-        comps, n = self.compositions, self.n
+        base, n = self.base, self.n
+        if not isinstance(base, FiniteDistribution):
+            raise BadParamError(f"a view's base must be a FiniteDistribution, got {type(base).__name__}")
         _check_n(n)
-        support = [(lab, m) for lab, m in self.base.atoms if m > 0]
-        masses, s, full = [m for _, m in support], len(support), self.base.size**n
-        if isinstance(comps, _Sorted):  # iid_power's sort over these masses and n
-            rows, order, logs, comps = comps
-        else:
-            if not isinstance(comps, _Compositions):
-                comps = _Compositions(_coordinates(comps))
-            rows, logs = _rows(n, s), None
-            order = _ranks(comps.columns, rows, n, s)
-        _check_classes(rows, order, n, s)
-        if logs is None:
-            logs = _gather(order)(_row_logs(masses, rows, n))
+        if base.size < 2:
+            raise BadParamError("base alphabet needs at least two symbols")
+        if n * math.log2(base.size) > _MAX_BITS:
+            raise OverflowGuardError(f"|base|^n needs more than {_MAX_BITS} bits at n={n}")
+        s = base.support_size
+        n_classes = math.comb(n + s - 1, s - 1)
+        if n_classes > _MAX_CLASSES:
+            raise OverflowGuardError(f"{n_classes} type classes exceed the cap of {_MAX_CLASSES}")
+        support = [(lab, m) for lab, m in base.atoms if m > 0]
+        masses, full = [m for _, m in support], base.size**n
+        logs, comps = _descending(masses, n)
         cols = comps.columns
         numerators = denominator = compare = None
         if self.exact:
@@ -541,7 +533,7 @@ class ProductSourceView:
             if self.exact:
                 probs, masses = _RunColumn(probs, bounds), _RunColumn(masses, bounds, summed=True)
         return Levels(
-            probs=probs if self.exact else tuple(map(math.exp, logs)),
+            probs=probs if self.exact else _Exponentials(logs),
             counts=counts,
             logs=logs,
             denominator=self.denominator,
@@ -736,33 +728,8 @@ def _lazily(cls, makers: dict, **fields):
 
 
 def iid_power(base: FiniteDistribution, n: int) -> ProductSourceView:
-    """Build the type-class view of base^n.
-
-    One walk visits the compositions of n over the s support symbols in
-    lexicographic order and emits one row per head (:func:`_rows`).  The
-    rows are folded (:func:`_row_logs`), the walk ranks sorted by the
-    fold, most probable first, ties in walk order (:func:`_descending`),
-    and the rows expanded once into coordinate columns, which are gathered
-    with the fold through that order; the view certifies the rows and the
-    order and derives its other columns.  Guards: the sequence-count width
-    n*log2(|base|) must stay within 2^20 bits and the composition count
-    within 5 000 000.
-    """
-    _check_n(n)
-    if base.size < 2:
-        raise BadParamError("base alphabet needs at least two symbols")
-    if n * math.log2(base.size) > _MAX_BITS:
-        raise OverflowGuardError(
-            f"|base|^n needs more than {_MAX_BITS} bits at n={n}"
-        )
-    s = base.support_size
-    n_classes = math.comb(n + s - 1, s - 1)
-    if n_classes > _MAX_CLASSES:
-        raise OverflowGuardError(
-            f"{n_classes} type classes exceed the cap of {_MAX_CLASSES}"
-        )
-    comps = _descending([m for m in base.masses if m > 0], _rows(n, s), n)
-    return ProductSourceView(base=base, n=n, compositions=comps)
+    """Build the type-class view of base^n: ``ProductSourceView(base, n)``."""
+    return ProductSourceView(base, n)
 
 
 def expand(view: ProductSourceView) -> FiniteDistribution:

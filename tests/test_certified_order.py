@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import decimal
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -68,24 +69,37 @@ def test_near_pairs_are_ordered_exactly(base, n):
     assert len(view.levels) == len(set(want))
 
 
+def _swapped(view, i):
+    """The view's fold and coordinate columns with classes i and i + 1 swapped."""
+    logs, cols = list(view.log_probs), [list(col) for col in view.compositions.columns]
+    for col in (logs, *cols):
+        col[i], col[i + 1] = col[i + 1], col[i]
+    return logs, cols
+
+
+def _certify(view, logs, cols):
+    """The level runs that the view's order certificate gives the classes ``cols`` with fold ``logs``."""
+    compare = functools.partial(columns._exact_compare, view.numerators.weights, cols)
+    return columns._certified_runs(logs, _bound(view), compare)
+
+
 @pytest.mark.parametrize("base", [MISORDERED, TIED_FLOATS], ids=["misordered", "tied-floats"])
 def test_swapping_two_near_classes_is_not_sorted(base):
     view = iid_power(base, 1)
     i = next(i for i in range(len(view.log_probs) - 1) if abs(view.log_probs[i] - view.log_probs[i + 1]) <= _bound(view))
-    comps = list(view.compositions)
-    comps[i], comps[i + 1] = comps[i + 1], comps[i]
     with pytest.raises(BadParamError, match="not sorted"):
-        dataclasses.replace(view, compositions=tuple(comps))
+        _certify(view, *_swapped(view, i))
 
 
 def test_swapping_two_tied_classes_is_still_certified():
     view = iid_power(make_distribution([F(1, 2), F(1, 4), F(1, 4)]), 3)
-    comps = list(view.compositions)
     assert view.numerators[1] == view.numerators[2]
-    comps[1], comps[2] = comps[2], comps[1]
-    swapped = dataclasses.replace(view, compositions=tuple(comps))
-    assert swapped.levels.counts == view.levels.counts
-    assert list(swapped.numerators) == list(view.numerators)
+    logs, cols = _swapped(view, 1)
+    bounds = _certify(view, logs, cols)
+    assert list(bounds) == list(view._level_bounds)
+    counts = columns._RunColumn(columns._Multinomials(cols), bounds, summed=True)
+    assert counts == view.levels.counts
+    assert list(columns._Carried(view.numerators.weights, cols)) == list(view.numerators)
 
 
 def test_small_numerators_never_reach_the_exact_compare_with_distinct_masses():
@@ -187,12 +201,14 @@ def test_children_read_before_their_parents_leave_no_frontier():
     # computed directly, and is struck from the parent's count when the
     # parent comes.
     view = iid_power(make_distribution([F(1, 3)] * 3), 5)
-    flipped = dataclasses.replace(view, compositions=tuple(reversed(view.compositions)))
-    cols, w = flipped.compositions.columns, flipped.numerators.weights
+    logs, cols = view.log_probs[::-1], [col[::-1] for col in view.compositions.columns]
+    assert list(_certify(view, logs, cols)) == [0, len(logs)]
+    w = view.numerators.weights
     masses = columns._Carried(w, cols, counts=True)
     assert list(masses) == [math.prod(map(math.comb, itertools.accumulate(c), c)) for c in zip(*cols)]
-    assert list(flipped.numerators) == [1] * len(flipped.compositions)
-    for carry in (flipped.numerators, masses):
+    numerators = columns._Carried(w, cols)
+    assert list(numerators) == [1] * len(logs)
+    for carry in (numerators, masses):
         assert carry._known == {} and carry._more == {} and carry._early == set()
 
 
@@ -212,6 +228,6 @@ def test_a_carry_that_leaves_a_remainder_is_refused():
 
 def test_the_view_checks_its_block_length():
     view = iid_power(bernoulli(0.3), 8)
-    for n in (8.0, "8", 0, -1):
+    for n in (8.0, "8", 0, -1, True, False):
         with pytest.raises(BadParamError, match="n must be a positive integer"):
             dataclasses.replace(view, n=n)

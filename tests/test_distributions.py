@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_view_walk as ref
+from oracle_class_logs import class_logs
 from smoothgen import (
     AllZeroError,
     BadParamError,
@@ -183,6 +187,32 @@ def test_iid_power_guards_width_and_class_count():
         iid_power(bernoulli(0.3), 0)
 
 
+@pytest.mark.parametrize("build", [iid_power, distributions.ProductSourceView], ids=["iid_power", "constructor"])
+@pytest.mark.parametrize("n", [True, False])
+def test_a_bool_block_length_is_refused(build, n):
+    with pytest.raises(BadParamError, match="n must be a positive integer"):
+        build(bernoulli(0.3), n)
+
+
+@pytest.mark.parametrize("build", [iid_power, distributions.ProductSourceView], ids=["iid_power", "constructor"])
+@pytest.mark.parametrize("base", [[0.5, 0.5], (Fraction(1, 2), Fraction(1, 2)), None], ids=["list", "tuple", "none"])
+def test_a_base_that_is_no_distribution_is_refused(build, base):
+    with pytest.raises(BadParamError, match="must be a FiniteDistribution"):
+        build(base, 3)
+
+
+def test_the_class_cap_refuses_before_the_walk(monkeypatch):
+    walked = []
+    rows = columns._rows
+    monkeypatch.setattr(columns, "_rows", lambda *args: walked.append(args) or rows(*args))
+    base = make_distribution([Fraction(48, 101), Fraction(34, 101), Fraction(19, 101)])
+    start = time.perf_counter()
+    with pytest.raises(OverflowGuardError, match="8006001 type classes exceed the cap of 5000000"):
+        distributions.ProductSourceView(base, 4000)
+    assert time.perf_counter() - start < 0.5
+    assert walked == []
+
+
 # Support sizes 1 to 5; zeros are zero-mass atoms, repeats make ties.
 WALK_WEIGHTS = [
     [1, 0],
@@ -304,22 +334,45 @@ DERIVED_IDS = ["exact1", "exact2", "exact3-zero", "exact4", "float1", "float2", 
 
 
 @pytest.mark.parametrize("base", DERIVED_BASES, ids=DERIVED_IDS)
-def test_view_columns_are_derived_from_its_compositions(base):
+def test_view_columns_are_derived_from_its_base_and_n(base):
     view = iid_power(base, 7)
     assert len(view.support_labels) == base.support_size == len(view.compositions.columns)
-    for name in DERIVED:
+    for name in ["compositions", *DERIVED]:
         with pytest.raises(TypeError):
-            distributions.ProductSourceView(
-                base=base, n=7, compositions=view.compositions, **{name: getattr(view, name)}
-            )
+            distributions.ProductSourceView(base=base, n=7, **{name: getattr(view, name)})
         with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
             dataclasses.replace(view, **{name: getattr(view, name)})
-    # The same compositions as plain tuples derive every column bit for bit.
-    replaced = dataclasses.replace(view, compositions=tuple(view.compositions))
-    assert list(map(float.hex, replaced.log_probs)) == list(map(float.hex, view.log_probs))
-    for name in DERIVED:
-        assert type(getattr(replaced, name)) is type(getattr(view, name))
-        assert getattr(replaced, name) == getattr(view, name), name
+    # The same base and n, given positionally or through a replace, derive every column bit for bit.
+    for rebuilt in (distributions.ProductSourceView(base, 7), dataclasses.replace(view)):
+        assert rebuilt == view and hash(rebuilt) == hash(view)
+        assert list(map(float.hex, rebuilt.log_probs)) == list(map(float.hex, view.log_probs))
+        for name in ["compositions", *DERIVED]:
+            assert type(getattr(rebuilt, name)) is type(getattr(view, name))
+            assert getattr(rebuilt, name) == getattr(view, name), name
+
+
+@pytest.mark.parametrize("base", DERIVED_BASES, ids=DERIVED_IDS)
+def test_view_columns_are_derived_from_its_compositions(base):
+    # Every derived column is what the view's compositions give, class by class.
+    n = 7
+    view = iid_power(base, n)
+    comps = list(view.compositions)
+    support = [(lab, m) for lab, m in base.atoms if m > 0]
+    s = len(support)
+    assert view.support_labels == tuple(lab for lab, _ in support)
+    assert list(map(float.hex, view.log_probs)) == list(map(float.hex, class_logs(base.masses, comps)))
+    multinomials = [math.factorial(n) // math.prod(map(math.factorial, c)) for c in comps]
+    assert list(view.multiplicities) == multinomials
+    if base.exact:
+        d = math.lcm(*(m.denominator for _, m in support))
+        weights = [m.numerator * (d // m.denominator) for _, m in support]
+        assert view.denominator == d**n
+        assert list(view.numerators) == [math.prod(map(pow, weights, c)) for c in comps]
+    else:
+        assert view.numerators is None and view.denominator is None
+    assert view.full_alphabet_size == base.size**n
+    assert view.zero_mass_count == base.size**n - s**n
+    assert sum(multinomials) == s**n
 
 
 _FOLD = columns._row_logs
@@ -346,12 +399,12 @@ def _counted_folds(monkeypatch) -> list:
 
 
 def _fresh_fold(view) -> list[str]:
-    """The row fold of the view's walk, gathered through its classes' walk ranks."""
+    """The row fold of the view's walk, read off at each of its classes in the view's order."""
     masses = [m for m in view.base.masses if m > 0]
     s, n = len(masses), view.n
     rows = columns._rows(n, s)
-    ranks = columns._ranks(view.compositions.columns, rows, n, s)
-    return list(map(float.hex, columns._gather(ranks)(_FOLD(masses, rows, n))))
+    fold = dict(zip(zip(*columns._expanded(rows, s)), map(float.hex, _FOLD(masses, rows, n))))
+    return list(map(fold.__getitem__, view.compositions))
 
 
 @pytest.mark.parametrize("base,n", FOLD_CASES, ids=FOLD_IDS)
@@ -365,16 +418,14 @@ def test_a_build_folds_each_class_once(base, n, monkeypatch):
 def test_a_view_moved_onto_other_masses_folds_again(monkeypatch):
     view = iid_power(make_distribution([Fraction(3, 4), Fraction(1, 4)]), 9)
     calls = _counted_folds(monkeypatch)
-    # A view given compositions folds its rows once; equal masses in the same
-    # lane fold to the same bits.
+    # A view folds its rows once per build; equal masses in the same lane fold to the same bits.
     same = dataclasses.replace(view, base=make_distribution([Fraction(3, 4), Fraction(1, 4)]))
     assert len(calls) == 1
     assert list(map(float.hex, same.log_probs)) == list(map(float.hex, view.log_probs))
-    # Other masses, the float lane's equal values, and columns given as tuples fold again.
+    # Other masses and the float lane's equal values fold again.
     for change in (
         {"base": make_distribution([Fraction(4, 5), Fraction(1, 5)])},
         {"base": make_distribution([0.75, 0.25])},
-        {"compositions": tuple(view.compositions)},
     ):
         calls.clear()
         moved = dataclasses.replace(view, **change)
@@ -383,17 +434,22 @@ def test_a_view_moved_onto_other_masses_folds_again(monkeypatch):
 
 
 @pytest.mark.parametrize("base", [bernoulli(0.3), make_distribution([0.7, 0.3])], ids=["exact", "float"])
-def test_view_rejects_two_swapped_classes(base):
+def test_the_order_certificate_rejects_two_swapped_classes(base):
     view = iid_power(base, 8)
-    comps = list(view.compositions)
-    comps[0], comps[1] = comps[1], comps[0]
+    logs, cols = list(view.log_probs), [list(col) for col in view.compositions.columns]
+    for col in (logs, *cols):
+        col[0], col[1] = col[1], col[0]
+    compare = None
+    if view.exact:
+        compare = functools.partial(columns._exact_compare, view.numerators.weights, cols)
+    bound = columns._fold_bound([m for m in base.masses if m > 0], 8)
     with pytest.raises(BadParamError, match="not sorted"):
-        dataclasses.replace(view, compositions=tuple(comps))
+        columns._certified_runs(logs, bound, compare)
 
 
 def test_view_equality_and_hash_leave_the_multiplicities_unfilled():
-    # Two views are equal when their base, n and compositions are; the
-    # derived columns, the lazily filled multinomials among them, are not read.
+    # Two views are equal when their base and n are; the derived columns,
+    # the lazily filled multinomials among them, are not read.
     first, second = (iid_power(make_distribution([0.89, 0.11]), 65536) for _ in range(2))
     assert first == second and hash(first) == hash(second)
     assert first != iid_power(make_distribution([0.89, 0.11]), 65535)
@@ -425,6 +481,18 @@ def _unbalanced(cols):
     return cols
 
 
+def _rejected(view, cols):
+    """A view takes no compositions, and the certificate of its classes refuses ``cols``."""
+    n, s = view.n, len(view.support_labels)
+    with pytest.raises(TypeError):
+        distributions.ProductSourceView(view.base, n, compositions=columns._Compositions(cols))
+    with pytest.raises(ValueError, match="field compositions is declared with init=False"):
+        dataclasses.replace(view, compositions=columns._Compositions(cols))
+    message = f"compositions are not the {math.comb(n + s - 1, s - 1)} compositions of {n} into {s} parts"
+    with pytest.raises(ValueError, match=message):
+        ref.check_classes(columns._rows(n, s), ref.walk_ranks(cols, n, s), n, s)
+
+
 @pytest.mark.parametrize("base", COLUMN_BASES, ids=COLUMN_IDS)
 @pytest.mark.parametrize(
     "tamper",
@@ -438,26 +506,17 @@ def _unbalanced(cols):
 )
 def test_view_rejects_coordinate_columns_that_are_not_the_compositions(base, tamper):
     view = iid_power(base, 8)
-    cols = tamper([list(col) for col in view.compositions.columns])
-    s = len(view.support_labels)
-    message = f"compositions are not the {math.comb(8 + s - 1, s - 1)} compositions of 8 into {s} parts"
-    with pytest.raises(BadParamError, match=message):
-        dataclasses.replace(view, compositions=distributions._Compositions(cols))
+    _rejected(view, tamper([list(col) for col in view.compositions.columns]))
 
 
 @pytest.mark.parametrize("base", COLUMN_BASES, ids=COLUMN_IDS)
 @pytest.mark.parametrize("n,convert", [(8, float), (1, bool)], ids=["float", "bool"])
 def test_view_rejects_coordinates_that_are_not_ints(base, n, convert):
     view = iid_power(base, n)
-    s = len(view.support_labels)
-    message = f"compositions are not the {math.comb(n + s - 1, s - 1)} compositions of {n} into {s} parts"
     converted = tuple(tuple(map(convert, comp)) for comp in view.compositions)
     assert converted == view.compositions
-    with pytest.raises(BadParamError, match=message):
-        dataclasses.replace(view, compositions=converted)
-    columns = [list(map(convert, col)) for col in view.compositions.columns]
-    with pytest.raises(BadParamError, match=message):
-        dataclasses.replace(view, compositions=distributions._Compositions(columns))
+    _rejected(view, [list(col) for col in zip(*converted)])
+    _rejected(view, [list(map(convert, col)) for col in view.compositions.columns])
 
 
 @pytest.mark.parametrize("base", COLUMN_BASES, ids=COLUMN_IDS)
@@ -469,10 +528,6 @@ def test_compositions_read_as_a_tuple_column(base):
     assert len(comps) == len(plain) and list(comps) == list(plain)
     assert comps[3] == plain[3] and comps[-2:] == plain[-2:]
     assert comps.index(plain[5]) == 5
-    # A tuple column is read into coordinate columns and certified as they are.
-    replaced = dataclasses.replace(view, compositions=plain)
-    assert replaced == view and hash(replaced) == hash(view)
-    assert replaced.compositions.columns == [list(col) for col in view.compositions.columns]
 
 
 @settings(max_examples=200, deadline=None)

@@ -132,9 +132,38 @@ def test_a_sweep_fills_only_the_multiplicities_it_reads():
         assert filled[i] == math.comb(n, view.compositions[i][1])
 
 
+def test_a_float_sweep_takes_the_exps_only_of_the_levels_it_reads():
+    # A float table's probabilities are the exps of its logs, taken only as
+    # far as the profile reads them.
+    view = iid_power(BINARY, 16384)
+    smooth_max_entropy(view, Fraction(1, 10))
+    smooth_min_entropy(view, Fraction(1, 10))
+    depth = len(_profile(view.levels).cum) - 1
+    filled = view.levels.probs._values
+    assert 0 < len(filled) <= depth < len(view.levels) // 2
+    assert list(map(float.hex, filled)) == [math.exp(x).hex() for x in view.log_probs[: len(filled)]]
+
+
+@pytest.mark.parametrize(
+    "weights,n",
+    [([0.89, 0.11], 2048), ([w / 101 for w in (48, 34, 19)], 64), ([0.5, 0.25, 0.25], 48), ([1 - 2**-1000, 2**-1000], 64)],
+    ids=["binary", "ternary", "joined", "subnormal"],
+)
+def test_a_float_level_table_reads_the_exps_of_its_logs(weights, n):
+    levels = iid_power(make_distribution(weights), n).levels
+    want = tuple(math.exp(x) for x in levels.logs)
+    probs = levels.probs
+    # A read fills the column as far as it reaches, backwards slices included.
+    assert probs[2:0:-1] == list(want[2:0:-1]) and len(probs._values) == 3
+    assert probs[-1].hex() == want[-1].hex() and len(probs._values) == len(want)
+    assert list(map(float.hex, probs)) == list(map(float.hex, want))
+    assert len(probs) == len(levels.logs) == len(levels.counts)
+    assert probs == want and want == probs and hash(probs) == hash(want) and repr(probs) == repr(want)
+
+
 def test_an_exact_sweep_fills_only_the_multiplicities_it_reads():
-    # The exact view's certificate reads no count and no numerator, so the
-    # build fills neither.  The sweep then fills counts only as deep as its
+    # The exact view's build reads no count and no numerator, so it fills
+    # neither.  The sweep then fills counts only as deep as its
     # profile reads and carries the class masses exactly that deep, keeping
     # only the carry's frontier, one class on a binary base.  It reads each
     # probed level's probability (the min entropy's also past the last level

@@ -1,23 +1,27 @@
 """A view's classes as the walk's row table and the sort's order.
 
 The walk emits one row per head (all coordinates but the last two); the
-view folds its classes row by row and certifies them from the row table
-and the order, a permutation of the walk ranks, reading no class.  These
-tests pin the fold against a per-class oracle, the ranks against the
-lexicographic enumeration, and every refusal of the certificate.
+view folds its classes row by row and sorts them by the fold.  The walk
+makes every composition once, so the library keeps no certificate of
+its classes: these tests pin the fold against a per-class oracle, the
+walk's rows against the frozen walk of ``oracle_view_walk``, and a
+view's classes as every composition once, in sorted order, by the
+certificate ``oracle_view_walk.check_classes``, whose every refusal is
+pinned here too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 
+import oracle_view_walk as ref
 from oracle_class_logs import class_logs
-from smoothgen import BadParamError, bernoulli, columns, iid_power, make_distribution
-from smoothgen.distributions import ProductSourceView
+from smoothgen import bernoulli, columns, iid_power, make_distribution
 
 F = Fraction
 ORACLE_CASES = [
@@ -49,26 +53,72 @@ def test_the_row_fold_equals_each_class_folded_on_its_own(weights, ns):
         assert list(map(float.hex, view.log_probs)) == list(map(float.hex, want)), n
 
 
-@pytest.mark.parametrize("n,s", [(1, 1), (5, 1), (1, 2), (6, 2), (1, 3), (7, 3), (5, 4), (4, 5)])
+WALK_GRID = [(1, 1), (5, 1), (1, 2), (6, 2), (1, 3), (7, 3), (5, 4), (4, 5)]
+
+
+@pytest.mark.parametrize("n,s", WALK_GRID)
 def test_the_walk_ranks_are_the_lexicographic_ranks(n, s):
     rows = columns._rows(n, s)
     walk = [c for c in itertools.product(range(n + 1), repeat=s) if sum(c) == n]
     cols = columns._expanded(rows, s)
     assert list(zip(*cols)) == walk
     assert len(rows[0]) == (math.comb(n + s - 2, s - 2) if s > 1 else 1)
-    assert columns._ranks([list(col) for col in zip(*walk)], rows, n, s) == list(range(len(walk)))
-    columns._check_classes(rows, list(range(len(walk))), n, s)
+    assert ref.walk_ranks([list(col) for col in zip(*walk)], n, s) == list(range(len(walk)))
+    ref.check_classes(rows, list(range(len(walk))), n, s)
+
+
+def _grid_bases(s):
+    """An exact and a float base of s support symbols, distinct weights, with a zero-mass symbol."""
+    if s == 1:
+        return [make_distribution([F(0), F(1)]), make_distribution([0.0, 1.0])]
+    weights = [s + 1 - i for i in range(s)]
+    exact = make_distribution([F(weights[0]), F(0), *map(F, weights[1:])])
+    total = sum(weights)
+    return [exact, make_distribution([weights[0] / total, 0.0, *(w / total for w in weights[1:])])]
+
+
+def _assert_every_composition_once_in_sorted_order(base, n):
+    view = iid_power(base, n)
+    masses = [m for m in base.masses if m > 0]
+    s = len(masses)
+    rows = columns._rows(n, s)
+    assert list(zip(*rows)) == ref.walk_rows(n, s)
+    ref.check_classes(rows, ref.walk_ranks(view.compositions.columns, n, s), n, s)
+    comps = list(view.compositions)
+    if base.exact:
+        probs = [math.prod(m**k for m, k in zip(masses, c)) for c in comps]
+    else:
+        probs = class_logs(base.masses, comps)
+    assert all(map(operator.ge, probs, probs[1:]))
+
+
+@pytest.mark.parametrize("n,s", WALK_GRID)
+def test_the_walk_is_the_oracle_walk_and_a_view_holds_every_composition_once_in_order(n, s):
+    for base in _grid_bases(s):
+        _assert_every_composition_once_in_sorted_order(base, n)
+
+
+@pytest.mark.parametrize(
+    "weights,n", [([0.89, 0.11], 16384), ([0.48, 0.34, 0.18], 256)], ids=["float2-16384", "float3-256"]
+)
+def test_large_views_hold_every_composition_once_in_order(weights, n):
+    _assert_every_composition_once_in_sorted_order(make_distribution(weights), n)
 
 
 def _sorted_parts(base, n):
-    masses = [m for m in base.masses if m > 0]
-    return masses, columns._descending(masses, columns._rows(n, len(masses)), n)
+    """The walk's row table and the walk ranks of the view's classes, most probable first."""
+    view = iid_power(base, n)
+    s = len(view.support_labels)
+    rows = columns._rows(n, s)
+    order = ref.walk_ranks(view.compositions.columns, n, s)
+    ref.check_classes(rows, order, n, s)
+    return s, rows, order
 
 
 def _refused(rows, order, n, s):
     message = f"compositions are not the {math.comb(n + s - 1, s - 1)} compositions of {n} into {s} parts"
-    with pytest.raises(BadParamError, match=message):
-        columns._check_classes(rows, order, n, s)
+    with pytest.raises(ValueError, match=message):
+        ref.check_classes(rows, order, n, s)
 
 
 BASES = [bernoulli(0.3), make_distribution([0.7, 0.3]), make_distribution([F(1, 2), F(3, 10), F(1, 5)]), make_distribution([0.5, 0.3, 0.2])]
@@ -108,13 +158,9 @@ def _short(order):
 )
 def test_an_order_that_is_no_permutation_of_int_ranks_is_refused(base, tamper):
     n = 8
-    masses, sort = _sorted_parts(base, n)
-    order = list(sort.order)
+    s, rows, order = _sorted_parts(base, n)
     tamper(order)
-    _refused(sort.rows, order, n, len(masses))
-    # The view refuses it the same way when the sort hands it over.
-    with pytest.raises(BadParamError, match="compositions are not the"):
-        ProductSourceView(base=base, n=n, compositions=sort._replace(order=order))
+    _refused(rows, order, n, s)
 
 
 def _missing_row(rows):
@@ -135,11 +181,8 @@ def _row_off_n(rows):
 )
 def test_a_row_table_that_misses_or_adds_a_row_is_refused(base, tamper):
     n = 8
-    masses, sort = _sorted_parts(base, n)
-    rows = tamper([list(col) for col in sort.rows])
-    _refused(rows, list(sort.order), n, len(masses))
-    with pytest.raises(BadParamError, match="compositions are not the"):
-        ProductSourceView(base=base, n=n, compositions=sort._replace(rows=rows))
+    s, rows, order = _sorted_parts(base, n)
+    _refused(tamper([list(col) for col in rows]), order, n, s)
 
 
 @pytest.mark.parametrize(
@@ -148,27 +191,25 @@ def test_a_row_table_that_misses_or_adds_a_row_is_refused(base, tamper):
 def test_a_row_table_that_repeats_a_row_in_place_of_another_is_refused(weights):
     # Binary tables have one row; these have several, so a row can stand in
     # for another and leave the row count right.
-    masses, sort = _sorted_parts(make_distribution(weights), 8)
-    s = len(masses)
-    for i in range(1, len(sort.rows[0])):
-        rows = [[*col[:i], col[0], *col[i + 1 :]] for col in sort.rows]
-        _refused(rows, list(sort.order), 8, s)
+    s, rows, order = _sorted_parts(make_distribution(weights), 8)
+    for i in range(1, len(rows[0])):
+        _refused([[*col[:i], col[0], *col[i + 1 :]] for col in rows], order, 8, s)
 
 
 @pytest.mark.parametrize(
-    "base,n,rows",
-    [(make_distribution([0.89, 0.11]), 16384, 1), (make_distribution([0.48, 0.34, 0.18]), 256, 257), (bernoulli(0.11), 4096, 1)],
+    "weights,n,rows",
+    [([0.89, 0.11], 16384, 1), ([0.48, 0.34, 0.18], 256, 257), ([F(89, 100), F(11, 100)], 4096, 1)],
     ids=["float2-16384", "float3-256", "exact2-4096"],
 )
-def test_the_certificate_reads_only_the_row_table(base, n, rows, monkeypatch):
-    read = []
-    certify = columns._are_compositions
+def test_a_build_walks_its_rows_once(weights, n, rows, monkeypatch):
+    walks = []
+    walk = columns._rows
 
-    def counted(cols, n, s):
-        read.append(len(cols[0]))
-        return certify(cols, n, s)
+    def counted(n, s):
+        walks.append(walk(n, s))
+        return walks[-1]
 
-    monkeypatch.setattr(columns, "_are_compositions", counted)
-    view = iid_power(base, n)
-    assert read == [rows]
+    monkeypatch.setattr(columns, "_rows", counted)
+    view = iid_power(make_distribution(weights), n)
+    assert [len(table[0]) for table in walks] == [rows]
     assert len(view.compositions.columns[0]) > rows
